@@ -27,10 +27,15 @@ type histShard struct {
 
 func (s *shard) inc(c Counter)           { s.counters[c].Add(1) }
 func (s *shard) add(c Counter, d uint64) { s.counters[c].Add(d) }
+
+// observe counts the sample before bucketing it, and Snapshot reads the
+// buckets before the count, so a snapshot taken mid-observe never holds
+// more bucketed samples than counted ones: an exported histogram's +Inf
+// bucket (the count) never falls below its last finite bucket.
 func (s *shard) observe(se Series, v uint64) {
 	h := &s.hists[se]
-	h.buckets[stats.BucketOf(v)].Add(1)
 	h.count.Add(1)
+	h.buckets[stats.BucketOf(v)].Add(1)
 	h.sum.Add(v)
 }
 

@@ -2,66 +2,16 @@ package service
 
 import "time"
 
-// The two scanner heaps are hand-rolled binary min-heaps rather than
-// container/heap instantiations: the interface indirection buys nothing
-// here and the concrete types keep ScanOnce allocation-light.
+// The delay heap holds jobs whose redelivery the retry policy paced: a
+// hand-rolled binary min-heap on the pacing deadline rather than a
+// container/heap instantiation, since the interface indirection buys
+// nothing here and the concrete type keeps ScanOnce allocation-light.
+// Service.dmu guards it. Delayed jobs are rare (only failed deliveries
+// reach it) and every entry is live: a job leaves the heap only when the
+// scanner pops it back into its queue.
 //
-// Both are lazy: entries are never removed from the middle. A lease that
-// settles before its deadline leaves a stale tokenAt behind; ScanOnce
-// drops it when the pop misses the lease table. Staleness is bounded by
-// one TTL window of issued tokens.
-
-// tokenAt is a lease deadline: when at passes, token should be reclaimed
-// (if still outstanding).
-type tokenAt struct {
-	at    time.Time
-	token uint64
-}
-
-type tokenHeap struct{ h []tokenAt }
-
-func (p *tokenHeap) len() int       { return len(p.h) }
-func (p *tokenHeap) min() tokenAt   { return p.h[0] }
-func (p *tokenHeap) push(e tokenAt) { p.h = append(p.h, e); siftUpToken(p.h) }
-func (p *tokenHeap) pop() tokenAt {
-	top := p.h[0]
-	last := len(p.h) - 1
-	p.h[0] = p.h[last]
-	p.h = p.h[:last]
-	siftDownToken(p.h)
-	return top
-}
-
-func siftUpToken(h []tokenAt) {
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].at.Before(h[parent].at) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func siftDownToken(h []tokenAt) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(h) && h[l].at.Before(h[least].at) {
-			least = l
-		}
-		if r < len(h) && h[r].at.Before(h[least].at) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-}
+// Lease deadlines need no heap: they live beside their tokens in the
+// sharded lease table, which the scanner walks (see Service.scanOnce).
 
 // jobAt is a delayed job: when at passes, j moves back to its queue.
 type jobAt struct {

@@ -91,8 +91,6 @@ type job struct {
 	mu        sync.Mutex
 	state     jobState
 	attempts  int
-	token     uint64    // current lease token when jsLeased
-	deadline  time.Time // lease deadline when jsLeased
 	notBefore time.Time // redelivery pacing when jsDelayed
 	delivered bool      // first delivery observed (lease-latency series)
 }

@@ -42,6 +42,7 @@ package service
 import (
 	"fmt"
 	"log/slog"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +76,10 @@ type Config struct {
 	// (0 = 30s).
 	LeaseTTL time.Duration
 	// ScanInterval is the deadline-scanner period (0 = LeaseTTL/4,
-	// clamped to [1ms, 1s]).
+	// clamped to [1ms, 1s]). A pass walks every outstanding lease, about
+	// 50ns each (BenchmarkScanOnce: ~3.3ms at 65,536 outstanding leases on
+	// a 2-vCPU Xeon, ~0.3% of one core at the 1s default); settled leases
+	// cost it nothing.
 	ScanInterval time.Duration
 	// RetryBudget is the delivery budget before a job dead-letters when
 	// Backoff is nil (0 = 5). Ignored when Backoff is set.
@@ -192,23 +196,35 @@ type Service struct {
 	metricsOnce sync.Once
 	metrics     *export.Collection // lazily built; windows persist across scrapes
 
-	state atomic.Int32   // srvServing → srvDraining → srvStopped
-	opWG  sync.WaitGroup // in-flight Submit/Lease calls (shutdown fence)
+	state atomic.Int32 // srvServing → srvDraining → srvStopped
+	// fence is the shutdown fence: Submit, Lease and SwapBackend hold a
+	// read lock for their whole call (see begin), and Shutdown, having
+	// flipped state, takes the write lock once to wait them out. No path
+	// may nest begin: a read lock requested while Shutdown waits blocks.
+	fence sync.RWMutex
 
 	nextID    atomic.Uint64
 	nextToken atomic.Uint64
 	inFlight  atomic.Int64 // outstanding lease tokens, settled post-state
 
-	tmu     sync.Mutex
-	tenants map[string]*tenant
+	// Lock discipline: tmu, the lease and job table shards, dmu,
+	// tenant.dlqMu, the producer lanes, job.mu and the backoff RNG's mutex
+	// are leaves, each held alone, never with another service lock. Only
+	// two locks enclose others, by design: the fence's read side above,
+	// held across a whole call, and tenant.swapMu, which SwapBackend
+	// holds across its lane barrier and drain.
 
-	// lmu guards the lease table and both timer heaps. Lock ordering:
-	// lmu and job.mu are never held together; tenant.jmu is never held
-	// with either.
-	lmu       sync.Mutex
-	leases    map[uint64]*job
-	deadlines tokenHeap
-	delayed   jobHeap
+	// tenants is an immutable name → tenant map, read without a lock and
+	// replaced by a copy when a tenant is created; tmu serializes creation.
+	tenants atomic.Pointer[map[string]*tenant]
+	tmu     sync.Mutex
+
+	// leases maps each outstanding lease token to its job and deadline;
+	// taking a token out of it is the exactly-once settlement arbiter.
+	leases shardedMap[leaseEntry]
+
+	dmu     sync.Mutex // guards delayed
+	delayed jobHeap
 
 	scanStop chan struct{}
 	scanDone chan struct{}
@@ -224,11 +240,11 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		now:      cfg.Now,
-		tenants:  map[string]*tenant{},
-		leases:   map[uint64]*job{},
+		leases:   newShardedMap[leaseEntry](leaseShards),
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
 	}
+	s.tenants.Store(&map[string]*tenant{})
 	s.rng.s = cfg.Seed
 	s.log = newSrvLogger(cfg.Logger, cfg.LogEvery)
 	if cfg.Recorder == nil {
@@ -270,42 +286,54 @@ func (r *lockedRNG) randN(n uint64) uint64 {
 	return v % n
 }
 
-// begin is the shutdown fence for Submit and Lease: it registers the call
-// with opWG before checking the state, so Shutdown's state-flip +
-// opWG.Wait() pair cannot miss an in-flight call.
+// begin is the shutdown fence for Submit, Lease and SwapBackend: it takes
+// the fence's read lock before checking the state, so Shutdown's state flip
+// followed by one write-lock acquisition cannot miss an in-flight call. On
+// nil the caller must release the fence with end.
 func (s *Service) begin() error {
-	s.opWG.Add(1)
+	s.fence.RLock()
 	switch s.state.Load() {
 	case srvServing:
 		return nil
 	case srvDraining:
-		s.opWG.Done()
+		s.fence.RUnlock()
 		return ErrDraining
 	default:
-		s.opWG.Done()
+		s.fence.RUnlock()
 		return ErrStopped
 	}
 }
 
-// tenantFor returns (creating if asked) the named tenant.
+// end releases the fence taken by a successful begin.
+func (s *Service) end() { s.fence.RUnlock() }
+
+// tenantMap returns the current immutable tenant map.
+func (s *Service) tenantMap() map[string]*tenant { return *s.tenants.Load() }
+
+// tenantFor returns (creating if asked) the named tenant. Lookups take no
+// lock; creation runs under tmu, which re-checks the map, applies the
+// MaxTenants cap and publishes a copy of the map with the new tenant.
 func (s *Service) tenantFor(name string, create bool) (*tenant, error) {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if t, ok := s.tenants[name]; ok {
+	if t := s.tenantMap()[name]; t != nil || !create {
 		return t, nil
 	}
-	if !create {
-		return nil, nil
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	cur := s.tenantMap()
+	if t := cur[name]; t != nil {
+		return t, nil
 	}
-	if q := s.cfg.MaxTenants; q > 0 && len(s.tenants) >= q {
+	if q := s.cfg.MaxTenants; q > 0 && len(cur) >= q {
 		return nil, fmt.Errorf("service: cannot create tenant %q (%d tenants, cap %d): %w",
-			name, len(s.tenants), q, ErrTenantLimit)
+			name, len(cur), q, ErrTenantLimit)
 	}
 	t, err := s.newTenant(name, s.cfg.Queue)
 	if err != nil {
 		return nil, err
 	}
-	s.tenants[name] = t
+	next := maps.Clone(cur)
+	next[name] = t
+	s.tenants.Store(&next)
 	return t, nil
 }
 
@@ -314,7 +342,7 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 	if err := s.begin(); err != nil {
 		return Job{}, err
 	}
-	defer s.opWG.Done()
+	defer s.end()
 	t, err := s.tenantFor(tenantName, true)
 	if err != nil {
 		return Job{}, err
@@ -340,9 +368,7 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 		state:     jsQueued,
 	}
 	out := j.external() // before publishing: a lease may mutate j at once
-	t.jmu.Lock()
-	t.jobs[j.id] = j
-	t.jmu.Unlock()
+	t.jobs.put(j.id, j)
 	// Record the submit before the enqueue makes the job leasable: a worker
 	// can lease the instant the id is in the queue, and the submit event
 	// must carry the earlier timestamp or job-span reconstruction
@@ -363,7 +389,7 @@ func (s *Service) Lease(tenantName string) (Lease, bool, error) {
 	if err := s.begin(); err != nil {
 		return Lease{}, false, err
 	}
-	defer s.opWG.Done()
+	defer s.end()
 	t, err := s.tenantFor(tenantName, false)
 	if err != nil || t == nil {
 		return Lease{}, false, err
@@ -373,9 +399,7 @@ func (s *Service) Lease(tenantName string) (Lease, bool, error) {
 		if !ok {
 			return Lease{}, false, nil
 		}
-		t.jmu.Lock()
-		j := t.jobs[id]
-		t.jmu.Unlock()
+		j, _ := t.jobs.get(id)
 		if j == nil {
 			// The id outlived its job record (possible only after a
 			// restore raced a duplicate checkpoint entry); skip it.
@@ -383,6 +407,12 @@ func (s *Service) Lease(tenantName string) (Lease, bool, error) {
 		}
 		return s.lease(j), true, nil
 	}
+}
+
+// leaseEntry is one outstanding lease in the lease table.
+type leaseEntry struct {
+	j        *job
+	deadline time.Time
 }
 
 // lease transitions j to jsLeased under a fresh token and publishes the
@@ -395,20 +425,16 @@ func (s *Service) lease(j *job) Lease {
 	j.mu.Lock()
 	j.state = jsLeased
 	j.attempts++
-	j.token = token
-	j.deadline = deadline
 	first := !j.delivered
 	j.delivered = true
 	attempts := j.attempts
 	out := Lease{Job: j.external(), Token: token, Deadline: deadline}
 	j.mu.Unlock()
 
-	s.inFlight.Add(1)
-	s.lmu.Lock()
-	s.leases[token] = j
-	s.deadlines.push(tokenAt{at: deadline, token: token})
-	s.lmu.Unlock()
-
+	// Record the lease before publishing the token: once it is in the
+	// table, ForceExpire or the scanner can take it and the job can be
+	// leased again and acked, and this lease's event must precede all of
+	// that or job-span reconstruction sees a broken chain.
 	rec := j.tenant.rec
 	rec.Inc(obs.SrvLeases)
 	if attempts > 1 {
@@ -421,6 +447,9 @@ func (s *Service) lease(j *job) Lease {
 		s.ev.Event(obs.EvSrvLease, obs.LaneDefault, j.id)
 	}
 	s.log.lease(j.tenant.name, j.id, token, attempts)
+
+	s.inFlight.Add(1)
+	s.leases.put(token, leaseEntry{j: j, deadline: deadline})
 	return out
 }
 
@@ -428,13 +457,8 @@ func (s *Service) lease(j *job) Lease {
 // the scanner) wins it. The winner owns the job's next transition and must
 // decrement inFlight when that transition is complete.
 func (s *Service) takeLease(token uint64) *job {
-	s.lmu.Lock()
-	j := s.leases[token]
-	if j != nil {
-		delete(s.leases, token)
-	}
-	s.lmu.Unlock()
-	return j
+	e, _ := s.leases.take(token)
+	return e.j
 }
 
 // Ack settles a lease successfully: the job is done and will never be
@@ -452,9 +476,7 @@ func (s *Service) Ack(token uint64) error {
 	j.state = jsDone
 	j.mu.Unlock()
 	t := j.tenant
-	t.jmu.Lock()
-	delete(t.jobs, j.id)
-	t.jmu.Unlock()
+	t.jobs.take(j.id)
 	t.depth.Add(-1)
 	lat := uint64(now.Sub(j.submitted).Nanoseconds())
 	t.rec.Inc(obs.SrvAcks)
@@ -514,23 +536,26 @@ func (s *Service) redeliver(j *job, now time.Time) {
 	j.state = jsDelayed
 	j.notBefore = nb
 	j.mu.Unlock()
-	s.lmu.Lock()
+	s.dmu.Lock()
 	s.delayed.push(jobAt{at: nb, j: j})
-	s.lmu.Unlock()
+	s.dmu.Unlock()
 	s.inFlight.Add(-1)
 }
 
-// deadLetter moves j to its tenant's dead-letter queue.
+// deadLetter moves j to its tenant's dead-letter queue. The job enters the
+// dead-letter list before its state leaves jsLeased and before it leaves the
+// job table, and Stats walks the table before it reads the list, so a
+// concurrent Stats may count a dying job twice but never misses it.
 func (s *Service) deadLetter(j *job) {
+	t := j.tenant
+	t.dlqMu.Lock()
+	t.dead = append(t.dead, j)
+	t.dlqMu.Unlock()
 	j.mu.Lock()
 	j.state = jsDead
 	attempts := j.attempts
 	j.mu.Unlock()
-	t := j.tenant
-	t.jmu.Lock()
-	delete(t.jobs, j.id)
-	t.dead = append(t.dead, j)
-	t.jmu.Unlock()
+	t.jobs.take(j.id)
 	t.depth.Add(-1)
 	t.rec.Inc(obs.SrvDLQ)
 	if s.ev != nil {
@@ -560,27 +585,23 @@ func (s *Service) ForceExpire() int {
 }
 
 // scanOnce reclaims due timers. now is the redelivery pacing base and,
-// when force is false, also the expiry cutoff; force pops every timer
-// unconditionally.
+// when force is false, also the expiry cutoff; force reclaims every timer
+// unconditionally. The lease walk visits every outstanding lease, one table
+// shard at a time, so settled leases cost the scanner nothing; the order in
+// which one pass redelivers the leases it reclaims is unspecified.
 func (s *Service) scanOnce(now time.Time, force bool) int {
-	var expired []*job
+	expired := s.leases.sweep(func(e leaseEntry) bool {
+		return force || !e.deadline.After(now)
+	}, nil)
 	var release []*job
-	s.lmu.Lock()
-	for s.deadlines.len() > 0 && (force || !s.deadlines.min().at.After(now)) {
-		e := s.deadlines.pop()
-		j := s.leases[e.token]
-		if j == nil {
-			continue // settled before expiry; stale heap entry
-		}
-		delete(s.leases, e.token)
-		expired = append(expired, j)
-	}
+	s.dmu.Lock()
 	for s.delayed.len() > 0 && (force || !s.delayed.min().at.After(now)) {
 		release = append(release, s.delayed.pop().j)
 	}
-	s.lmu.Unlock()
+	s.dmu.Unlock()
 
-	for _, j := range expired {
+	for _, e := range expired {
+		j := e.j
 		j.tenant.rec.Inc(obs.SrvExpired)
 		if s.ev != nil {
 			s.ev.Event(obs.EvSrvExpire, obs.LaneDefault, j.id)

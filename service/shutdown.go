@@ -32,7 +32,10 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		return ErrAlreadyDraining
 	}
 	s.log.lifecycle("shutdown: draining")
-	s.opWG.Wait() // no Submit/Lease in flight past this point
+	// Wait out every Submit/Lease/SwapBackend that passed begin before the
+	// flip; later ones see srvDraining and never touch the service.
+	s.fence.Lock()
+	s.fence.Unlock() //nolint:staticcheck // empty critical section: a barrier
 
 	close(s.scanStop)
 	<-s.scanDone
@@ -154,8 +157,9 @@ func (s *Service) Stats() StatsSnapshot {
 
 	for _, t := range s.tenantList() {
 		ts := TenantStats{Tenant: t.name, Queue: t.be.Load().queueName, Depth: t.depth.Load()}
-		t.jmu.Lock()
-		for _, j := range t.jobs {
+		// One job-table shard at a time, then the dead-letter list, in
+		// that order: see deadLetter.
+		t.jobs.each(func(j *job) {
 			j.mu.Lock()
 			st := j.state
 			j.mu.Unlock()
@@ -167,9 +171,8 @@ func (s *Service) Stats() StatsSnapshot {
 			case jsDelayed:
 				ts.Delayed++
 			}
-		}
-		ts.Dead = len(t.dead)
-		t.jmu.Unlock()
+		})
+		ts.Dead = len(t.deadList())
 		out.Tenants = append(out.Tenants, ts)
 	}
 	return out
@@ -181,11 +184,10 @@ func (s *Service) DeadLetters(tenantName string) []Job {
 	if t == nil {
 		return nil
 	}
-	t.jmu.Lock()
-	defer t.jmu.Unlock()
-	out := make([]Job, len(t.dead))
-	for i, j := range t.dead {
-		out[i] = j.external()
+	dead := t.deadList()
+	out := make([]Job, len(dead))
+	for i, j := range dead {
+		out[i] = j.external() // dead jobs are quiescent
 	}
 	return out
 }

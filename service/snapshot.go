@@ -46,7 +46,7 @@ type snapJob struct {
 
 // checkpoint writes every unsettled job to path (tmp + rename, so a crash
 // mid-write leaves the previous checkpoint intact). Caller guarantees
-// quiescence: state is srvStopped, opWG drained, scanner stopped,
+// quiescence: state is srvStopped, the fence passed, scanner stopped,
 // inFlight zero.
 func (s *Service) checkpoint(path string) error {
 	snap := snapshot{
@@ -71,9 +71,7 @@ func (s *Service) checkpoint(path string) error {
 				continue
 			}
 			empty = 0
-			t.jmu.Lock()
-			j := t.jobs[id]
-			t.jmu.Unlock()
+			j, _ := t.jobs.get(id)
 			if j == nil || inQueue[id] {
 				continue
 			}
@@ -84,21 +82,17 @@ func (s *Service) checkpoint(path string) error {
 		// Then everything else in the job table — delayed jobs, plus any
 		// job a crashy interleaving left unreachable from the queue —
 		// sorted by id for determinism.
-		t.jmu.Lock()
 		var rest []*job
-		for id, j := range t.jobs {
-			if !inQueue[id] {
+		t.jobs.each(func(j *job) {
+			if !inQueue[j.id] {
 				rest = append(rest, j)
 			}
-		}
-		dead := make([]*job, len(t.dead))
-		copy(dead, t.dead)
-		t.jmu.Unlock()
+		})
 		sort.Slice(rest, func(i, k int) bool { return rest[i].id < rest[k].id })
 		for _, j := range rest {
 			st.Jobs = append(st.Jobs, snapJobOf(j))
 		}
-		for _, j := range dead {
+		for _, j := range t.deadList() {
 			st.Dead = append(st.Dead, snapJobOf(j))
 		}
 		if len(st.Jobs) > 0 || len(st.Dead) > 0 {
@@ -163,12 +157,13 @@ func (s *Service) restore(path string) error {
 	s.nextToken.Store(snap.NextToken)
 	now := s.now()
 	restored := 0
+	tenants := map[string]*tenant{}
 	for _, st := range snap.Tenants {
 		t, err := s.newTenant(st.Name, s.cfg.Queue)
 		if err != nil {
 			return err
 		}
-		s.tenants[st.Name] = t
+		tenants[st.Name] = t
 		restored += len(st.Jobs)
 		for _, sj := range st.Jobs {
 			j := &job{
@@ -179,12 +174,12 @@ func (s *Service) restore(path string) error {
 				attempts:  sj.Attempts,
 				delivered: sj.Attempts > 0,
 			}
-			t.jobs[j.id] = j
+			t.jobs.put(j.id, j)
 			t.depth.Add(1)
 			if sj.NotBefore.After(now) {
 				j.state = jsDelayed
 				j.notBefore = sj.NotBefore
-				s.delayed.push(jobAt{at: sj.NotBefore, j: j}) // pre-scanner: no lock needed, but cheap
+				s.delayed.push(jobAt{at: sj.NotBefore, j: j}) // pre-scanner: no lock needed
 			} else {
 				j.state = jsQueued
 				t.enqueue(j.id)
@@ -202,6 +197,7 @@ func (s *Service) restore(path string) error {
 			})
 		}
 	}
+	s.tenants.Store(&tenants)
 	s.log.lifecycle("checkpoint restored", "path", path, "tenants", len(snap.Tenants), "jobs", restored)
 	return nil
 }

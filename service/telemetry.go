@@ -66,12 +66,11 @@ func (s *Service) MetricsHandler() http.Handler { return s.MetricsCollection() }
 // tenantList snapshots the tenant table, sorted by name for stable
 // exposition and stats ordering.
 func (s *Service) tenantList() []*tenant {
-	s.tmu.Lock()
-	out := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
+	m := s.tenantMap()
+	out := make([]*tenant, 0, len(m))
+	for _, t := range m {
 		out = append(out, t)
 	}
-	s.tmu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

@@ -25,14 +25,16 @@ type tenant struct {
 	stats *obs.Stats
 	rec   obs.Recorder
 
-	// qmu guards shardStats: one Stats per queue shard, created lazily by
-	// the backend builder. Shard stats deliberately persist across
+	// shardStats holds one Stats per queue shard, created by the backend
+	// builder: an immutable slice, replaced by a longer copy when a build
+	// needs more shards. Builds on one tenant never overlap (newTenant
+	// builds before publishing the tenant, SwapBackend under swapMu), so
+	// replacing it needs no lock. Shard stats deliberately persist across
 	// SwapBackend — shard i of the new backend accumulates into the same
 	// Stats as shard i of the old one — so the exported per-shard counters
 	// stay monotonic for the /metrics scraper even while the chaos harness
 	// swaps backends mid-run.
-	qmu        sync.Mutex
-	shardStats []*obs.Stats
+	shardStats atomic.Pointer[[]*obs.Stats]
 
 	// be is the current backend; SwapBackend replaces it atomically and
 	// migrates stranded elements (see swap).
@@ -47,9 +49,9 @@ type tenant struct {
 
 	depth atomic.Int64 // queued + delayed + leased (quota accounting)
 
-	jmu  sync.Mutex
-	jobs map[uint64]*job // live (non-dead, non-done) jobs by id
-	dead []*job          // dead-letter queue, oldest first
+	jobs  shardedMap[*job] // live (non-dead, non-done) jobs by id
+	dlqMu sync.Mutex       // guards dead
+	dead  []*job           // dead-letter queue, oldest first
 }
 
 // backend is one built queue instance as the tenant drives it: producer
@@ -99,25 +101,40 @@ func (t *tenant) newBackend(queueName string) (*backend, error) {
 // queue shard. Only backend construction calls it; the returned recorder
 // is what sits on the queue hot path.
 func (t *tenant) shardStatsFor(shard int) *obs.Stats {
-	t.qmu.Lock()
-	defer t.qmu.Unlock()
-	for len(t.shardStats) <= shard {
-		t.shardStats = append(t.shardStats, obs.New())
+	cur := t.shardStatsList()
+	if shard < len(cur) {
+		return cur[shard]
 	}
-	return t.shardStats[shard]
+	next := append([]*obs.Stats(nil), cur...)
+	for len(next) <= shard {
+		next = append(next, obs.New())
+	}
+	t.shardStats.Store(&next)
+	return next[shard]
 }
 
-// shardStatsList snapshots the per-shard Stats slice for the exporter.
+// shardStatsList returns the per-shard Stats slice; callers must not
+// modify it.
 func (t *tenant) shardStatsList() []*obs.Stats {
-	t.qmu.Lock()
-	defer t.qmu.Unlock()
-	return append([]*obs.Stats(nil), t.shardStats...)
+	if p := t.shardStats.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// newTenant builds a tenant on the named registry entry. Caller holds
-// s.tmu.
+// deadList returns the dead-letter list, oldest first. The list only ever
+// grows by append, so the returned prefix stays valid; callers must not
+// modify it.
+func (t *tenant) deadList() []*job {
+	t.dlqMu.Lock()
+	defer t.dlqMu.Unlock()
+	return t.dead[:len(t.dead):len(t.dead)]
+}
+
+// newTenant builds a tenant on the named registry entry. Callers serialize
+// it (tenantFor under s.tmu, restore before the scanner starts).
 func (s *Service) newTenant(name, queueName string) (*tenant, error) {
-	t := &tenant{name: name, svc: s, jobs: map[uint64]*job{}, stats: obs.New()}
+	t := &tenant{name: name, svc: s, jobs: newShardedMap[*job](jobShards), stats: obs.New()}
 	t.rec = obs.Tee(t.stats, s.rec)
 	be, err := t.newBackend(queueName)
 	if err != nil {
@@ -183,15 +200,16 @@ func (t *tenant) drainInto(old *backend) {
 // into the current backend until two consecutive empty sweeps. Elements
 // dequeued concurrently by Lease are deliveries, not losses.
 //
-// Swaps on one tenant are serialized by t.swapMu, and the whole call is
-// fenced by the shutdown opWG like Submit/Lease: once Shutdown has flipped
-// the state, SwapBackend returns ErrDraining/ErrStopped instead of racing
-// the drain and checkpoint.
+// Swaps on one tenant are serialized by t.swapMu, which also covers the
+// new backend's construction (see tenant.shardStats), and the whole call
+// is fenced by the shutdown fence like Submit/Lease: once Shutdown has
+// flipped the state, SwapBackend returns ErrDraining/ErrStopped instead of
+// racing the drain and checkpoint.
 func (s *Service) SwapBackend(tenantName, queueName string) error {
 	if err := s.begin(); err != nil {
 		return err
 	}
-	defer s.opWG.Done()
+	defer s.end()
 	if _, ok := registry.LookupEntry(queueName); !ok {
 		return fmt.Errorf("service: unknown queue %q (have %v)", queueName, registry.Names())
 	}
@@ -202,12 +220,12 @@ func (s *Service) SwapBackend(tenantName, queueName string) error {
 	if t == nil {
 		return fmt.Errorf("service: unknown tenant %q", tenantName)
 	}
+	t.swapMu.Lock()
+	defer t.swapMu.Unlock()
 	nb, err := t.newBackend(queueName)
 	if err != nil {
 		return err
 	}
-	t.swapMu.Lock()
-	defer t.swapMu.Unlock()
 	old := t.be.Swap(nb)
 	for _, ln := range old.lanes {
 		// Empty critical section on purpose: a barrier flushing every
