@@ -7,7 +7,7 @@ import (
 )
 
 func TestScalableInsertExtract(t *testing.T) {
-	b := NewScalable[int](4, 4)
+	b := scalable[int](4, 4)
 	if !b.Insert(0, 10) {
 		t.Fatal("first insert failed")
 	}
@@ -34,7 +34,7 @@ func TestScalableInsertExtract(t *testing.T) {
 }
 
 func TestScalableEmptyBitFastPath(t *testing.T) {
-	b := NewScalable[int](2, 2)
+	b := scalable[int](2, 2)
 	b.Extract()
 	b.Extract()
 	if !b.Empty() {
@@ -50,7 +50,7 @@ func TestScalableEmptyBitFastPath(t *testing.T) {
 }
 
 func TestScalableInsertAfterSweepFails(t *testing.T) {
-	b := NewScalable[int](2, 2)
+	b := scalable[int](2, 2)
 	for {
 		if _, ok := b.Extract(); !ok {
 			break
@@ -62,7 +62,7 @@ func TestScalableInsertAfterSweepFails(t *testing.T) {
 }
 
 func TestScalableResetOwn(t *testing.T) {
-	b := NewScalable[int](2, 2)
+	b := scalable[int](2, 2)
 	b.Insert(0, 7)
 	b.ResetOwn(0)
 	if !b.Insert(0, 8) {
@@ -76,7 +76,7 @@ func TestScalableResetOwn(t *testing.T) {
 
 func TestScalableBound(t *testing.T) {
 	// capacity 8 but only 3 active inserters: extraction must stop at 3.
-	b := NewScalable[int](8, 3)
+	b := scalable[int](8, 3)
 	b.Insert(1, 11)
 	n := 0
 	for {
@@ -93,18 +93,49 @@ func TestScalableBound(t *testing.T) {
 	}
 }
 
+// scalable and partitioned build baskets through New and return the
+// concrete type a test inspects.
+func scalable[T any](capacity, bound int) *Scalable[T] {
+	return New[T](WithCapacity(capacity), WithBound(bound)).(*Scalable[T])
+}
+
+func partitioned[T any](capacity, bound, k int) *Partitioned[T] {
+	return New[T](WithCapacity(capacity), WithBound(bound), WithPartitions(k)).(*Partitioned[T])
+}
+
+// TestScalableBadCapacityPanics: an explicit non-positive capacity panics
+// in New for both basket kinds (zero selects the GOMAXPROCS default).
 func TestScalableBadCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero capacity")
+	for _, k := range []int{0, 2} {
+		for _, capacity := range []int{-1, -5} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("New(capacity %d, partitions %d) did not panic", capacity, k)
+					}
+				}()
+				New[int](WithCapacity(capacity), WithPartitions(k))
+			}()
 		}
-	}()
-	NewScalable[int](0, 0)
+	}
+}
+
+// TestNewClampsBound: out-of-range bounds fall back to the capacity, for
+// both basket kinds.
+func TestNewClampsBound(t *testing.T) {
+	for _, bound := range []int{0, -1, 99} {
+		if b := scalable[int](3, bound); b.bound != 3 {
+			t.Errorf("scalable bound %d: got %d, want 3", bound, b.bound)
+		}
+		if b := partitioned[int](3, bound, 2); b.bound != 3 {
+			t.Errorf("partitioned bound %d: got %d, want 3", bound, b.bound)
+		}
+	}
 }
 
 func TestScalableConcurrentNoLossNoDup(t *testing.T) {
 	const n = 16
-	b := NewScalable[int](n, n)
+	b := scalable[int](n, n)
 	var wg sync.WaitGroup
 	inserted := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -241,7 +272,7 @@ func TestClosingStackConcurrent(t *testing.T) {
 func TestBasketProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		for _, mk := range []func() Basket[uint64]{
-			func() Basket[uint64] { return NewScalable[uint64](8, 8) },
+			func() Basket[uint64] { return scalable[uint64](8, 8) },
 			func() Basket[uint64] { return NewClosingStack[uint64]() },
 		} {
 			b := mk()

@@ -11,7 +11,7 @@ import (
 // synchronization-free across distinct ids, extraction drains in arbitrary
 // order, and exhaustion closes the basket.
 func ExampleScalable() {
-	b := basket.NewScalable[string](4, 4)
+	b := basket.New[string](basket.WithCapacity(4))
 	b.Insert(0, "red")
 	b.Insert(2, "blue")
 

@@ -207,7 +207,7 @@ func TestScalableBasketLinearizable(t *testing.T) {
 		trials = 60
 	}
 	for seed := 0; seed < trials; seed++ {
-		b := NewScalable[uint64](3, 3)
+		b := scalable[uint64](3, 3)
 		h := runBasketHistory(b, seed)
 		if !linearizableBasket(h) {
 			t.Fatalf("seed %d: non-linearizable history: %+v", seed, h)
@@ -221,7 +221,7 @@ func TestPartitionedBasketLinearizableHistories(t *testing.T) {
 		trials = 60
 	}
 	for seed := 0; seed < trials; seed++ {
-		b := NewPartitioned[uint64](3, 3, 2)
+		b := partitioned[uint64](3, 3, 2)
 		h := runBasketHistory(b, seed)
 		if !linearizableBasket(h) {
 			t.Fatalf("seed %d: non-linearizable history: %+v", seed, h)

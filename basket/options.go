@@ -67,12 +67,12 @@ func New[T any](opts ...Option) Basket[T] {
 		ev.Event(obs.EvBasketOpen, obs.LaneDefault, id)
 	}
 	if o.partitions > 1 {
-		b := NewPartitioned[T](o.capacity, o.bound, o.partitions)
+		b := newPartitioned[T](o.capacity, o.bound, o.partitions)
 		b.rec = o.rec
 		b.ev, b.id = ev, id
 		return b
 	}
-	b := NewScalable[T](o.capacity, o.bound)
+	b := newScalable[T](o.capacity, o.bound)
 	b.rec = o.rec
 	b.ev, b.id = ev, id
 	return b

@@ -46,21 +46,11 @@ type partition struct {
 	_ [48]byte
 }
 
-// NewPartitioned returns a basket with capacity cells, scanning the first
-// bound on extraction, split into k partitions. k is clamped to [1,bound].
-//
-// Deprecated: use New with WithCapacity, WithBound and WithPartitions,
-// which also accepts a telemetry recorder.
-func NewPartitioned[T any](capacity, bound, k int) *Partitioned[T] {
-	if capacity <= 0 {
-		panic("basket: capacity must be positive")
-	}
-	if bound <= 0 || bound > capacity {
-		bound = capacity
-	}
-	if k < 1 {
-		k = 1
-	}
+// newPartitioned returns a basket with capacity cells, scanning the first
+// bound on extraction, split into k partitions. New validates capacity
+// and bound (0 < bound <= capacity) and passes k > 1; k is clamped to
+// bound here.
+func newPartitioned[T any](capacity, bound, k int) *Partitioned[T] {
 	if k > bound {
 		k = bound
 	}

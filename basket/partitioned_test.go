@@ -7,7 +7,7 @@ import (
 )
 
 func TestPartitionedInsertExtract(t *testing.T) {
-	b := NewPartitioned[int](8, 8, 4)
+	b := partitioned[int](8, 8, 4)
 	for i := 0; i < 8; i += 2 {
 		if !b.Insert(i, 100+i) {
 			t.Fatalf("insert %d failed", i)
@@ -36,7 +36,7 @@ func TestPartitionedInsertExtract(t *testing.T) {
 }
 
 func TestPartitionedEmptyAfterExhaustionOnly(t *testing.T) {
-	b := NewPartitioned[int](6, 6, 3)
+	b := partitioned[int](6, 6, 3)
 	if b.Empty() {
 		t.Fatal("fresh basket Empty")
 	}
@@ -55,18 +55,23 @@ func TestPartitionedEmptyAfterExhaustionOnly(t *testing.T) {
 }
 
 func TestPartitionedKClamping(t *testing.T) {
-	b := NewPartitioned[int](4, 4, 100) // k clamped to 4
+	b := partitioned[int](4, 4, 100) // k clamped to the bound, 4
 	if len(b.parts) != 4 {
 		t.Fatalf("k = %d, want 4", len(b.parts))
 	}
-	b2 := NewPartitioned[int](4, 4, 0) // k clamped to 1
-	if len(b2.parts) != 1 {
-		t.Fatalf("k = %d, want 1", len(b2.parts))
+	if b := partitioned[int](4, 2, 8); len(b.parts) != 2 { // clamped to bound 2
+		t.Fatalf("k = %d, want 2", len(b.parts))
+	}
+	// k <= 1 selects the single-counter scalable basket.
+	for _, k := range []int{-1, 0, 1} {
+		if _, ok := New[int](WithCapacity(4), WithPartitions(k)).(*Scalable[int]); !ok {
+			t.Errorf("WithPartitions(%d) did not build a Scalable basket", k)
+		}
 	}
 }
 
 func TestPartitionedPartitionBounds(t *testing.T) {
-	b := NewPartitioned[int](10, 10, 3)
+	b := partitioned[int](10, 10, 3)
 	covered := make([]bool, 10)
 	for pi := range b.parts {
 		p := &b.parts[pi]
@@ -85,7 +90,7 @@ func TestPartitionedPartitionBounds(t *testing.T) {
 }
 
 func TestPartitionedBoundSmallerThanCapacity(t *testing.T) {
-	b := NewPartitioned[int](16, 4, 2)
+	b := partitioned[int](16, 4, 2)
 	b.Insert(1, 11)
 	n := 0
 	for {
@@ -101,7 +106,7 @@ func TestPartitionedBoundSmallerThanCapacity(t *testing.T) {
 }
 
 func TestPartitionedResetOwn(t *testing.T) {
-	b := NewPartitioned[int](4, 4, 2)
+	b := partitioned[int](4, 4, 2)
 	b.Insert(2, 5)
 	b.ResetOwn(2)
 	if !b.Insert(2, 6) {
@@ -111,7 +116,7 @@ func TestPartitionedResetOwn(t *testing.T) {
 
 func TestPartitionedConcurrent(t *testing.T) {
 	const n = 32
-	b := NewPartitioned[int](n, n, 8)
+	b := partitioned[int](n, n, 8)
 	var wg sync.WaitGroup
 	inserted := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -160,7 +165,7 @@ func TestPartitionedConcurrent(t *testing.T) {
 func TestPartitionedEmptyMonotoneProperty(t *testing.T) {
 	f := func(ops []uint8, kRaw uint8) bool {
 		k := int(kRaw)%4 + 1
-		b := NewPartitioned[uint64](8, 8, k)
+		b := New[uint64](WithCapacity(8), WithPartitions(k))
 		sawEmpty := false
 		next := uint64(1)
 		for _, op := range ops {

@@ -42,20 +42,11 @@ type Scalable[T any] struct {
 	id uint64
 }
 
-// NewScalable returns a basket with capacity cells, scanning only the
+// newScalable returns a basket with capacity cells, scanning only the
 // first bound cells on extraction. The paper's evaluation fixes capacity
 // at the machine's thread count and sets bound to the live enqueuer count
-// (§6.1). bound must not exceed capacity.
-//
-// Deprecated: use New with WithCapacity and WithBound, which also accepts
-// a telemetry recorder.
-func NewScalable[T any](capacity, bound int) *Scalable[T] {
-	if capacity <= 0 {
-		panic("basket: capacity must be positive")
-	}
-	if bound <= 0 || bound > capacity {
-		bound = capacity
-	}
+// (§6.1). New validates both: 0 < bound <= capacity.
+func newScalable[T any](capacity, bound int) *Scalable[T] {
 	return &Scalable[T]{cells: make([]scell[T], capacity), bound: bound}
 }
 

@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -274,29 +273,29 @@ func BenchmarkNative_EnqueueBatch(b *testing.B) {
 }
 
 // BenchmarkNative_SBQAppendStrategies compares plain and delayed CAS
-// try_append under parallel enqueue pressure (the SBQ-CAS tradeoff).
+// try_append under parallel enqueue pressure (the SBQ-CAS tradeoff),
+// through the registry entries that configure them.
 func BenchmarkNative_SBQAppendStrategies(b *testing.B) {
-	strategies := []struct {
-		name  string
-		delay time.Duration
-	}{
-		{"PlainCAS", 0},
-		{"DelayedCAS", registry.DelayedCASDelay},
-	}
-	for _, s := range strategies {
+	for _, s := range []struct{ name, entry string }{
+		{"PlainCAS", "SBQ-CAS"},
+		{"DelayedCAS", "SBQ-DCAS"},
+	} {
 		s := s
 		b.Run(s.name, func(b *testing.B) {
 			maxViews := 8*runtime.GOMAXPROCS(0) + 8
-			q := sbq.New[uint64](sbq.WithEnqueuers(maxViews), sbq.WithAppendDelay(s.delay))
+			inst, err := registry.Build(s.entry, registry.Config{Producers: maxViews})
+			if err != nil {
+				b.Fatal(err)
+			}
 			var next atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				id := int(next.Add(1)-1) % maxViews
-				h := q.NewHandle()
+				p := inst.ProducerView(id)
 				i := uint64(0)
 				for pb.Next() {
 					i++
-					h.Enqueue(uint64(id+1)<<40 | i)
+					p.Enqueue(uint64(id+1)<<40 | i)
 				}
 			})
 		})

@@ -28,10 +28,10 @@
 // enforce), or "both" to measure the two modes side by side.
 //
 // -txcas sweeps the software-TxCAS speculation window (how long a
-// contending enqueuer watches the publication gate before issuing its
-// linking CAS; see repro/internal/txcas) across the listed durations on
-// the TxCAS-mode entries. 0 selects the engine default (the paper's
-// ~270ns §4.1 delay); entries without a TxCAS engine ignore the flag.
+// contending enqueuer watches the link it is about to CAS before issuing
+// the CAS; see repro/internal/txcas) across the listed durations on the
+// TxCAS-mode entries. 0 selects the engine default (the paper's ~270ns
+// §4.1 delay); other entries ignore the flag.
 // With -stats, each result cell also records the engine's CAS/soft-abort
 // counters in the bench-json output, so baselines document the
 // CAS-failure-rate reduction alongside ns/op.

@@ -64,11 +64,6 @@ func (FaultSweep) Name() string { return "faults" }
 
 func (w FaultSweep) run(o Options) Output { return Output{Faults: runFaultSweep(w, o)} }
 
-// RunFaultSweep runs the fault sweep: for each policy, SBQ enqueue
-// throughput across spurious-abort probabilities and (unless skipped) with
-// HTM disabled outright.
-func RunFaultSweep(w FaultSweep, o Options) []FaultResult { return Run(w, o).Faults }
-
 // FaultResult is one (policy, fault scenario) point of the sweep.
 type FaultResult struct {
 	Policy   string

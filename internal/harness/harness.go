@@ -2,8 +2,7 @@
 // simulated machine and formats their results. Experiments are named by
 // typed Workload values executed through the single entry point Run (see
 // run.go); each regenerates one figure or ablation of the paper. cmd/sbqsim
-// and the repository's bench_test.go are thin wrappers around it. The
-// legacy per-figure Run* functions remain as deprecated wrappers over Run.
+// and the repository's bench_test.go are thin wrappers around it.
 package harness
 
 import (

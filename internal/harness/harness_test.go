@@ -21,7 +21,7 @@ func get(results []Result, series string, threads int) (Result, bool) {
 // Figure 1's qualitative content: FAA grows with contention, TxCAS stays
 // roughly flat and wins at high thread counts.
 func TestFig1Shapes(t *testing.T) {
-	res := RunFig1(fast())
+	res := Run(Fig1{}, fast()).Results
 	faaLow, _ := get(res, "FAA", 2)
 	faaHigh, ok := get(res, "FAA", 40)
 	if !ok {
@@ -47,7 +47,7 @@ func TestFig1Shapes(t *testing.T) {
 // Figure 5's headline: SBQ-HTM enqueues scale; it beats the FAA-based
 // queue at high concurrency.
 func TestFig5Shapes(t *testing.T) {
-	res := RunEnqueueOnly([]Variant{SBQHTM, WFQueue}, fast())
+	res := Run(EnqueueOnly{Variants: []Variant{SBQHTM, WFQueue}}, fast()).Results
 	sbqHigh, ok1 := get(res, string(SBQHTM), 40)
 	wfHigh, ok2 := get(res, string(WFQueue), 40)
 	if !ok1 || !ok2 {
@@ -65,7 +65,7 @@ func TestFig5Shapes(t *testing.T) {
 // Figure 6's content: dequeues don't scale for anyone; WF-Queue is the
 // fastest, SBQ within a small constant factor.
 func TestFig6Shapes(t *testing.T) {
-	res := RunDequeueOnly([]Variant{SBQHTM, WFQueue}, fast())
+	res := Run(DequeueOnly{Variants: []Variant{SBQHTM, WFQueue}}, fast()).Results
 	sbq, ok1 := get(res, string(SBQHTM), 40)
 	wf, ok2 := get(res, string(WFQueue), 40)
 	if !ok1 || !ok2 {
@@ -81,7 +81,7 @@ func TestFig6Shapes(t *testing.T) {
 
 func TestMixedRuns(t *testing.T) {
 	o := Options{OpsPerThread: 60, Reps: 1, ThreadCounts: []int{8, 40}}
-	res := RunMixed([]Variant{SBQHTM, WFQueue}, o)
+	res := Run(Mixed{Variants: []Variant{SBQHTM, WFQueue}}, o).Results
 	if len(res) != 4 {
 		t.Fatalf("got %d results, want 4", len(res))
 	}
@@ -93,7 +93,7 @@ func TestMixedRuns(t *testing.T) {
 }
 
 func TestFixAblation(t *testing.T) {
-	res := RunFixAblation(Options{OpsPerThread: 80, Reps: 1})
+	res := Run(FixAblation{}, Options{OpsPerThread: 80, Reps: 1}).Fix
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -117,14 +117,14 @@ func TestFixAblation(t *testing.T) {
 }
 
 func TestDelaySweepRuns(t *testing.T) {
-	res := RunDelaySweep([]float64{0, 270}, []int{8, 32}, Options{OpsPerThread: 60, Reps: 1})
+	res := Run(DelaySweep{DelaysNS: []float64{0, 270}, ThreadCounts: []int{8, 32}}, Options{OpsPerThread: 60, Reps: 1}).Results
 	if len(res) != 4 {
 		t.Fatalf("got %d results", len(res))
 	}
 }
 
 func TestBasketSweepRuns(t *testing.T) {
-	res := RunBasketSweep([]int{8, 44}, 8, Options{OpsPerThread: 60, Reps: 1})
+	res := Run(BasketSweep{BasketSizes: []int{8, 44}, Threads: 8}, Options{OpsPerThread: 60, Reps: 1}).Results
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}

@@ -2,18 +2,13 @@ package harness
 
 import "repro/internal/trace"
 
-// This file is the harness's single entry point. Experiments used to be
-// eight separate Run* functions with diverging signatures; they are now
-// typed Workload values executed through Run, so call sites compose the
-// what (the workload) with the how much (Options) uniformly:
+// This file is the harness's single entry point. Experiments are typed
+// Workload values executed through Run, so call sites compose the what
+// (the workload) with the how much (Options) uniformly:
 //
 //	out := harness.Run(harness.EnqueueOnly{Variants: harness.AllVariants},
 //		harness.Options{OpsPerThread: 200})
 //	harness.WriteTable(os.Stdout, out.Results, "ns")
-//
-// The legacy Run* functions survive as thin deprecated wrappers that
-// delegate here, so their outputs are byte-for-byte those of Run (the
-// conformance tests in run_test.go assert exactly that).
 
 // Workload is one experiment the harness can run: a figure or ablation of
 // the paper, a telemetry/trace capture, or the fault sweep. The set is
@@ -161,83 +156,3 @@ type TraceTxCAS struct{}
 func (TraceTxCAS) Name() string { return "trace-txcas" }
 
 func (TraceTxCAS) run(o Options) Output { return Output{Trace: runTraceTxCAS(o)} }
-
-// ---------------------------------------------------------------------------
-// Deprecated wrappers. Each delegates to Run so its output is byte-for-byte
-// the Output field of the corresponding workload.
-
-// RunFig1 measures per-operation latency of a contended FAA and a contended
-// TxCAS as concurrency grows (paper Figure 1).
-//
-// Deprecated: use Run(Fig1{}, o).Results.
-func RunFig1(o Options) []Result { return Run(Fig1{}, o).Results }
-
-// RunEnqueueOnly measures enqueue latency and aggregate throughput while
-// producers fill an initially empty queue (paper Figure 5).
-//
-// Deprecated: use Run(EnqueueOnly{Variants: variants}, o).Results.
-func RunEnqueueOnly(variants []Variant, o Options) []Result {
-	return Run(EnqueueOnly{Variants: variants}, o).Results
-}
-
-// RunDequeueOnly measures dequeue latency on a queue pre-filled by
-// concurrent producers (paper Figure 6).
-//
-// Deprecated: use Run(DequeueOnly{Variants: variants}, o).Results.
-func RunDequeueOnly(variants []Variant, o Options) []Result {
-	return Run(DequeueOnly{Variants: variants}, o).Results
-}
-
-// RunMixed measures the normalized duration of the mixed producer/consumer
-// benchmark (paper Figure 7).
-//
-// Deprecated: use Run(Mixed{Variants: variants}, o).Results.
-func RunMixed(variants []Variant, o Options) []Result {
-	return Run(Mixed{Variants: variants}, o).Results
-}
-
-// RunDelaySweep measures TxCAS latency across intra-transaction delays
-// (paper §4.1's tuning).
-//
-// Deprecated: use Run(DelaySweep{DelaysNS: delaysNS, ThreadCounts:
-// threadCounts}, o).Results.
-func RunDelaySweep(delaysNS []float64, threadCounts []int, o Options) []Result {
-	return Run(DelaySweep{DelaysNS: delaysNS, ThreadCounts: threadCounts}, o).Results
-}
-
-// RunBasketSweep measures SBQ-HTM enqueue latency across basket sizes at a
-// fixed thread count (§5.3.4).
-//
-// Deprecated: use Run(BasketSweep{BasketSizes: basketSizes, Threads:
-// threads}, o).Results.
-func RunBasketSweep(basketSizes []int, threads int, o Options) []Result {
-	return Run(BasketSweep{BasketSizes: basketSizes, Threads: threads}, o).Results
-}
-
-// RunFixAblation measures cross-socket TxCAS with and without the §3.4.1
-// microarchitectural fix.
-//
-// Deprecated: use Run(FixAblation{}, o).Fix.
-func RunFixAblation(o Options) []FixResult { return Run(FixAblation{}, o).Fix }
-
-// RunTelemetry runs a mixed producer/consumer workload for each variant
-// with obs recorders attached at both layers and returns the snapshots.
-//
-// Deprecated: use Run(Telemetry{Variants: variants}, o).Telemetry.
-func RunTelemetry(variants []Variant, o Options) []TelemetrySnapshot {
-	return Run(Telemetry{Variants: variants}, o).Telemetry
-}
-
-// RunTrace runs one variant under the mixed cross-socket workload with a
-// flight recorder attached at both layers and returns the drained trace.
-//
-// Deprecated: use Run(TraceQueue{Variant: v}, o).Trace.
-func RunTrace(v Variant, o Options) *trace.Trace {
-	return Run(TraceQueue{Variant: v}, o).Trace
-}
-
-// RunTraceTxCAS records the raw-TxCAS cross-socket configuration of the
-// fix ablation (§3.4.1).
-//
-// Deprecated: use Run(TraceTxCAS{}, o).Trace.
-func RunTraceTxCAS(o Options) *trace.Trace { return Run(TraceTxCAS{}, o).Trace }

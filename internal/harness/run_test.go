@@ -7,69 +7,34 @@ import (
 	"repro/internal/machine"
 )
 
-// Conformance: every deprecated Run* wrapper must produce output
-// byte-for-byte equal to the corresponding field of Run. The simulator is
-// deterministic for equal (Options, workload), so running each experiment
-// twice and comparing with reflect.DeepEqual asserts both the delegation
-// and the determinism it relies on.
+// Determinism: the simulator is deterministic for equal (Options,
+// workload), so running each workload twice must give deeply equal
+// Outputs. sbqsim's byte-identical output rests on this.
 
 func tiny() Options {
 	return Options{OpsPerThread: 40, Reps: 1, ThreadCounts: []int{2, 8}}
 }
 
-func TestDeprecatedWrappersConform(t *testing.T) {
+func TestRunDeterministic(t *testing.T) {
 	o := tiny()
 	vs := []Variant{SBQHTM, WFQueue}
-	cases := []struct {
-		name    string
-		wrapper func() any
-		direct  func() any
-	}{
-		{"RunFig1",
-			func() any { return RunFig1(o) },
-			func() any { return Run(Fig1{}, o).Results }},
-		{"RunEnqueueOnly",
-			func() any { return RunEnqueueOnly(vs, o) },
-			func() any { return Run(EnqueueOnly{Variants: vs}, o).Results }},
-		{"RunDequeueOnly",
-			func() any { return RunDequeueOnly(vs, o) },
-			func() any { return Run(DequeueOnly{Variants: vs}, o).Results }},
-		{"RunMixed",
-			func() any { return RunMixed(vs, o) },
-			func() any { return Run(Mixed{Variants: vs}, o).Results }},
-		{"RunDelaySweep",
-			func() any { return RunDelaySweep([]float64{0, 270}, []int{8}, o) },
-			func() any {
-				return Run(DelaySweep{DelaysNS: []float64{0, 270}, ThreadCounts: []int{8}}, o).Results
-			}},
-		{"RunBasketSweep",
-			func() any { return RunBasketSweep([]int{8, 44}, 8, o) },
-			func() any { return Run(BasketSweep{BasketSizes: []int{8, 44}, Threads: 8}, o).Results }},
-		{"RunFixAblation",
-			func() any { return RunFixAblation(o) },
-			func() any { return Run(FixAblation{}, o).Fix }},
-		{"RunTelemetry",
-			func() any { return RunTelemetry(vs, o) },
-			func() any { return Run(Telemetry{Variants: vs}, o).Telemetry }},
-		{"RunTrace",
-			func() any { return RunTrace(SBQHTM, o) },
-			func() any { return Run(TraceQueue{Variant: SBQHTM}, o).Trace }},
-		{"RunTraceTxCAS",
-			func() any { return RunTraceTxCAS(o) },
-			func() any { return Run(TraceTxCAS{}, o).Trace }},
-		{"RunFaultSweep",
-			func() any {
-				return RunFaultSweep(FaultSweep{Threads: 2, AbortProbs: []float64{0, 0.2}}, o)
-			},
-			func() any {
-				return Run(FaultSweep{Threads: 2, AbortProbs: []float64{0, 0.2}}, o).Faults
-			}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			w, d := c.wrapper(), c.direct()
-			if !reflect.DeepEqual(w, d) {
-				t.Errorf("%s diverged from Run:\nwrapper: %+v\ndirect:  %+v", c.name, w, d)
+	for _, w := range []Workload{
+		Fig1{},
+		EnqueueOnly{Variants: vs},
+		DequeueOnly{Variants: vs},
+		Mixed{Variants: vs},
+		DelaySweep{DelaysNS: []float64{0, 270}, ThreadCounts: []int{8}},
+		BasketSweep{BasketSizes: []int{8, 44}, Threads: 8},
+		FixAblation{},
+		Telemetry{Variants: vs},
+		TraceQueue{Variant: SBQHTM},
+		TraceTxCAS{},
+		FaultSweep{Threads: 2, AbortProbs: []float64{0, 0.2}},
+	} {
+		t.Run(w.Name(), func(t *testing.T) {
+			a, b := Run(w, o), Run(w, o)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: two runs diverged:\nfirst:  %+v\nsecond: %+v", w.Name(), a, b)
 			}
 		})
 	}
@@ -82,7 +47,7 @@ func TestDeprecatedWrappersConform(t *testing.T) {
 // system degrades gracefully instead of livelocking.
 func TestFaultSweepShape(t *testing.T) {
 	w := FaultSweep{Threads: 4, AbortProbs: []float64{0, 0.5}}
-	res := RunFaultSweep(w, tiny())
+	res := Run(w, tiny()).Faults
 
 	policies := DefaultPolicies()
 	scenariosPer := len(w.AbortProbs) + 1 // + the disabled endpoint

@@ -1,8 +1,8 @@
 // Package lint assembles the repository's lock-free lint suite: custom
 // go/analysis-style analyzers enforcing the low-level invariants the
 // paper's argument rests on (§3 CAS accounting, §4.3 false sharing,
-// 32-bit atomic alignment, copy and mixed-access discipline) plus the
-// repo's own API hygiene (no first-party use of deprecated entry points).
+// 32-bit atomic alignment, copy and mixed-access discipline, and the
+// zero-allocation hot paths).
 //
 // Run them via cmd/lfcheck; see each analyzer package for its invariant.
 package lint
@@ -13,7 +13,6 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/atomicmix"
 	"repro/internal/lint/casloop"
-	"repro/internal/lint/deprecated"
 	"repro/internal/lint/hotpath"
 	"repro/internal/lint/nocopy"
 	"repro/internal/lint/padcheck"
@@ -29,7 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 		padcheck.Analyzer,
 		casloop.Analyzer,
 		nocopy.Analyzer,
-		deprecated.Analyzer,
 		hotpath.Analyzer,
 		allocfree.Analyzer,
 	}

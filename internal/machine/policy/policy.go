@@ -51,11 +51,12 @@ type Abort struct {
 	// Requester is the identity of the conflicting thread/core the failure
 	// report attributed the abort to, or -1 (txcas.NoWriter) when unknown.
 	// On the simulated track it is the requester core from the HTM abort
-	// status; on the native track it is the last winner published through
-	// the location's version word. It is the sharer hint contention-aware
-	// policies can act on — the paper's profit-from-failure signal (§3).
-	// Executors that have no hint must set NoRequester explicitly: thread 0
-	// is a valid identity, so the zero value is not a safe "unknown".
+	// status. The native engine consults a policy only before its single
+	// attempt on a one-shot link, so it always passes NoRequester. It is
+	// the sharer hint contention-aware policies can act on — the paper's
+	// profit-from-failure signal (§3). Executors that have no hint must set
+	// NoRequester explicitly: thread 0 is a valid identity, so the zero
+	// value is not a safe "unknown".
 	Requester int
 }
 

@@ -126,11 +126,11 @@ const (
 
 	// Native software-TxCAS counters (repro/internal/txcas). TxSoftAborts
 	// counts speculative attempts abandoned before issuing their CAS
-	// because a competing winner published first — the native analogue of
-	// a read-step HTM abort: the doomed atomic never reaches the line.
-	// TxSharerHints counts failure reports that carried a concrete
-	// last-writer identity, the paper's "failures identify sharers" signal
-	// (§3) reproduced on real cores.
+	// because a competing winner filled the watched link first — the
+	// native analogue of a read-step HTM abort: the doomed atomic never
+	// reaches the line. TxSharerHints counts failures that identified the
+	// winning thread, the paper's "failures identify sharers" signal (§3)
+	// reproduced on real cores.
 	TxSoftAborts
 	TxSharerHints
 

@@ -16,9 +16,9 @@ func TestSBQHTMLinearizableUnderSpuriousAborts(t *testing.T) {
 	cfg := machine.Default()
 	cfg.SpuriousAbortEvery = 3
 	m := machine.New(cfg)
-	app, _ := NewTxCASAppend(threads, core.DefaultOptions())
 	q := NewSBQ(m, SBQOptions{
-		BasketSize: producers, Enqueuers: producers, Threads: threads, Append: app,
+		BasketSize: producers, Enqueuers: producers, Threads: threads,
+		Primitive: core.Bind(threads, core.DefaultOptions()),
 	})
 	histories := make([][]linearize.Op, threads)
 	left := producers

@@ -1,7 +1,6 @@
 package simqueue
 
 import (
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/txcas"
@@ -533,11 +532,10 @@ type procAttacher interface {
 }
 
 // PrimitiveAppend returns an AppendFunc that drives try_append through the
-// unified CAS-primitive interface (repro/internal/txcas.Primitive) — the
-// simulated track's half of the shared surface: the same Primitive value
-// can be handed to the native queues. The structured Outcome is reduced to
-// the boolean try_append needs; callers wanting the full failure reports
-// keep their own handle on the primitive (e.g. core.Bound's executors).
+// unified CAS-primitive interface (repro/internal/txcas.Primitive). The
+// structured Outcome is reduced to the boolean try_append needs; callers
+// wanting the full failure reports keep their own handle on the primitive
+// (e.g. core.Bound's executors).
 func PrimitiveAppend(prim txcas.Primitive) AppendFunc {
 	at, _ := prim.(procAttacher)
 	return func(p *machine.Proc, tid int, addr machine.Addr, old, new uint64) bool {
@@ -546,30 +544,4 @@ func PrimitiveAppend(prim txcas.Primitive) AppendFunc {
 		}
 		return prim.TxCAS(tid, txcas.Loc(addr), old, new).OK
 	}
-}
-
-// TxCASAppend returns an AppendFunc backed by per-thread TxCAS executors.
-// casers must have one entry per thread id.
-//
-// Deprecated: use PrimitiveAppend with a core.Bound — the unified
-// CAS-primitive surface shared with the native track. TxCASAppend remains
-// as a thin wrapper for callers that already built their own executors.
-func TxCASAppend(casers []*core.CAS) AppendFunc {
-	return func(p *machine.Proc, tid int, addr machine.Addr, old, new uint64) bool {
-		return casers[tid].Do(p, addr, old, new)
-	}
-}
-
-// NewTxCASAppend builds per-thread TxCAS executors with opt and returns the
-// AppendFunc along with the executors (for stats inspection).
-//
-// Deprecated: use PrimitiveAppend(core.Bind(threads, opt)); the Bound's
-// Caser method exposes the same per-thread executors.
-func NewTxCASAppend(threads int, opt core.Options) (AppendFunc, []*core.CAS) {
-	b := core.Bind(threads, opt)
-	casers := make([]*core.CAS, threads)
-	for i := range casers {
-		casers[i] = b.Caser(i)
-	}
-	return PrimitiveAppend(b), casers
 }

@@ -13,104 +13,253 @@ import (
 	"repro/queue/queuetest"
 )
 
-// TestSequentialChurnHarvest forces a known amount of version churn and
-// checks that a stale TxCAS's failure report carries exactly that
-// information: the full version delta and the identity of the last winner.
-// This is the deterministic half of the ISSUE's "failure Outcomes carry
-// non-trivial sharer/version info" acceptance test.
-func TestSequentialChurnHarvest(t *testing.T) {
-	for _, churn := range []int{1, 3, 8} {
-		e := txcas.NewEngine(txcas.WithWindow(0))
-		loc := e.Register(0)
-		// Threads 1..churn win in sequence: value goes 0 → 1 → ... → churn.
-		for i := 1; i <= churn; i++ {
-			out := e.TxCAS(i, loc, uint64(i-1), uint64(i))
-			if !out.OK || out.Contended() || out.SharerKnown() {
-				t.Fatalf("churn=%d: uncontended win %d reported %+v", churn, i, out)
-			}
+// tnode is a minimal linkable node: a one-shot next link plus the id of
+// the thread that linked it, written while the node is private.
+type tnode struct {
+	next   atomic.Pointer[tnode]
+	linker int
+}
+
+func (n *tnode) Linker() int { return n.linker }
+
+// flight is a minimal flight recorder: counters in an obs.Stats, timeline
+// events in a slice, so tests can read the winner an EvTxAbort names.
+type flight struct {
+	*obs.Stats
+	mu  sync.Mutex
+	log []event
+}
+
+type event struct {
+	kind obs.EventKind
+	lane int32
+	arg  uint64
+}
+
+func newFlight() *flight { return &flight{Stats: obs.New()} }
+
+func (f *flight) Event(k obs.EventKind, lane int32, arg uint64) {
+	f.mu.Lock()
+	f.log = append(f.log, event{k, lane, arg})
+	f.mu.Unlock()
+}
+
+// aborts returns the EvTxAbort events recorded so far.
+func (f *flight) aborts() []event {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []event
+	for _, ev := range f.log {
+		if ev.kind == obs.EvTxAbort {
+			out = append(out, ev)
 		}
-		// Thread 99 still expects the initial value: it must fail without
-		// issuing a CAS (read-step soft abort) and harvest the full story.
-		out := e.TxCAS(99, loc, 0, 100)
-		if out.OK {
-			t.Fatalf("churn=%d: stale TxCAS succeeded", churn)
-		}
-		if out.VersionDelta == 0 {
-			t.Errorf("churn=%d: failed TxCAS reported VersionDelta=0", churn)
-		}
-		if v := e.WordAt(loc).Version(); v != uint64(churn) {
-			t.Errorf("churn=%d: published version = %d, want %d (one bump per win)", churn, v, churn)
-		}
-		if out.LastWriter != churn {
-			t.Errorf("churn=%d: LastWriter = %d, want %d (the last winner)", churn, out.LastWriter, churn)
-		}
-		if out.SoftAborts != 1 {
-			t.Errorf("churn=%d: SoftAborts = %d, want 1 (read-step abort)", churn, out.SoftAborts)
-		}
-		if !out.Contended() || !out.SharerKnown() {
-			t.Errorf("churn=%d: Contended=%v SharerKnown=%v, want true/true", churn, out.Contended(), out.SharerKnown())
-		}
-		if got := e.Load(loc); got != uint64(churn) {
-			t.Errorf("churn=%d: value = %d after failed stale CAS, want %d", churn, got, churn)
+	}
+	return out
+}
+
+func (f *flight) count(c obs.Counter) uint64 { return f.Snapshot().Counter(c) }
+
+// entering is a RetryPolicy that sets a speculation window of cycles and
+// closes entered when the engine consults it, right before the watch.
+type entering struct {
+	entered chan struct{}
+	cycles  uint64
+}
+
+func (p entering) Decide(policy.Abort, func(uint64) uint64) policy.Decision {
+	close(p.entered)
+	return policy.Decision{Delay: p.cycles}
+}
+
+// speculate starts one GuardedCAS of n on link with a 200ms window,
+// recorded in rec, and returns its result channel once the contender is
+// entering the window.
+func speculate(rec obs.Recorder, thread int, link *atomic.Pointer[tnode], n *tnode) <-chan bool {
+	p := entering{entered: make(chan struct{}), cycles: 500_000_000} // 200ms at 2.5 cycles/ns
+	e := txcas.NewEngine(txcas.WithPolicy(p), txcas.WithRecorder(rec))
+	res := make(chan bool, 1)
+	go func() { res <- txcas.GuardedCAS(e, thread, link, n) }()
+	<-p.entered
+	return res
+}
+
+// TestGuardedCASOneShot links a node, then checks that a stale contender
+// with no window issues its CAS, loses, and is counted as a failure.
+func TestGuardedCASOneShot(t *testing.T) {
+	rec := newFlight()
+	e := txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec))
+	var link atomic.Pointer[tnode]
+	a, b := &tnode{linker: 3}, &tnode{linker: 5}
+
+	if !txcas.GuardedCAS(e, 3, &link, a) {
+		t.Fatal("uncontended guarded CAS failed")
+	}
+	if txcas.GuardedCAS(e, 5, &link, b) {
+		t.Fatal("guarded CAS on a taken one-shot link succeeded")
+	}
+	if link.Load() != a {
+		t.Error("link no longer points at the winner's node")
+	}
+	for c, want := range map[obs.Counter]uint64{
+		obs.CASAttempts: 2, obs.CASFailures: 1, obs.TxSharerHints: 1, obs.TxSoftAborts: 0,
+	} {
+		if got := rec.count(c); got != want {
+			t.Errorf("%v=%d, want %d", c, got, want)
 		}
 	}
 }
 
-// TestSeededInterleavings drives seeded pseudo-random TxCAS schedules
-// against a plain compare-and-swap model and checks the engine agrees
-// step for step — CAS semantics hold under arbitrary version churn, and
-// every failure report is consistent with the model's history.
+// TestGuardedCASSoftAbort holds a contender inside a long window on link
+// B while another thread links B, and checks the contender abandons its
+// CAS (soft abort) instead of issuing it, naming the winner.
+func TestGuardedCASSoftAbort(t *testing.T) {
+	rec := newFlight()
+	// The winner and contender drive the same link through different
+	// engines so only the contender speculates.
+	fast := txcas.NewEngine(txcas.WithWindow(0))
+	var linkB atomic.Pointer[tnode]
+
+	res := speculate(rec, 7, &linkB, &tnode{linker: 7})
+	if !txcas.GuardedCAS(fast, 2, &linkB, &tnode{linker: 2}) {
+		t.Fatal("winner's guarded CAS failed")
+	}
+	if <-res {
+		t.Fatal("contender won a link that was already taken")
+	}
+	if got := rec.count(obs.CASAttempts); got != 0 {
+		t.Errorf("CASAttempts=%d, want 0: the doomed CAS must never be issued", got)
+	}
+	if got := rec.count(obs.TxSoftAborts); got != 1 {
+		t.Errorf("TxSoftAborts=%d, want 1", got)
+	}
+	if got := rec.count(obs.TxSharerHints); got != 1 {
+		t.Errorf("TxSharerHints=%d, want 1", got)
+	}
+	ab := rec.aborts()
+	if len(ab) != 1 || ab[0].lane != 7 || obs.AbortRequester(ab[0].arg) != 2 {
+		t.Fatalf("EvTxAbort events %+v, want one on lane 7 naming winner 2", ab)
+	}
+}
+
+// TestGuardedCASIgnoresOtherLinks is the regression test for a soft abort
+// on a link that is still nil. A contender speculates on link B while
+// another thread links A. The contender watches only B, so it must still
+// issue its CAS and win. A queue-wide publication channel shared by A and
+// B would soft-abort it here, and a queue would then follow B's nil link.
+func TestGuardedCASIgnoresOtherLinks(t *testing.T) {
+	rec := newFlight()
+	fast := txcas.NewEngine(txcas.WithWindow(0))
+	var linkA, linkB atomic.Pointer[tnode]
+	mine := &tnode{linker: 7}
+
+	res := speculate(rec, 7, &linkB, mine)
+	if !txcas.GuardedCAS(fast, 2, &linkA, &tnode{linker: 2}) {
+		t.Fatal("linking A failed")
+	}
+	if !<-res {
+		t.Fatal("contender on B failed although B was never linked by anyone else")
+	}
+	if linkB.Load() != mine {
+		t.Error("B does not hold the contender's node")
+	}
+	if got := rec.count(obs.CASAttempts); got != 1 {
+		t.Errorf("CASAttempts=%d, want 1", got)
+	}
+	if got := rec.count(obs.TxSoftAborts); got != 0 {
+		t.Errorf("TxSoftAborts=%d, want 0", got)
+	}
+}
+
+// TestSequentialChurnHarvest links a chain of nodes one after another,
+// then sends a stale contender at every link and checks each failure is
+// a soft abort naming exactly that link's winner.
+func TestSequentialChurnHarvest(t *testing.T) {
+	for _, churn := range []int{1, 3, 8} {
+		rec := newFlight()
+		e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec))
+		chain := make([]*tnode, churn+1)
+		chain[0] = &tnode{}
+		for i := 1; i <= churn; i++ {
+			chain[i] = &tnode{linker: i}
+			if !txcas.GuardedCAS(e, i, &chain[i-1].next, chain[i]) {
+				t.Fatalf("churn=%d: uncontended link %d failed", churn, i)
+			}
+		}
+		for i := 1; i <= churn; i++ {
+			if txcas.GuardedCAS(e, 99, &chain[i-1].next, &tnode{linker: 99}) {
+				t.Fatalf("churn=%d: stale contender won link %d", churn, i)
+			}
+		}
+		if got := rec.count(obs.CASAttempts); got != uint64(churn) {
+			t.Errorf("churn=%d: CASAttempts=%d, want %d (winners only)", churn, got, churn)
+		}
+		if got := rec.count(obs.TxSoftAborts); got != uint64(churn) {
+			t.Errorf("churn=%d: TxSoftAborts=%d, want %d", churn, got, churn)
+		}
+		ab := rec.aborts()
+		if len(ab) != churn {
+			t.Fatalf("churn=%d: %d EvTxAbort events, want %d", churn, len(ab), churn)
+		}
+		for i, ev := range ab {
+			if w := obs.AbortRequester(ev.arg); w != i+1 {
+				t.Errorf("churn=%d: abort on link %d names %d, want %d", churn, i+1, w, i+1)
+			}
+		}
+	}
+}
+
+// TestSeededInterleavings drives seeded pseudo-random GuardedCAS schedules
+// over several links, through engines in all three configurations, and
+// checks them step for step against a one-shot link model: a CAS wins iff
+// the link is still nil, and every soft abort names the link's winner.
 func TestSeededInterleavings(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		rng := rand.New(rand.NewSource(seed))
-		e := txcas.NewEngine(txcas.WithWindow(0), txcas.WithBudget(2))
-		const locs = 4
-		model := make([]uint64, locs)
-		lastWin := make([]int, locs)
-		ids := make([]txcas.Loc, locs)
-		for i := range ids {
-			ids[i] = e.Register(0)
-			lastWin[i] = txcas.NoWriter
+		rec := newFlight()
+		engines := []*txcas.Engine{
+			txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec)),
+			txcas.NewEngine(txcas.WithWindow(50*time.Nanosecond), txcas.WithRecorder(rec)),
+			txcas.NewEngine(txcas.WithPolicy(policy.DelayedCAS{Delay: 10}), txcas.WithRecorder(rec)),
 		}
+		const links = 64
+		var link [links]atomic.Pointer[tnode]
+		winner := make([]int, links)
 		for step := 0; step < 2000; step++ {
-			l := rng.Intn(locs)
+			l := rng.Intn(links)
 			thread := rng.Intn(8)
-			old := uint64(rng.Intn(3))
-			new := uint64(rng.Intn(3))
-			want := model[l] == old
-			out := e.TxCAS(thread, ids[l], old, new)
-			if out.OK != want {
-				t.Fatalf("seed=%d step=%d: TxCAS(%d, old=%d, new=%d) OK=%v, model value %d wants %v",
-					seed, step, l, old, new, out.OK, model[l], want)
+			n := &tnode{linker: thread}
+			before := len(rec.aborts())
+			want := link[l].Load() == nil
+			if got := txcas.GuardedCAS(engines[rng.Intn(len(engines))], thread, &link[l], n); got != want {
+				t.Fatalf("seed=%d step=%d: GuardedCAS on link %d = %v, model wants %v", seed, step, l, got, want)
 			}
 			if want {
-				model[l] = new
-				lastWin[l] = thread
-			} else {
-				if out.VersionDelta == 0 {
-					t.Fatalf("seed=%d step=%d: failed TxCAS reported VersionDelta=0", seed, step)
-				}
-				if out.SharerKnown() && out.LastWriter != lastWin[l] {
-					t.Fatalf("seed=%d step=%d: LastWriter=%d, model's last winner is %d",
-						seed, step, out.LastWriter, lastWin[l])
+				winner[l] = thread
+			}
+			if ab := rec.aborts(); len(ab) > before {
+				if w := obs.AbortRequester(ab[len(ab)-1].arg); w != winner[l] {
+					t.Fatalf("seed=%d step=%d: soft abort names %d, link %d's winner is %d", seed, step, w, l, winner[l])
 				}
 			}
-			if got := e.Load(ids[l]); got != model[l] {
-				t.Fatalf("seed=%d step=%d: value=%d, model=%d", seed, step, got, model[l])
-			}
+		}
+		s := rec.Snapshot()
+		if s.Counter(obs.CASAttempts)+s.Counter(obs.TxSoftAborts) != 2000 {
+			t.Errorf("seed=%d: attempts %d + soft aborts %d != 2000 operations", seed,
+				s.Counter(obs.CASAttempts), s.Counter(obs.TxSoftAborts))
 		}
 	}
 }
 
-// TestConcurrentSingleWinner races N threads at one location and checks
-// exactly one wins, the value is the winner's, and every loser's Outcome
-// reports the contention it lost to.
+// TestConcurrentSingleWinner races N threads at one link and checks
+// exactly one wins, the link holds the winner's node, and every loser is
+// accounted for as a soft abort or a failed CAS, naming the winner.
 func TestConcurrentSingleWinner(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		e := txcas.NewEngine()
-		loc := e.Register(0)
+		rec := newFlight()
+		e := txcas.NewEngine(txcas.WithRecorder(rec))
+		var link atomic.Pointer[tnode]
 		const n = 8
-		outs := make([]txcas.Outcome, n)
+		won := make([]bool, n)
 		var start, done sync.WaitGroup
 		start.Add(1)
 		done.Add(n)
@@ -118,14 +267,14 @@ func TestConcurrentSingleWinner(t *testing.T) {
 			go func(id int) {
 				defer done.Done()
 				start.Wait()
-				outs[id] = e.TxCAS(id, loc, 0, uint64(id)+1)
+				won[id] = txcas.GuardedCAS(e, id, &link, &tnode{linker: id})
 			}(i)
 		}
 		start.Done()
 		done.Wait()
 		winner := -1
-		for i, out := range outs {
-			if out.OK {
+		for i, ok := range won {
+			if ok {
 				if winner != -1 {
 					t.Fatalf("round %d: threads %d and %d both won", round, winner, i)
 				}
@@ -135,189 +284,61 @@ func TestConcurrentSingleWinner(t *testing.T) {
 		if winner == -1 {
 			t.Fatalf("round %d: no thread won", round)
 		}
-		if got := e.Load(loc); got != uint64(winner)+1 {
-			t.Fatalf("round %d: value=%d, winner %d wrote %d", round, got, winner, winner+1)
+		if got := link.Load().linker; got != winner {
+			t.Fatalf("round %d: link holds %d's node, winner was %d", round, got, winner)
 		}
-		for i, out := range outs {
-			if i == winner {
-				continue
-			}
-			if !out.Contended() {
-				t.Errorf("round %d: loser %d reported no contention: %+v", round, i, out)
-			}
-			if out.SharerKnown() && out.LastWriter != winner {
-				t.Errorf("round %d: loser %d blames %d, winner was %d", round, i, out.LastWriter, winner)
+		s := rec.Snapshot()
+		if lost := s.Counter(obs.TxSoftAborts) + s.Counter(obs.CASFailures); lost != n-1 {
+			t.Errorf("round %d: soft aborts + failed CASes = %d, want %d losers", round, lost, n-1)
+		}
+		for _, ev := range rec.aborts() {
+			if w := obs.AbortRequester(ev.arg); w != winner {
+				t.Errorf("round %d: loser %d blames %d, winner was %d", round, ev.lane, w, winner)
 			}
 		}
-	}
-}
-
-// TestGuardedCASOneShot exercises the Gate form on a pointer link: the
-// winner publishes, a stale contender fails and harvests the winner's
-// identity from the gate.
-func TestGuardedCASOneShot(t *testing.T) {
-	e := txcas.NewEngine(txcas.WithWindow(0))
-	var g txcas.Gate
-	var link atomic.Pointer[int]
-	a, b := new(int), new(int)
-
-	out := txcas.GuardedCAS(e, &g, 3, &link, nil, a)
-	if !out.OK || out.Contended() {
-		t.Fatalf("uncontended guarded CAS reported %+v", out)
-	}
-	if g.Version() != 1 || g.Writer() != 3 {
-		t.Fatalf("gate after win: version=%d writer=%d, want 1/3", g.Version(), g.Writer())
-	}
-
-	out = txcas.GuardedCAS(e, &g, 5, &link, nil, b)
-	if out.OK {
-		t.Fatal("guarded CAS on a taken one-shot location succeeded")
-	}
-	if out.VersionDelta != 1 || out.LastWriter != 3 {
-		t.Errorf("loser harvest: delta=%d writer=%d, want 1/3", out.VersionDelta, out.LastWriter)
-	}
-	if link.Load() != a {
-		t.Error("link no longer points at the winner's node")
-	}
-}
-
-// TestGuardedCASSoftAbort holds a contender inside a long speculation
-// window while a winner publishes through the shared gate, and checks the
-// contender abandons its CAS (soft abort) instead of issuing it.
-func TestGuardedCASSoftAbort(t *testing.T) {
-	rec := obs.New()
-	// The winner and contender drive the same gate/link through different
-	// engines so only the contender speculates.
-	fast := txcas.NewEngine(txcas.WithWindow(0))
-	slow := txcas.NewEngine(txcas.WithWindow(200*time.Millisecond), txcas.WithRecorder(rec))
-	var g txcas.Gate
-	var link atomic.Pointer[int]
-	a, b := new(int), new(int)
-
-	started := make(chan struct{})
-	outc := make(chan txcas.Outcome, 1)
-	go func() {
-		close(started)
-		outc <- txcas.GuardedCAS(slow, &g, 7, &link, nil, b)
-	}()
-	<-started
-	// Win while the contender is (with overwhelming probability) still
-	// inside its 200ms window.
-	if out := txcas.GuardedCAS(fast, &g, 2, &link, nil, a); !out.OK {
-		t.Fatal("winner's guarded CAS failed")
-	}
-	out := <-outc
-	if out.OK {
-		// The contender ran its whole window before the winner's CAS —
-		// can't happen with these timings, but it would mean b won.
-		t.Fatal("contender won despite the winner publishing")
-	}
-	if out.SoftAborts != 1 {
-		t.Errorf("contender SoftAborts=%d, want 1 (CAS never issued)", out.SoftAborts)
-	}
-	if out.LastWriter != 2 {
-		t.Errorf("contender LastWriter=%d, want 2", out.LastWriter)
-	}
-	snap := rec.Snapshot()
-	if snap.Counter(obs.TxSoftAborts) != 1 {
-		t.Errorf("TxSoftAborts=%d, want 1", snap.Counter(obs.TxSoftAborts))
-	}
-	if snap.Counter(obs.CASAttempts) != 0 {
-		t.Errorf("CASAttempts=%d, want 0: the doomed CAS must never be issued", snap.Counter(obs.CASAttempts))
-	}
-	if snap.Counter(obs.TxSharerHints) != 1 {
-		t.Errorf("TxSharerHints=%d, want 1", snap.Counter(obs.TxSharerHints))
 	}
 }
 
 // TestPolicyFallback checks the policy plumbing: DelayedCAS (always
-// Fallback) resolves on the plain path, and the engine counts it.
+// Fallback) skips the watch and resolves on the plain path, and the
+// engine counts every issued CAS as a fallback.
 func TestPolicyFallback(t *testing.T) {
-	rec := obs.New()
-	e := txcas.NewEngine(
-		txcas.WithPolicy(policy.DelayedCAS{Delay: 10}),
-		txcas.WithRecorder(rec),
-	)
-	loc := e.Register(0)
-	out := e.TxCAS(1, loc, 0, 5)
-	if !out.OK || !out.Fallback {
-		t.Fatalf("policy-diverted TxCAS: %+v, want OK fallback", out)
+	rec := newFlight()
+	e := txcas.NewEngine(txcas.WithPolicy(policy.DelayedCAS{Delay: 10}), txcas.WithRecorder(rec))
+	var link atomic.Pointer[tnode]
+	if !txcas.GuardedCAS(e, 1, &link, &tnode{linker: 1}) {
+		t.Fatal("policy-diverted guarded CAS failed on a nil link")
 	}
-	if out.Attempts != 0 {
-		t.Errorf("Attempts=%d, want 0 (no speculative attempt ran)", out.Attempts)
+	if txcas.GuardedCAS(e, 2, &link, &tnode{linker: 2}) {
+		t.Fatal("policy-diverted guarded CAS won a taken link")
 	}
-	snap := rec.Snapshot()
-	if snap.Counter(obs.CASFallbacks) != 1 {
-		t.Errorf("CASFallbacks=%d, want 1", snap.Counter(obs.CASFallbacks))
-	}
-
-	var g txcas.Gate
-	var link atomic.Pointer[int]
-	out = txcas.GuardedCAS(e, &g, 1, &link, nil, new(int))
-	if !out.OK || !out.Fallback {
-		t.Fatalf("policy-diverted guarded CAS: %+v, want OK fallback", out)
+	for c, want := range map[obs.Counter]uint64{
+		obs.CASAttempts: 2, obs.CASFallbacks: 2, obs.CASFailures: 1, obs.TxSoftAborts: 0,
+	} {
+		if got := rec.count(c); got != want {
+			t.Errorf("%v=%d, want %d", c, got, want)
+		}
 	}
 }
 
-// TestBudgetBound checks the wait-free bound: however hostile the churn,
-// an operation runs at most budget speculative attempts and then resolves
-// with one plain CAS.
-func TestBudgetBound(t *testing.T) {
-	e := txcas.NewEngine(txcas.WithWindow(50*time.Microsecond), txcas.WithBudget(3))
-	loc := e.Register(0)
-	var stop atomic.Bool
-	done := make(chan struct{})
-	// An adversary flips the value 0↔1, publishing churn nonstop.
-	go func() {
-		defer close(done)
-		v := uint64(0)
-		for !stop.Load() {
-			//lint:ignore casloop adversary churn is deliberately unbounded; stop flag bounds it
-			if e.TxCAS(0, loc, v, 1-v).OK {
-				v = 1 - v
-			} else {
-				v = e.Load(loc)
-			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		out := e.TxCAS(1, loc, 0, 0)
-		if out.Attempts > 3 {
-			t.Fatalf("op %d ran %d attempts, budget is 3", i, out.Attempts)
-		}
-		if !out.OK && !out.Fallback && out.SoftAborts == 0 {
-			t.Fatalf("op %d failed without fallback or soft abort: %+v", i, out)
-		}
-	}
-	stop.Store(true)
-	<-done
-}
-
-// TestRecorderAccounting checks the engine-side counter discipline on the
-// word path: a read-step abort is a soft abort (no CAS issued), a
-// genuine lost race is a CAS failure.
+// TestRecorderAccounting checks the counter discipline with a window: a
+// contender that finds the link filled soft-aborts without issuing a CAS.
 func TestRecorderAccounting(t *testing.T) {
-	rec := obs.New()
-	e := txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec))
-	loc := e.Register(0)
-	if !e.TxCAS(1, loc, 0, 1).OK {
-		t.Fatal("setup win failed")
+	rec := newFlight()
+	e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec))
+	var link atomic.Pointer[tnode]
+	if !txcas.GuardedCAS(e, 1, &link, &tnode{linker: 1}) {
+		t.Fatal("setup link failed")
 	}
-	if e.TxCAS(2, loc, 0, 2).OK {
+	if txcas.GuardedCAS(e, 2, &link, &tnode{linker: 2}) {
 		t.Fatal("stale CAS won")
 	}
-	snap := rec.Snapshot()
-	if got := snap.Counter(obs.CASAttempts); got != 1 {
-		t.Errorf("CASAttempts=%d, want 1 (only the winner issued a CAS)", got)
-	}
-	if got := snap.Counter(obs.CASFailures); got != 0 {
-		t.Errorf("CASFailures=%d, want 0 (the loser soft-aborted)", got)
-	}
-	if got := snap.Counter(obs.TxSoftAborts); got != 1 {
-		t.Errorf("TxSoftAborts=%d, want 1", got)
-	}
-	if got := snap.Counter(obs.TxSharerHints); got != 1 {
-		t.Errorf("TxSharerHints=%d, want 1", got)
+	for c, want := range map[obs.Counter]uint64{
+		obs.CASAttempts: 1, obs.CASFailures: 0, obs.TxSoftAborts: 1, obs.TxSharerHints: 1,
+	} {
+		if got := rec.count(c); got != want {
+			t.Errorf("%v=%d, want %d", c, got, want)
+		}
 	}
 }
 
@@ -338,31 +359,24 @@ func TestOutcomeMethods(t *testing.T) {
 	}
 }
 
-// TestAllocFreeHotPaths gates the engine's hot paths at zero heap
-// allocations per operation, success and failure alike.
+// TestAllocFreeHotPaths gates GuardedCAS at zero heap allocations per
+// operation in every configuration, success and failure alike.
 func TestAllocFreeHotPaths(t *testing.T) {
 	if queuetest.RaceEnabled {
 		t.Skip("race-detector instrumentation distorts allocation accounting")
 	}
-	rec := obs.New()
-	e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec))
-	loc := e.Register(0)
-	v := uint64(0)
-	if avg := testing.AllocsPerRun(200, func() {
-		if e.TxCAS(1, loc, v, v+1).OK {
-			v++
+	for name, opt := range map[string]txcas.Option{
+		"plain":   txcas.WithWindow(0),
+		"delayed": txcas.WithPolicy(policy.DelayedCAS{Delay: 10}),
+		"txcas":   txcas.WithWindow(time.Microsecond),
+	} {
+		e := txcas.NewEngine(opt, txcas.WithRecorder(obs.New()))
+		var link atomic.Pointer[tnode]
+		n := &tnode{}
+		if avg := testing.AllocsPerRun(200, func() {
+			txcas.GuardedCAS(e, 1, &link, n) // wins once, then fails
+		}); avg != 0 {
+			t.Errorf("%s: GuardedCAS allocates %.2f objects/op, want 0", name, avg)
 		}
-		e.TxCAS(2, loc, 0, 1) // stale after the first win: failure path
-	}); avg != 0 {
-		t.Errorf("word TxCAS allocates %.2f objects/op, want 0", avg)
-	}
-
-	var g txcas.Gate
-	var link atomic.Pointer[int]
-	n := new(int)
-	if avg := testing.AllocsPerRun(200, func() {
-		txcas.GuardedCAS(e, &g, 1, &link, nil, n) // wins once, then fails
-	}); avg != 0 {
-		t.Errorf("GuardedCAS allocates %.2f objects/op, want 0", avg)
 	}
 }

@@ -1,38 +1,29 @@
 // Package txcas defines the repository's unified CAS-primitive surface —
 // Primitive and its structured failure report, Outcome — and provides the
-// native software-TxCAS engine that implements it over real Go atomics.
+// native software-TxCAS engine for one-shot links.
 //
 // The paper's core trick (§3) is that a CAS built from a hardware
 // transaction turns *failure* into information: a losing TxCAS learns that
 // it lost, who beat it, and does so without serializing through the cache
 // coherence protocol. The simulated track reproduces that literally
-// (repro/internal/core over repro/internal/machine); Go exposes no HTM, so
-// the native track approximates it in software, in the spirit of
-// Zhang/Chabbi et al.'s optimistic-concurrency-for-Go work and Brown's
-// bounded-speculation HTM template (both in PAPERS.md): a per-location
-// version/last-writer publication word plays the role of the read set, a
-// calibrated speculation window plays the role of the transaction body
-// (and of the §4.1 intra-transaction delay), and a bounded number of
-// speculative attempts falls back to a single plain CAS so every operation
-// is wait-free.
-//
-// Both tracks implement Primitive:
-//
-//   - the native Engine in this package (over Words it registers), and
-//   - repro/internal/core.Bound (per-thread TxCAS executors over simulated
-//     machine addresses),
-//
-// so an experiment can drive the same policy-paced CAS through either and
-// compare the failure reports shape-for-shape.
+// (repro/internal/core over repro/internal/machine) and implements
+// Primitive through core.Bound. Go exposes no HTM, so the native track
+// approximates it in software, in the spirit of Zhang/Chabbi et al.'s
+// optimistic-concurrency-for-Go work (PAPERS.md): GuardedCAS watches the
+// link it is about to CAS during a calibrated speculation window (the
+// transaction body and the §4.1 intra-transaction delay), and abandons
+// the CAS once the link fills — the read-step abort — naming the winner
+// from the node it finds there. repro/queue/sbq's try_append is its one
+// caller.
 package txcas
 
 // Loc identifies one CAS target within a Primitive's location space: a
-// Word index for the native Engine, a machine.Addr for the simulated
-// track (machine.Addr is an alias of uint64, so the conversion is free).
+// machine.Addr on the simulated track (machine.Addr is an alias of uint64,
+// so the conversion is free).
 type Loc = uint64
 
 // NoWriter is the LastWriter value of an Outcome that carries no sharer
-// identity (no conflict, or the winner had not published yet).
+// identity (no conflict, or the abort status named no requester).
 const NoWriter = -1
 
 // Outcome is the structured result of one TxCAS operation. Where a plain
@@ -50,9 +41,8 @@ type Outcome struct {
 	// plain-CAS slow path (speculation budget exhausted, or the policy
 	// diverted it), per Brown's fast-path/fallback template.
 	Fallback bool
-	// Attempts is the spin depth: how many speculative attempts the
-	// operation consumed (transactional attempts on the simulated track,
-	// guarded windows natively). At least 1 for any operation that ran.
+	// Attempts is the spin depth: how many transactional attempts the
+	// operation consumed.
 	Attempts int
 	// SoftAborts counts attempts abandoned *before* issuing the CAS
 	// because a conflicting winner was detected mid-window — the cheap
@@ -60,21 +50,18 @@ type Outcome struct {
 	// never puts a doomed atomic on the contended line.
 	SoftAborts int
 	// VersionDelta is a lower bound on the number of winning writes to the
-	// location observed during the operation: exact under the native
-	// engine's published version word when winners have published, at
-	// least 1 on any genuine failure (the value demonstrably changed).
-	// Zero on an uncontended success.
+	// location observed during the operation: at least 1 on any genuine
+	// failure (the value demonstrably changed), zero on an uncontended
+	// success.
 	VersionDelta uint64
-	// LastWriter is the identity (thread/handle id) of the most recent
-	// winning writer the operation observed, or NoWriter when none was
-	// captured. Natively it is read from the location's publication word;
-	// on the simulated track it is the conflicting requester core reported
-	// by the HTM abort status.
+	// LastWriter is the identity of the most recent winning writer the
+	// operation observed, or NoWriter when none was captured: the
+	// conflicting requester core reported by the HTM abort status.
 	LastWriter int
 }
 
 // Contended reports whether the operation observed any competing winner
-// (via a soft abort or a published version advance).
+// (via a soft abort or a version advance).
 func (o Outcome) Contended() bool { return o.SoftAborts > 0 || o.VersionDelta > 0 }
 
 // SharerKnown reports whether the Outcome carries a concrete sharer
@@ -83,12 +70,12 @@ func (o Outcome) SharerKnown() bool { return o.LastWriter != NoWriter }
 
 // Primitive is the unified CAS-primitive interface: a compare-and-set
 // whose result is a structured failure report rather than a bare bool.
-// thread identifies the calling thread (a handle id natively, a simulated
-// thread id on the machine track) and must be stable per goroutine;
-// implementations use it for sharer attribution and per-thread state.
+// thread identifies the calling simulated thread; implementations use it
+// for sharer attribution and per-thread state.
 //
-// Implementations: *Engine (native, this package) and *core.Bound
-// (simulated track).
+// The implementation is *core.Bound (simulated track); repro/internal/
+// simqueue drives it through PrimitiveAppend. The native track's linking
+// CAS is one-shot and needs no Outcome: see GuardedCAS.
 type Primitive interface {
 	TxCAS(thread int, loc Loc, old, new uint64) Outcome
 }

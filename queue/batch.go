@@ -20,8 +20,7 @@ package queue
 //     independently, so a queue can provide a native batch enqueue while
 //     inheriting the looped dequeue (or vice versa).
 //   - repro/queue/registry hands out batch-capable views from every
-//     entry: Instance.ProducerView/ConsumerView replace the deprecated
-//     Instance.Producer/Consumer plain views.
+//     entry through Instance.ProducerView/ConsumerView.
 
 // BatchEnqueuer is the enqueue half of the batch capability: append all
 // of vs in one operation, preserving slice order (vs[0] is dequeued

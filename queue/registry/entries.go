@@ -3,9 +3,9 @@ package registry
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/basket"
+	"repro/internal/machine/policy"
 	"repro/internal/obs"
 	"repro/internal/txcas"
 	"repro/queue"
@@ -18,9 +18,9 @@ import (
 	"repro/queue/sharded"
 )
 
-// DelayedCASDelay is the try_append delay of the SBQ-DCAS entry, the
-// paper's tuned ~270ns (§6.1).
-const DelayedCASDelay = 270 * time.Nanosecond
+// delayedCASCycles is the linking-CAS delay of the SBQ-DCAS entry: the
+// paper's tuned ~270ns (§6.1) at the policies' 2.5 cycles/ns.
+const delayedCASCycles = 675
 
 func init() {
 	Register("MS-Queue", func(cfg Config) Instance {
@@ -61,17 +61,16 @@ func init() {
 		}
 		return Batched(queue.AsBatch(ccq.New[uint64](opts...)))
 	})
-	Register("SBQ-CAS", sbqEntry(func(int, Config) sbq.Option {
-		return sbq.WithAppendDelay(0)
-	}))
+	// The three SBQ entries share one linking-CAS path (txcas.GuardedCAS)
+	// in three configurations. SBQ-CAS: window 0, a plain CAS.
+	Register("SBQ-CAS", sbqEntry())
+	// SBQ-DCAS: the §4.1 delayed CAS, a policy fallback after the delay.
 	Register("SBQ-DCAS", sbqEntry(func(int, Config) sbq.Option {
-		return sbq.WithAppendDelay(DelayedCASDelay)
+		return sbq.WithTxCAS(txcas.WithPolicy(policy.DelayedCAS{Delay: delayedCASCycles}))
 	}))
-	// SBQ-TxCAS: the linking CAS runs through the native software-TxCAS
-	// engine (repro/internal/txcas) — contenders watch the queue's
-	// publication gate during the speculation window (Config.TxWindow;
-	// default the paper's ~270ns §4.1 delay) and abandon doomed CASes as
-	// soft aborts instead of issuing them.
+	// SBQ-TxCAS: contenders watch the link during the speculation window
+	// (Config.TxWindow; default the paper's ~270ns §4.1 delay) and abandon
+	// doomed CASes as soft aborts instead of issuing them.
 	Register("SBQ-TxCAS", sbqEntry(func(_ int, cfg Config) sbq.Option {
 		if cfg.TxWindow > 0 {
 			return sbq.WithTxCAS(txcas.WithWindow(cfg.TxWindow))

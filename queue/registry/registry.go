@@ -64,10 +64,10 @@ type Config struct {
 	// queuetest's CheckAllocFree gates enforce registry-wide.
 	Pooled bool
 	// TxWindow overrides the speculation window of TxCAS-mode entries
-	// (SBQ-TxCAS): how long a contending enqueuer watches the publication
-	// gate before issuing its linking CAS (see repro/internal/txcas).
+	// (SBQ-TxCAS): how long a contending enqueuer watches the link it is
+	// about to CAS before issuing the CAS (see repro/internal/txcas).
 	// Zero selects the engine default (the paper's ~270ns §4.1 delay);
-	// entries without a TxCAS engine ignore it. sbqbench threads its
+	// other entries ignore it. sbqbench threads its
 	// -txcas sweep dimension through this field.
 	TxWindow time.Duration
 }
@@ -123,11 +123,8 @@ func (o Ordering) String() string {
 // Instance is a built queue exposed as per-role views. ProducerView(i) must
 // be called with 0 <= i < Config.Producers and each returned view used by
 // at most one goroutine at a time; ConsumerView views are safe to share
-// unless the entry documents otherwise.
-//
-// The view funcs are unexported fields reached through methods so the old
-// field-style surface (Producer/Consumer) could be kept as deprecated
-// wrappers: construct an Instance with Views or Batched.
+// unless the entry documents otherwise. Construct one with Views or
+// Batched.
 type Instance struct {
 	producer func(i int) queue.BatchQueue[uint64]
 	consumer func(i int) queue.BatchQueue[uint64]
@@ -143,16 +140,6 @@ func (in Instance) ProducerView(i int) queue.BatchQueue[uint64] { return in.prod
 
 // ConsumerView returns the batch-capable view for consumer i.
 func (in Instance) ConsumerView(i int) queue.BatchQueue[uint64] { return in.consumer(i) }
-
-// Producer returns the view for producer i.
-//
-// Deprecated: use ProducerView, which returns the batch-capable view.
-func (in Instance) Producer(i int) queue.Queue[uint64] { return in.producer(i) }
-
-// Consumer returns the view for consumer i.
-//
-// Deprecated: use ConsumerView, which returns the batch-capable view.
-func (in Instance) Consumer(i int) queue.Queue[uint64] { return in.consumer(i) }
 
 // Builder constructs a queue for one registry entry.
 type Builder func(cfg Config) Instance
@@ -235,13 +222,4 @@ func Build(name string, cfg Config) (Instance, error) {
 func Batched(q queue.BatchQueue[uint64]) Instance {
 	view := func(int) queue.BatchQueue[uint64] { return q }
 	return Views(view, view)
-}
-
-// Shared wraps a single thread-safe queue as an Instance: every view is the
-// queue itself.
-//
-// Deprecated: use Batched(queue.AsBatch(q)), which hands out batch-capable
-// views.
-func Shared(q queue.Queue[uint64]) Instance {
-	return Batched(queue.AsBatch(q))
 }

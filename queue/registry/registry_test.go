@@ -2,6 +2,8 @@ package registry_test
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,40 +308,59 @@ func TestBatchRecorderThreading(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSurface keeps the deprecated wrappers' behavior pinned:
-// Producer/Consumer return the same views as ProducerView/ConsumerView,
-// and Shared hands out AsBatch-upgraded views. This test lives in the
-// defining package's _test package, where deprecated uses are exempt from
-// the lint table.
-func TestDeprecatedSurface(t *testing.T) {
-	inst, err := registry.Build("FAA-Queue", registry.Config{Producers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Producer(0).Enqueue(11)
-	if v, ok := inst.Consumer(0).Dequeue(); !ok || v != 11 {
-		t.Fatalf("deprecated views: got %d,%v, want 11,true", v, ok)
-	}
+// linkingCASes counts EvCASAttempt events, which only the linking-CAS
+// engine emits (pointer catch-up CASes count in CASAttempts silently).
+type linkingCASes struct {
+	*obs.Stats
+	n atomic.Uint64
+}
 
-	sh := registry.Shared(queue.AsBatch[uint64](sliceQueue{new([]uint64)}))
-	sh.ProducerView(0).EnqueueBatch([]uint64{1, 2, 3})
-	dst := make([]uint64, 4)
-	if n := sh.ConsumerView(0).DequeueBatch(dst); n != 3 || dst[0] != 1 || dst[2] != 3 {
-		t.Fatalf("Shared batch views: got %d %v, want 3 [1 2 3 _]", n, dst)
+func (r *linkingCASes) Event(k obs.EventKind, _ int32, _ uint64) {
+	if k == obs.EvCASAttempt {
+		r.n.Add(1)
 	}
 }
 
-// sliceQueue is a minimal single-threaded queue.Queue for the Shared test.
-type sliceQueue struct{ vs *[]uint64 }
-
-func (q sliceQueue) Enqueue(v uint64) { *q.vs = append(*q.vs, v) }
-func (q sliceQueue) Dequeue() (uint64, bool) {
-	if len(*q.vs) == 0 {
-		return 0, false
+// TestBuildDelayedCAS checks that SBQ-DCAS is the §4.1 delayed CAS: the
+// engine's policy diverts every linking CAS to the plain path after the
+// delay, so every issued linking CAS is a fallback and nothing
+// soft-aborts.
+func TestBuildDelayedCAS(t *testing.T) {
+	rec := &linkingCASes{Stats: obs.New()}
+	const producers, per = 2, 200
+	inst, err := registry.Build("SBQ-DCAS", registry.Config{Producers: producers, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	v := (*q.vs)[0]
-	*q.vs = (*q.vs)[1:]
-	return v, true
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		v := inst.ProducerView(p)
+		wg.Add(1)
+		go func(base uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < per; i++ {
+				v.Enqueue(base + i)
+			}
+		}(uint64(p * per))
+	}
+	wg.Wait()
+	c := inst.ConsumerView(0)
+	for i := 0; i < producers*per; i++ {
+		if _, ok := c.Dequeue(); !ok {
+			t.Fatalf("dequeue %d found the queue empty", i)
+		}
+	}
+	snap := rec.Snapshot()
+	linking := rec.n.Load()
+	if linking == 0 {
+		t.Fatal("no linking CAS was issued")
+	}
+	if got := snap.Counter(obs.CASFallbacks); got != linking {
+		t.Errorf("CASFallbacks=%d, want %d: every issued linking CAS", got, linking)
+	}
+	if soft := snap.Counter(obs.TxSoftAborts); soft != 0 {
+		t.Errorf("TxSoftAborts=%d, want 0: a delayed CAS never watches", soft)
+	}
 }
 
 // TestConfigValidate is the table for Config.Validate and its enforcement

@@ -1,17 +1,18 @@
 // Package sbq implements the paper's scalable baskets queue natively in
 // Go: the modular baskets queue of §5.2 (Algorithms 2-6) with a pluggable
-// basket (§5.2.1) and a pluggable try_append CAS strategy.
+// basket (§5.2.1).
 //
 // Go exposes no hardware transactional memory and its runtime would abort
-// transactional sections, so the native SBQ cannot use the HTM TxCAS; it
-// ships with plain and delayed CAS (the SBQ-CAS variant the paper
-// evaluates to isolate TxCAS's contribution, §6.1) and, via WithTxCAS,
-// the software TxCAS of repro/internal/txcas: contending enqueuers watch
-// a publication gate during a calibrated speculation window and abandon
-// doomed linking CASes before issuing them, harvesting the winner's
-// identity from the failure — the paper's profit-from-failure effect
-// approximated on real cores. The HTM-backed SBQ runs on the repository's
-// simulated machine (repro/internal/simqueue).
+// transactional sections, so the native SBQ cannot use the HTM TxCAS.
+// Its try_append has one linking-CAS path, repro/internal/txcas's
+// GuardedCAS, in three configurations: a plain CAS (the default, the
+// SBQ-CAS variant the paper evaluates to isolate TxCAS's contribution,
+// §6.1); a delayed CAS (WithTxCAS with a policy.DelayedCAS policy); and
+// the software TxCAS (WithTxCAS), where contending enqueuers watch the
+// link itself during a calibrated speculation window and abandon doomed
+// linking CASes before issuing them, naming the winner — the paper's
+// profit-from-failure effect approximated on real cores. The HTM-backed
+// SBQ runs on the repository's simulated machine (repro/internal/simqueue).
 //
 // The basket must guarantee the property of §5.3.2: once the basket is
 // indicated empty, every future Extract fails. Both baskets in
@@ -30,7 +31,7 @@
 //
 //	q := sbq.New[uint64](
 //		sbq.WithEnqueuers(8),
-//		sbq.WithAppendDelay(270*time.Nanosecond),
+//		sbq.WithTxCAS(),
 //		sbq.WithRecorder(rec),
 //	)
 package sbq
@@ -58,11 +59,14 @@ type node[T any] struct {
 	// concurrently discover the node is behind both pointers; only the
 	// CAS winner retires it.
 	retired atomic.Bool
+	// linker is the id of the handle that prepared the node, written while
+	// the node is private, so a contender that loses the linking CAS to it
+	// can name the winner (see txcas.Node).
+	linker int
 }
 
-// appendFn attempts CAS(next, nil, n) and reports success. PlainCAS and
-// delayed-CAS strategies are selected through WithAppendDelay.
-type appendFn[T any] func(next *atomic.Pointer[node[T]], n *node[T]) bool
+// Linker implements txcas.Node.
+func (n *node[T]) Linker() int { return n.linker }
 
 // Queue is the scalable baskets queue.
 type Queue[T any] struct {
@@ -73,19 +77,8 @@ type Queue[T any] struct {
 	tail atomic.Pointer[node[T]]
 	_    [56]byte
 
-	// gate is the TxCAS-mode publication channel for the linking CAS
-	// (nil engine = unused). One gate serves every node's next field:
-	// exactly one list node has a nil next at any moment, so the family
-	// is one-shot in the sense txcas.Gate requires — any win published
-	// while a contender holds a nil-next snapshot dooms that contender's
-	// CAS, whichever node the winner linked. (Gate carries its own
-	// padding; see internal/txcas.)
-	gate txcas.Gate
-
 	enqueuers int
-	tryCAS    appendFn[T]
-	// eng is non-nil in TxCAS mode (WithTxCAS): tryAppend then routes the
-	// linking CAS through txcas.GuardedCAS and the engine owns the CAS
+	// eng runs every linking CAS (txcas.GuardedCAS) and owns its
 	// telemetry, so soft aborts genuinely reduce measured attempts and
 	// failures.
 	eng       *txcas.Engine
@@ -112,12 +105,12 @@ type Queue[T any] struct {
 // for GOMAXPROCS producer handles, uses the scalable basket, a plain-CAS
 // try_append, and no telemetry.
 func New[T any](opts ...Option) *Queue[T] {
-	o := buildOptions[T](opts)
-	q := &Queue[T]{enqueuers: o.enqueuers, rec: o.rec, ev: obs.Events(o.rec)}
+	o, enqueuers := buildOptions[T](opts)
+	q := &Queue[T]{enqueuers: enqueuers, rec: o.rec, ev: obs.Events(o.rec)}
 	if o.newBasket != nil {
 		q.newBasket = o.newBasket.(func() basket.Basket[T])
 	} else {
-		enqueuers, rec := o.enqueuers, o.rec
+		rec := o.rec
 		q.newBasket = func() basket.Basket[T] {
 			return basket.New[T](
 				basket.WithCapacity(enqueuers),
@@ -126,29 +119,13 @@ func New[T any](opts ...Option) *Queue[T] {
 			)
 		}
 	}
-	if o.txcasOn {
-		// Native TxCAS mode: the engine is built with the queue's recorder
-		// first so WithTxCAS options can override it; tryCAS stays nil —
-		// tryAppend routes the linking CAS through GuardedCAS directly
-		// (the engine needs the handle id and the gate, which the appendFn
-		// shape cannot carry).
-		q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
-	} else if o.appendDelay > 0 {
-		// Calibrate once at construction so the hot path runs a fixed
-		// iteration count (see spin.go for why the loop never reads the
-		// clock).
-		iters := spinItersFor(o.appendDelay)
-		//lf:hotpath invoked by every tryAppend
-		q.tryCAS = func(next *atomic.Pointer[node[T]], n *node[T]) bool {
-			spinIters(iters)
-			return next.CompareAndSwap(nil, n)
-		}
-	} else {
-		//lf:hotpath invoked by every tryAppend
-		q.tryCAS = func(next *atomic.Pointer[node[T]], n *node[T]) bool {
-			return next.CompareAndSwap(nil, n)
-		}
+	// The queue's recorder and window come first so WithTxCAS options
+	// override them. Without WithTxCAS the window is 0: a plain CAS.
+	window := time.Duration(0)
+	if o.txcas {
+		window = txcas.DefaultWindow
 	}
+	q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithWindow(window), txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
 	if o.pooled {
 		if _, ok := q.newBasket().(basket.Resettable); !ok {
 			panic("sbq: WithNodePool requires a basket implementing basket.Resettable")
@@ -172,13 +149,16 @@ func New[T any](opts ...Option) *Queue[T] {
 	return q
 }
 
-// getNode returns a fresh or recycled node with an open, empty basket.
-func (q *Queue[T]) getNode() *node[T] {
+// getNode returns a fresh or recycled node with an open, empty basket,
+// prepared by handle linker.
+func (q *Queue[T]) getNode(linker int) *node[T] {
 	if p := q.pool; p != nil {
-		return p.Get()
+		n := p.Get()
+		n.linker = linker
+		return n
 	}
 	//lint:ignore allocfree GC mode allocates one node (and basket) per appended node by design; WithNodePool is the zero-alloc configuration the gates enforce
-	return &node[T]{basket: q.newBasket()}
+	return &node[T]{basket: q.newBasket(), linker: linker}
 }
 
 // protect pins src's current node against pooled reuse (announce-and-
@@ -239,27 +219,6 @@ func (q *Queue[T]) retireRange(ptr *atomic.Pointer[node[T]], from, to *node[T]) 
 	}
 }
 
-// NewDelayedCAS returns a queue whose try_append delays before its CAS,
-// the paper's SBQ-CAS configuration.
-//
-// Deprecated: use New with WithEnqueuers and WithAppendDelay.
-func NewDelayedCAS[T any](enqueuers int, delay time.Duration) *Queue[T] {
-	return New[T](WithEnqueuers(enqueuers), WithAppendDelay(delay))
-}
-
-// NewWithOptions returns a queue with producer-handle count, try_append
-// delay (zero for plain CAS), and an optional basket constructor (nil
-// selects the scalable basket).
-//
-// Deprecated: use New with WithEnqueuers, WithAppendDelay and WithBasket.
-func NewWithOptions[T any](enqueuers int, appendDelay time.Duration, newBasket func() basket.Basket[T]) *Queue[T] {
-	opts := []Option{WithEnqueuers(enqueuers), WithAppendDelay(appendDelay)}
-	if newBasket != nil {
-		opts = append(opts, WithBasket(newBasket))
-	}
-	return New[T](opts...)
-}
-
 // Handle is a per-goroutine view of the queue. Producer handles own a
 // basket cell index and the node-reuse slot of §5.2.2. A Handle must not
 // be shared between goroutines.
@@ -287,7 +246,7 @@ func (q *Queue[T]) event(k obs.EventKind, lane int32, arg uint64) {
 	}
 }
 
-// tryAppend is Algorithm 4.
+// appendStatus is the result of tryAppend.
 type appendStatus int
 
 const (
@@ -296,30 +255,17 @@ const (
 	appendBadTail
 )
 
+// tryAppend is Algorithm 4. The engine records the CAS counters and
+// timeline events itself: a soft abort must *not* count as an issued CAS;
+// that reduction is the measurable profit (§3). On appendFailure
+// tail.next is non-nil, whether the CAS was issued or soft-aborted.
 func (q *Queue[T]) tryAppend(tail, n *node[T], lane int32) appendStatus {
 	if tail.next.Load() != nil {
 		return appendBadTail
 	}
-	if e := q.eng; e != nil {
-		// TxCAS mode: the engine records the CAS attempt/failure counters
-		// and timeline events itself — a soft abort must *not* count as an
-		// issued CAS; that reduction is the measurable profit (§3).
-		if txcas.GuardedCAS(e, &q.gate, int(lane), &tail.next, nil, n).OK {
-			return appendSuccess
-		}
-		return appendFailure
-	}
-	if r := q.rec; r != nil {
-		r.Inc(obs.CASAttempts)
-	}
-	q.event(obs.EvCASAttempt, lane, 0)
-	if q.tryCAS(&tail.next, n) {
+	if txcas.GuardedCAS(q.eng, int(lane), &tail.next, n) {
 		return appendSuccess
 	}
-	if r := q.rec; r != nil {
-		r.Inc(obs.CASFailures)
-	}
-	q.event(obs.EvCASFailure, lane, 0)
 	return appendFailure
 }
 
@@ -366,7 +312,7 @@ func (h *Handle[T]) Enqueue(v T) {
 	t := q.protect(&q.tail, g)
 	n := h.reserved
 	if n == nil {
-		n = q.getNode()
+		n = q.getNode(h.id)
 	} else {
 		n.basket.ResetOwn(h.id) // undo the previous insertion (§5.2.2)
 	}
@@ -457,7 +403,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 			n.basket.ResetOwn(h.id) // undo the previous insertion (§5.2.2)
 			n.next.Store(nil)
 		} else {
-			n = q.getNode()
+			n = q.getNode(h.id)
 		}
 		n.basket.Insert(h.id, v)
 		if first == nil {

@@ -3,9 +3,10 @@ package sbq_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/basket"
+	"repro/internal/machine/policy"
+	"repro/internal/txcas"
 	"repro/queue"
 	"repro/queue/queuetest"
 	"repro/queue/sbq"
@@ -38,6 +39,21 @@ func (v queueView[T]) Dequeue() (T, bool) {
 	return v.q.Dequeue()
 }
 
+// drain dequeues until empty and checks exactly want elements came out.
+func drain(t *testing.T, q *sbq.Queue[uint64], want int) {
+	t.Helper()
+	got := 0
+	for {
+		if _, ok := q.Dequeue(); !ok {
+			break
+		}
+		got++
+	}
+	if got != want {
+		t.Fatalf("drained %d of %d elements", got, want)
+	}
+}
+
 func TestConformancePlainCAS(t *testing.T) {
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
 		return sbq.New[uint64](sbq.WithEnqueuers(e))
@@ -49,15 +65,17 @@ func TestConformanceDelayedCAS(t *testing.T) {
 		t.Skip("delayed CAS is slow by design")
 	}
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.NewDelayedCAS[uint64](e, 200*time.Nanosecond)
+		// 500 cycles = 200ns at the policies' 2.5 cycles/ns.
+		return sbq.New[uint64](sbq.WithEnqueuers(e),
+			sbq.WithTxCAS(txcas.WithPolicy(policy.DelayedCAS{Delay: 500})))
 	}))
 }
 
 func TestConformanceClosingStackBasket(t *testing.T) {
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.NewWithOptions[uint64](e, 0, func() basket.Basket[uint64] {
+		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithBasket(func() basket.Basket[uint64] {
 			return basket.NewClosingStack[uint64]()
-		})
+		}))
 	}))
 }
 
@@ -65,9 +83,9 @@ func TestConformancePartitionedBasket(t *testing.T) {
 	// The §8 future-work extension: partitioned extraction must preserve
 	// queue linearizability.
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.NewWithOptions[uint64](e, 0, func() basket.Basket[uint64] {
+		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithBasket(func() basket.Basket[uint64] {
 			return basket.New[uint64](basket.WithCapacity(e), basket.WithBound(e), basket.WithPartitions(2))
-		})
+		}))
 	}))
 }
 
@@ -99,13 +117,37 @@ func TestHandleLimit(t *testing.T) {
 	q.NewHandle()
 }
 
+// TestBadEnqueuersPanics covers every explicit non-positive count,
+// including -1, which must not read as "unset".
 func TestBadEnqueuersPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero enqueuers did not panic")
-		}
-	}()
-	sbq.New[int](sbq.WithEnqueuers(0))
+	for _, n := range []int{0, -1, -5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WithEnqueuers(%d) did not panic", n)
+				}
+			}()
+			sbq.New[int](sbq.WithEnqueuers(n))
+		}()
+	}
+}
+
+// TestCustomBasket checks that WithBasket's constructor builds the
+// queue's baskets.
+func TestCustomBasket(t *testing.T) {
+	built := 0
+	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithBasket(func() basket.Basket[uint64] {
+		built++
+		return basket.NewClosingStack[uint64]()
+	}))
+	if built == 0 {
+		t.Fatal("custom basket constructor never invoked")
+	}
+	h := q.NewHandle()
+	for i := 0; i < 20; i++ {
+		h.Enqueue(uint64(i))
+	}
+	drain(t, q, 20)
 }
 
 func TestBadBasketTypePanics(t *testing.T) {

@@ -67,42 +67,13 @@ func TestTxCASTelemetry(t *testing.T) {
 	if snap.Counter(obs.CASAttempts) == 0 {
 		t.Fatal("no CAS attempts recorded in TxCAS mode")
 	}
-	// Soft aborts may or may not occur depending on scheduling; when they
-	// do, each must have carried a sharer hint (the winner had published).
+	// Soft aborts may or may not occur depending on scheduling; each one
+	// names its winner, so it also counts a sharer hint.
 	soft := snap.Counter(obs.TxSoftAborts)
 	hints := snap.Counter(obs.TxSharerHints)
-	if soft > 0 && hints == 0 {
-		t.Errorf("TxSoftAborts=%d but TxSharerHints=0: soft aborts must harvest the published winner", soft)
+	if hints < soft {
+		t.Errorf("TxSoftAborts=%d but TxSharerHints=%d: every soft abort must name its winner", soft, hints)
 	}
 	t.Logf("txcas telemetry: attempts=%d failures=%d soft=%d hints=%d",
 		snap.Counter(obs.CASAttempts), snap.Counter(obs.CASFailures), soft, hints)
-}
-
-// TestDeprecatedWithAppendPolicy pins the deprecated wrapper to its
-// documented replacement: it must route through the TxCAS engine with a
-// zero window, so appends succeed and policy fallback decisions are
-// honored as plain delayed CASes.
-func TestDeprecatedWithAppendPolicy(t *testing.T) {
-	rec := obs.New()
-	q := sbq.New[uint64](
-		sbq.WithEnqueuers(2),
-		sbq.WithAppendPolicy(policy.DelayedCAS{Delay: 25}),
-		sbq.WithRecorder(rec),
-	)
-	h0, h1 := q.NewHandle(), q.NewHandle()
-	const per = 200
-	for i := 0; i < per; i++ {
-		h0.Enqueue(uint64(i))
-		h1.Enqueue(uint64(per + i))
-	}
-	drain(t, q, 2*per)
-	snap := rec.Snapshot()
-	// DelayedCAS always answers Fallback, so every linking CAS is counted
-	// as a fallback resolution by the engine.
-	if snap.Counter(obs.CASFallbacks) == 0 {
-		t.Error("WithAppendPolicy(DelayedCAS) recorded no fallback CASes; wrapper is not routing through the engine")
-	}
-	if snap.Counter(obs.CASAttempts) < snap.Counter(obs.CASFallbacks) {
-		t.Error("fallback CASes not counted as attempts")
-	}
 }
