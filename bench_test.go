@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/queue/queuetest"
 	"repro/queue/registry"
 	"repro/queue/sbq"
 )
@@ -254,7 +255,7 @@ func BenchmarkNative_EnqueueBatch(b *testing.B) {
 		for _, k := range []int{1, 8, 64} {
 			name, k := name, k
 			b.Run(fmt.Sprintf("%s/k=%d", name, k), func(b *testing.B) {
-				inst, err := registry.Build(name, registry.Config{Producers: 1, BatchHint: k})
+				inst, err := registry.Build(name, registry.Config{Producers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -269,6 +270,35 @@ func BenchmarkNative_EnqueueBatch(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestNativeSBQPairAllocs pins the heap cost of one GC-mode SBQ-CAS
+// enqueue/dequeue pair built through the registry at four allocations:
+// the node, the scalable basket, its cell slice and basket.New's options
+// struct. This package does not import repro/basket, so the compiler
+// cannot inline basket's option constructors into an sbq.New
+// instantiation made here; the count must not depend on that.
+func TestNativeSBQPairAllocs(t *testing.T) {
+	if queuetest.RaceEnabled {
+		t.Skip("race instrumentation distorts allocation counts")
+	}
+	// An sbq.New[uint64] instantiation compiled in this package, which the
+	// linker may also use for the registry's entry.
+	_ = sbq.New[uint64](sbq.WithEnqueuers(1))
+	inst, err := registry.Build("SBQ-CAS", registry.Config{Producers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, c := inst.ProducerView(0), inst.ConsumerView(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Enqueue(1)
+		if _, ok := c.Dequeue(); !ok {
+			t.Fatal("unexpected empty")
+		}
+	})
+	if allocs != 4 {
+		t.Fatalf("GC-mode SBQ-CAS pair: %v allocations, want 4", allocs)
 	}
 }
 

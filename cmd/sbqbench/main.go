@@ -273,7 +273,7 @@ func runOne(name string, rec obs.Recorder, workload string, threads, ops, batch,
 		nProd = threads // prefill threads double as producers
 	}
 	inst, err := registry.Build(name, registry.Config{
-		Producers: nProd, Shards: shards, BatchHint: batch, Recorder: rec, Pooled: pooled,
+		Producers: nProd, Shards: shards, Recorder: rec, Pooled: pooled,
 		TxWindow: txWindow,
 	})
 	if err != nil {

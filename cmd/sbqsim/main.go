@@ -12,7 +12,6 @@
 //	sbqsim -fig ext          partitioned-basket dequeue extension (§8 future work)
 //	sbqsim -fig obs          telemetry snapshots: CAS failure rates, HTM abort codes
 //	sbqsim -fig faults       abort-rate vs throughput per retry/fallback policy
-//	sbqsim -fig sharded      native sharded front-end, batch-size sweep
 //	sbqsim -fig all          everything
 //
 // Flags -ops, -reps, -threads and -csv control scale and output format.
@@ -33,7 +32,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 5, 6, 7, delay, basket, fix, ext, obs, faults, sharded, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 5, 6, 7, delay, basket, fix, ext, obs, faults, all")
 	ops := flag.Int("ops", 300, "operations per thread per repetition")
 	reps := flag.Int("reps", 3, "repetitions (distinct seeds)")
 	threads := cliflag.Threads(flag.CommandLine, "comma-separated thread counts (default 1..44 sweep)")
@@ -123,16 +122,6 @@ func main() {
 			fmt.Println("== Fault sweep: SBQ-HTM enqueue under injected aborts, per retry/fallback policy ==")
 			harness.WriteFaultSweep(os.Stdout, res)
 			fmt.Println()
-		case "sharded":
-			st := harness.ShardedThroughput{}
-			ns := o
-			if len(ns.ThreadCounts) == 0 {
-				// Native wall-clock run: default to a small goroutine sweep
-				// rather than the simulator's 1..44 core range.
-				ns.ThreadCounts = []int{1, 2, 4}
-			}
-			res := harness.Run(st, ns).Results
-			emit("Sharded front-end: native mixed throughput, batch-size sweep [ns/op]", res)
 		default:
 			fmt.Fprintf(os.Stderr, "sbqsim: unknown figure %q\n", name)
 			os.Exit(2)
@@ -140,7 +129,7 @@ func main() {
 	}
 
 	if *fig == "all" {
-		for _, f := range []string{"1", "5", "6", "7", "delay", "basket", "fix", "ext", "obs", "faults", "sharded"} {
+		for _, f := range []string{"1", "5", "6", "7", "delay", "basket", "fix", "ext", "obs", "faults"} {
 			run(f)
 		}
 		return

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/queue/msq"
 )
 
 func TestStatsCountersAndSnapshot(t *testing.T) {
@@ -91,32 +90,5 @@ func TestMergeAndFormat(t *testing.T) {
 	}
 	if s := snap.FormatCoherence(); s != "" {
 		t.Errorf("FormatCoherence with no messages = %q, want empty", s)
-	}
-}
-
-func TestInstrumentObservesLatency(t *testing.T) {
-	s := obs.New()
-	q := obs.Instrument[uint64](msq.New[uint64](), s)
-	q.Enqueue(1)
-	if _, ok := q.Dequeue(); !ok {
-		t.Fatal("dequeue failed")
-	}
-	q.Dequeue() // empty
-	snap := s.Snapshot()
-	if snap.Series[obs.EnqLatency].Count != 1 {
-		t.Errorf("enq observations = %d, want 1", snap.Series[obs.EnqLatency].Count)
-	}
-	if snap.Series[obs.DeqLatency].Count != 2 {
-		t.Errorf("deq observations = %d, want 2", snap.Series[obs.DeqLatency].Count)
-	}
-}
-
-func TestInstrumentNopUnwrapped(t *testing.T) {
-	q := msq.New[uint64]()
-	if got := obs.Instrument[uint64](q, obs.Nop{}); got != any(q) {
-		t.Error("Instrument with Nop recorder did not return the queue unwrapped")
-	}
-	if got := obs.Instrument[uint64](q, nil); got != any(q) {
-		t.Error("Instrument with nil recorder did not return the queue unwrapped")
 	}
 }

@@ -1,27 +1,26 @@
 // Package queue defines the multi-producer/multi-consumer FIFO queue
-// interface shared by this repository's native Go implementations:
+// interface shared by this repository's native Go queues:
 //
-//   - repro/queue/msq: the Michael-Scott lock-free queue
-//   - repro/queue/baskets: the original baskets queue
 //   - repro/queue/sbq: the scalable baskets queue (the paper's SBQ) with
-//     pluggable baskets and append strategies
+//     pluggable baskets and one linking-CAS path in three configurations
 //   - repro/queue/faaq: an FAA-based infinite-array queue (the fast path
 //     of Yang & Mellor-Crummey's wait-free queue)
-//   - repro/queue/ccq: a CC-Synch combining queue
+//   - repro/queue/lcrq: an LCRQ-style ring queue after Morrison & Afek
+//   - repro/queue/sharded: a production front-end that composes several
+//     queues (faaq by default) with per-producer shard affinity and
+//     work-stealing dequeue
 //
 // These are the paper's algorithms on real Go atomics. Go exposes no
-// hardware transactional memory, so the native SBQ ships with CAS-based
-// try_append strategies (the paper's SBQ-CAS variant); the HTM-backed
-// TxCAS lives in the simulated track (see DESIGN.md). Memory reclamation
-// is delegated to the Go garbage collector, which provides the safety the
-// paper's epoch scheme provides in C; the epoch scheme itself is
-// implemented faithfully on the simulator.
+// hardware transactional memory, so the native SBQ's TxCAS is a software
+// approximation (repro/internal/txcas); the HTM-backed TxCAS and the
+// paper's other baseline queues (MS-Queue, the original baskets queue,
+// CC-Queue) run on the simulated track only (see DESIGN.md).
+// Memory reclamation is left to the Go garbage collector by default;
+// pooled-node mode recycles nodes through repro/reclaim's epoch scheme.
 //
 // Beyond the single-element Queue interface, batch.go defines the
 // optional batch capability (BatchEnqueuer, BatchDequeuer, BatchQueue)
-// and the AsBatch adapter that upgrades any Queue to it; repro/queue/
-// sharded composes several queues into a production front-end with
-// per-producer shard affinity and work-stealing dequeue. See batch.go's
+// and the AsBatch adapter that upgrades any Queue to it. See batch.go's
 // migration notes.
 package queue
 

@@ -15,15 +15,9 @@ func FromRegistry(b registry.Builder) Factory {
 	}
 }
 
-// FromRegistryBatch adapts a registry builder into a BatchFactory with a
-// zero Config (beyond the producer count the suite chooses per check).
-func FromRegistryBatch(b registry.Builder) BatchFactory {
-	return FromRegistryConfig(b, registry.Config{})
-}
-
 // FromRegistryConfig adapts a registry builder into a BatchFactory, using
 // cfg as the build template: the suite overwrites Producers per check and
-// leaves the rest (Shards, BatchHint, Recorder) as given — the way to pin
+// leaves the rest (Shards, Recorder, Pooled) as given — the way to pin
 // an explicit shard count so multi-shard paths get covered even when
 // GOMAXPROCS is 1.
 func FromRegistryConfig(b registry.Builder, cfg registry.Config) BatchFactory {

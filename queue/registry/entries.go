@@ -9,11 +9,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/txcas"
 	"repro/queue"
-	"repro/queue/baskets"
-	"repro/queue/ccq"
 	"repro/queue/faaq"
 	"repro/queue/lcrq"
-	"repro/queue/msq"
 	"repro/queue/sbq"
 	"repro/queue/sharded"
 )
@@ -23,20 +20,6 @@ import (
 const delayedCASCycles = 675
 
 func init() {
-	Register("MS-Queue", func(cfg Config) Instance {
-		opts := []msq.Option{msq.WithRecorder(cfg.Recorder)}
-		if cfg.Pooled {
-			opts = append(opts, msq.WithNodePool())
-		}
-		return Batched(queue.AsBatch(msq.New[uint64](opts...)))
-	})
-	Register("BQ-Original", func(cfg Config) Instance {
-		opts := []baskets.Option{baskets.WithRecorder(cfg.Recorder)}
-		if cfg.Pooled {
-			opts = append(opts, baskets.WithNodePool())
-		}
-		return Batched(queue.AsBatch(baskets.New[uint64](opts...)))
-	})
 	// faaq and sbq implement the batch surface natively: one FAA claims a
 	// whole enqueue batch on faaq, one linking CAS appends a private chain
 	// on sbq, so AsBatch is an identity upgrade for them.
@@ -53,13 +36,6 @@ func init() {
 			opts = append(opts, lcrq.WithNodePool())
 		}
 		return Batched(queue.AsBatch(lcrq.New[uint64](opts...)))
-	})
-	Register("CC-Queue", func(cfg Config) Instance {
-		opts := []ccq.Option{ccq.WithRecorder(cfg.Recorder)}
-		if cfg.Pooled {
-			opts = append(opts, ccq.WithNodePool())
-		}
-		return Batched(queue.AsBatch(ccq.New[uint64](opts...)))
 	})
 	// The three SBQ entries share one linking-CAS path (txcas.GuardedCAS)
 	// in three configurations. SBQ-CAS: window 0, a plain CAS.

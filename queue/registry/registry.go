@@ -1,20 +1,29 @@
-// Package registry names the repository's native queue implementations and
+// Package registry names the repository's native queue configurations and
 // builds them uniformly, so benchmarks, tools, and conformance tests share
 // one queue-selection table instead of each keeping its own switch.
 //
+// There are eight entries. SBQ-CAS, SBQ-DCAS and SBQ-TxCAS are the
+// scalable baskets queue (repro/queue/sbq) with its linking CAS run plain,
+// delayed, or speculating (repro/internal/txcas); SBQ-PB is SBQ-CAS over
+// the §8 partitioned basket. Sharded-FAA and Sharded-SBQ are the sharded
+// front-end (repro/queue/sharded) over repro/queue/faaq or SBQ shards.
+// FAA-Queue (repro/queue/faaq) and LCRQ (repro/queue/lcrq) are the two
+// native ports of the paper's baselines still registered; the others of
+// Figures 5-7 (MS-Queue, the original baskets queue, CC-Queue) live on the
+// simulated track only (repro/internal/simqueue).
+//
 // Entries are uint64-element queues (the element type every harness in this
 // repository drives). Each builder receives a Config — producer count,
-// shard count, batch hint, and an optional telemetry recorder — and returns
-// an Instance handing out per-producer and per-consumer views:
-// implementations whose producers need private state (SBQ handles own a
-// basket cell) return distinct views per producer index, the rest return
-// the shared queue. Views are batch-capable (queue.BatchQueue); entries
-// whose implementation has no native batch path are upgraded through
-// queue.AsBatch, so callers can always drive EnqueueBatch/DequeueBatch and
-// get at worst the looped equivalent.
+// shard count, and an optional telemetry recorder — and returns an Instance
+// handing out per-producer and per-consumer views: implementations whose
+// producers need private state (SBQ handles own a basket cell) return
+// distinct views per producer index, the rest return the shared queue.
+// Views are batch-capable (queue.BatchQueue); LCRQ has no native batch
+// path and is upgraded through queue.AsBatch, so callers can always drive
+// EnqueueBatch/DequeueBatch and get at worst the looped equivalent.
 //
-// Entries also declare their ordering contract: the classic queues are
-// TotalFIFO (linearizable against a sequential FIFO spec), while the
+// Entries also declare their ordering contract: the single-queue entries
+// are TotalFIFO (linearizable against a sequential FIFO spec), while the
 // sharded front-ends relax to PerProducerFIFO. Conformance suites read the
 // contract through LookupEntry and pick the matching checker.
 package registry
@@ -39,12 +48,6 @@ type Config struct {
 	// front-end (see repro/queue/sharded). Zero lets the entry pick its
 	// default (GOMAXPROCS); unsharded entries ignore it.
 	Shards int
-	// BatchHint is the batch size the caller intends to drive through
-	// EnqueueBatch/DequeueBatch, or zero when unknown. It is advisory:
-	// entries may use it to pre-size internal buffers, and harnesses
-	// thread the swept batch size through it so a build sees the same
-	// shape it will be measured under.
-	BatchHint int
 	// Recorder, when non-nil, is threaded into the queue's telemetry hooks
 	// (see repro/internal/obs).
 	Recorder obs.Recorder
@@ -74,7 +77,7 @@ type Config struct {
 
 // Validate reports whether the configuration is buildable. Zero values are
 // always valid — they select the documented defaults (one producer, the
-// entry's shard default, unknown batch size) — but negative counts used to
+// entry's shard default, the engine's window) — but negative counts used to
 // fall through to unhelpful panics deep inside the constructors (e.g.
 // repro/queue/sharded's "shard count must be positive"), far from the
 // caller that produced them. Build rejects such configs up front with this
@@ -85,9 +88,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Shards < 0 {
 		return fmt.Errorf("registry: Shards must be >= 0 (0 selects the entry's default), got %d", cfg.Shards)
-	}
-	if cfg.BatchHint < 0 {
-		return fmt.Errorf("registry: BatchHint must be >= 0 (0 means unknown), got %d", cfg.BatchHint)
 	}
 	if cfg.TxWindow < 0 {
 		return fmt.Errorf("registry: TxWindow must be >= 0 (0 selects the engine default), got %v", cfg.TxWindow)
@@ -100,7 +100,7 @@ type Ordering int
 
 const (
 	// TotalFIFO entries are linearizable against the sequential FIFO
-	// spec: all the classic single-queue implementations.
+	// spec: all the single-queue entries.
 	TotalFIFO Ordering = iota
 	// PerProducerFIFO entries preserve each producer's enqueue order but
 	// may interleave different producers arbitrarily — even when their

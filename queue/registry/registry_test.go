@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,8 +25,12 @@ import (
 // exactly-once plus per-consumer per-producer order.
 func TestConformance(t *testing.T) {
 	names := registry.Names()
-	if len(names) < 8 {
-		t.Fatalf("registry unexpectedly small: %v", names)
+	want := []string{
+		"FAA-Queue", "LCRQ", "SBQ-CAS", "SBQ-DCAS", "SBQ-PB", "SBQ-TxCAS",
+		"Sharded-FAA", "Sharded-SBQ",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("registry entries %v, want %v", names, want)
 	}
 	for _, name := range names {
 		e, ok := registry.LookupEntry(name)
@@ -62,15 +67,15 @@ func TestConformance(t *testing.T) {
 }
 
 // TestBatchConformance drives the batch surface of every entry — native
-// (faaq, sbq, sharded) and AsBatch-upgraded alike — through the sequential
-// and concurrent batch checks.
+// (faaq, sbq, sharded) and AsBatch-upgraded (LCRQ) alike — through the
+// sequential and concurrent batch checks.
 func TestBatchConformance(t *testing.T) {
 	for _, name := range registry.Names() {
 		e, ok := registry.LookupEntry(name)
 		if !ok {
 			t.Fatalf("LookupEntry(%q) failed after Names listed it", name)
 		}
-		f := queuetest.FromRegistryConfig(e.Build, registry.Config{Shards: 3, BatchHint: 8})
+		f := queuetest.FromRegistryConfig(e.Build, registry.Config{Shards: 3})
 		t.Run(name, func(t *testing.T) {
 			queuetest.CheckBatchSequential(t, f)
 			per := 400
@@ -266,7 +271,7 @@ func TestBatchRecorderThreading(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			st := obs.New()
-			inst, err := registry.Build(name, registry.Config{Producers: 1, Shards: 2, BatchHint: 8, Recorder: st})
+			inst, err := registry.Build(name, registry.Config{Producers: 1, Shards: 2, Recorder: st})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -374,12 +379,10 @@ func TestConfigValidate(t *testing.T) {
 		wantErr string // substring; "" means valid
 	}{
 		{"zero value is the default config", registry.Config{}, ""},
-		{"explicit positives", registry.Config{Producers: 4, Shards: 2, BatchHint: 8}, ""},
+		{"explicit positives", registry.Config{Producers: 4, Shards: 2}, ""},
 		{"zero shards selects the entry default", registry.Config{Producers: 1, Shards: 0}, ""},
-		{"zero batch hint means unknown", registry.Config{BatchHint: 0}, ""},
 		{"negative producers", registry.Config{Producers: -1}, "Producers"},
 		{"negative shards", registry.Config{Shards: -3}, "Shards"},
-		{"negative batch hint", registry.Config{BatchHint: -8}, "BatchHint"},
 		{"zero tx window selects the engine default", registry.Config{TxWindow: 0}, ""},
 		{"explicit tx window", registry.Config{TxWindow: 270 * time.Nanosecond}, ""},
 		{"negative tx window", registry.Config{TxWindow: -time.Microsecond}, "TxWindow"},
@@ -398,8 +401,9 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error mentioning %q", err, tc.wantErr)
 			}
 			// Build must reject the same config without reaching the
-			// builder (which might panic), for every registered entry.
-			if _, berr := registry.Build("FAA-Queue", tc.cfg); berr == nil ||
+			// builder (which might panic); it validates before the name
+			// lookup, so one entry stands for all.
+			if _, berr := registry.Build("SBQ-CAS", tc.cfg); berr == nil ||
 				!strings.Contains(berr.Error(), tc.wantErr) {
 				t.Fatalf("Build() = %v, want error mentioning %q", berr, tc.wantErr)
 			}

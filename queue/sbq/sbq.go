@@ -110,14 +110,15 @@ func New[T any](opts ...Option) *Queue[T] {
 	if o.newBasket != nil {
 		q.newBasket = o.newBasket.(func() basket.Basket[T])
 	} else {
-		rec := o.rec
-		q.newBasket = func() basket.Basket[T] {
-			return basket.New[T](
-				basket.WithCapacity(enqueuers),
-				basket.WithBound(enqueuers),
-				basket.WithRecorder(rec),
-			)
+		// The options are built once per queue, not once per node: as
+		// closures created inside newBasket they would each escape to the
+		// heap wherever the compiler does not inline the With* calls.
+		bopts := []basket.Option{
+			basket.WithCapacity(enqueuers),
+			basket.WithBound(enqueuers),
+			basket.WithRecorder(o.rec),
 		}
+		q.newBasket = func() basket.Basket[T] { return basket.New[T](bopts...) }
 	}
 	// The queue's recorder and window come first so WithTxCAS options
 	// override them. Without WithTxCAS the window is 0: a plain CAS.
