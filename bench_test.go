@@ -251,7 +251,7 @@ func BenchmarkNative_ParallelMixed(b *testing.B) {
 // k grows is the amortization (one FAA or linking CAS per batch) showing
 // up directly.
 func BenchmarkNative_EnqueueBatch(b *testing.B) {
-	for _, name := range []string{"FAA-Queue", "SBQ-CAS", "Sharded-FAA"} {
+	for _, name := range []string{"SBQ-CAS", "Sharded-FAA", "Sharded-SBQ"} {
 		for _, k := range []int{1, 8, 64} {
 			name, k := name, k
 			b.Run(fmt.Sprintf("%s/k=%d", name, k), func(b *testing.B) {

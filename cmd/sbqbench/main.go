@@ -19,8 +19,7 @@
 //
 // -batch 0 (the default) measures the single-operation path; positive
 // sizes drive the batch surface with that k, amortizing the shared-word
-// operation over the batch on the natively batch-capable queues (FAA-Queue,
-// the SBQ family, and the sharded front-ends).
+// operation over the batch; every registry entry batches natively.
 //
 // -pooled selects node reclamation: "false" (the default; nodes are
 // garbage-collected), "true" (WithNodePool: reclaim-backed freelists,

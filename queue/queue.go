@@ -4,8 +4,8 @@
 //   - repro/queue/sbq: the scalable baskets queue (the paper's SBQ) with
 //     pluggable baskets and one linking-CAS path in three configurations
 //   - repro/queue/faaq: an FAA-based infinite-array queue (the fast path
-//     of Yang & Mellor-Crummey's wait-free queue)
-//   - repro/queue/lcrq: an LCRQ-style ring queue after Morrison & Afek
+//     of Yang & Mellor-Crummey's wait-free queue), the shards of the
+//     sharded front-end
 //   - repro/queue/sharded: a production front-end that composes several
 //     queues (faaq by default) with per-producer shard affinity and
 //     work-stealing dequeue
@@ -13,8 +13,8 @@
 // These are the paper's algorithms on real Go atomics. Go exposes no
 // hardware transactional memory, so the native SBQ's TxCAS is a software
 // approximation (repro/internal/txcas); the HTM-backed TxCAS and the
-// paper's other baseline queues (MS-Queue, the original baskets queue,
-// CC-Queue) run on the simulated track only (see DESIGN.md).
+// paper's baseline queues (MS-Queue, the original baskets queue, the FAA
+// queue, LCRQ, CC-Queue) run on the simulated track only (see DESIGN.md).
 // Memory reclamation is left to the Go garbage collector by default;
 // pooled-node mode recycles nodes through repro/reclaim's epoch scheme.
 //

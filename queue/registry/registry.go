@@ -2,25 +2,22 @@
 // builds them uniformly, so benchmarks, tools, and conformance tests share
 // one queue-selection table instead of each keeping its own switch.
 //
-// There are eight entries. SBQ-CAS, SBQ-DCAS and SBQ-TxCAS are the
+// There are five entries. SBQ-CAS, SBQ-DCAS and SBQ-TxCAS are the
 // scalable baskets queue (repro/queue/sbq) with its linking CAS run plain,
-// delayed, or speculating (repro/internal/txcas); SBQ-PB is SBQ-CAS over
-// the §8 partitioned basket. Sharded-FAA and Sharded-SBQ are the sharded
-// front-end (repro/queue/sharded) over repro/queue/faaq or SBQ shards.
-// FAA-Queue (repro/queue/faaq) and LCRQ (repro/queue/lcrq) are the two
-// native ports of the paper's baselines still registered; the others of
-// Figures 5-7 (MS-Queue, the original baskets queue, CC-Queue) live on the
-// simulated track only (repro/internal/simqueue).
+// delayed, or speculating (repro/internal/txcas). Sharded-FAA and
+// Sharded-SBQ are the sharded front-end (repro/queue/sharded) over
+// repro/queue/faaq or SBQ shards. The paper's baselines of Figures 5-7
+// (MS-Queue, the original baskets queue, the FAA queue, LCRQ, CC-Queue)
+// live on the simulated track only (repro/internal/simqueue).
 //
 // Entries are uint64-element queues (the element type every harness in this
 // repository drives). Each builder receives a Config — producer count,
 // shard count, and an optional telemetry recorder — and returns an Instance
-// handing out per-producer and per-consumer views: implementations whose
-// producers need private state (SBQ handles own a basket cell) return
-// distinct views per producer index, the rest return the shared queue.
-// Views are batch-capable (queue.BatchQueue); LCRQ has no native batch
-// path and is upgraded through queue.AsBatch, so callers can always drive
-// EnqueueBatch/DequeueBatch and get at worst the looped equivalent.
+// handing out per-producer and per-consumer views: an SBQ producer view
+// is its own handle (one basket cell), a sharded producer view enqueues on
+// its home shard. Views are batch-capable (queue.BatchQueue), and every
+// entry batches natively: one linking CAS appends an SBQ batch, one FAA
+// claims a faaq shard's.
 //
 // Entries also declare their ordering contract: the single-queue entries
 // are TotalFIFO (linearizable against a sequential FIFO spec), while the
@@ -123,8 +120,7 @@ func (o Ordering) String() string {
 // Instance is a built queue exposed as per-role views. ProducerView(i) must
 // be called with 0 <= i < Config.Producers and each returned view used by
 // at most one goroutine at a time; ConsumerView views are safe to share
-// unless the entry documents otherwise. Construct one with Views or
-// Batched.
+// unless the entry documents otherwise. Construct one with Views.
 type Instance struct {
 	producer func(i int) queue.BatchQueue[uint64]
 	consumer func(i int) queue.BatchQueue[uint64]
@@ -214,12 +210,4 @@ func Build(name string, cfg Config) (Instance, error) {
 		return Instance{}, fmt.Errorf("registry: unknown queue %q (have %v)", name, Names())
 	}
 	return b(cfg), nil
-}
-
-// Batched wraps a single thread-safe batch-capable queue as an Instance:
-// every view is the queue itself. Upgrade a plain queue.Queue first with
-// queue.AsBatch.
-func Batched(q queue.BatchQueue[uint64]) Instance {
-	view := func(int) queue.BatchQueue[uint64] { return q }
-	return Views(view, view)
 }

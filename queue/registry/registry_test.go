@@ -25,10 +25,7 @@ import (
 // exactly-once plus per-consumer per-producer order.
 func TestConformance(t *testing.T) {
 	names := registry.Names()
-	want := []string{
-		"FAA-Queue", "LCRQ", "SBQ-CAS", "SBQ-DCAS", "SBQ-PB", "SBQ-TxCAS",
-		"Sharded-FAA", "Sharded-SBQ",
-	}
+	want := []string{"SBQ-CAS", "SBQ-DCAS", "SBQ-TxCAS", "Sharded-FAA", "Sharded-SBQ"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry entries %v, want %v", names, want)
 	}
@@ -66,8 +63,7 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestBatchConformance drives the batch surface of every entry — native
-// (faaq, sbq, sharded) and AsBatch-upgraded (LCRQ) alike — through the
+// TestBatchConformance drives the batch surface of every entry through the
 // sequential and concurrent batch checks.
 func TestBatchConformance(t *testing.T) {
 	for _, name := range registry.Names() {
@@ -260,13 +256,10 @@ func TestRecorderThreading(t *testing.T) {
 
 // TestBatchRecorderThreading checks the batch counters registry-wide:
 // driving k elements per EnqueueBatch must report EnqOps in elements, and
-// entries with a native batch path must report fewer batches than
-// elements (the amortization the counters exist to expose).
+// every entry, each with a native batch path, must report one EnqBatches
+// per batch and fewer DeqBatches than elements (the amortization the
+// counters exist to expose).
 func TestBatchRecorderThreading(t *testing.T) {
-	native := map[string]bool{
-		"FAA-Queue": true, "SBQ-CAS": true, "SBQ-DCAS": true, "SBQ-PB": true,
-		"SBQ-TxCAS": true, "Sharded-FAA": true, "Sharded-SBQ": true,
-	}
 	for _, name := range registry.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -301,13 +294,11 @@ func TestBatchRecorderThreading(t *testing.T) {
 			if snap.Counter(obs.EnqOps) != rounds*k {
 				t.Errorf("EnqOps = %d, want %d (elements, not batches)", snap.Counter(obs.EnqOps), rounds*k)
 			}
-			if native[name] {
-				if b := snap.Counter(obs.EnqBatches); b != rounds {
-					t.Errorf("EnqBatches = %d, want %d", b, rounds)
-				}
-				if b := snap.Counter(obs.DeqBatches); b == 0 || b > uint64(rounds*k) {
-					t.Errorf("DeqBatches = %d, want within (0, %d]", b, rounds*k)
-				}
+			if b := snap.Counter(obs.EnqBatches); b != rounds {
+				t.Errorf("EnqBatches = %d, want %d", b, rounds)
+			}
+			if b := snap.Counter(obs.DeqBatches); b == 0 || b > uint64(rounds*k) {
+				t.Errorf("DeqBatches = %d, want within (0, %d]", b, rounds*k)
 			}
 		})
 	}

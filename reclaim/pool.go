@@ -1,13 +1,24 @@
-// Epoch, Guard and Pool implement the package's protection discipline in
-// the form the queues' pooled-node mode needs: items recycle through
-// per-P freelists (sync.Pool) and reuse is deferred until no in-flight
-// operation can still touch the retired item.
+// Package reclaim provides the epoch-guarded freelists behind the native
+// queues' pooled-node mode (sbq.WithNodePool, faaq.WithNodePool), in the
+// index-based style the paper adapts from Yang & Mellor-Crummey
+// (Algorithm 7).
+//
+// Go's garbage collector already prevents use-after-free, but high-churn
+// structures benefit from recycling nodes through freelists, and
+// recycling re-creates the ABA hazards of manual memory management. A
+// Guard is one announcement slot; an Epoch is the registry of guards one
+// structure shares; a Pool is a per-P freelist (sync.Pool) whose retired
+// items wait until no in-flight operation can still touch them. The
+// simulated track implements Algorithm 7 verbatim inside SBQ
+// (repro/internal/simqueue), where memory really is manual.
 //
 // The scheme announces *stamps* (monotonically increasing uint64s
 // carried by the protected items) rather than pointers, which keeps one
 // announcement enough to protect an item and everything reachable
 // forward of it: every queue orders its items so that anything a
 // traversal can reach from an item carries a stamp >= that item's.
+// Stamps are structural — sbq stamps a node with its index, faaq a
+// segment with its id — so the Epoch keeps no stamp source of its own.
 // A retired item is reusable once its stamp lies strictly below every
 // active announcement.
 //
@@ -28,6 +39,9 @@
 // passes if the node really is installed at src again, making the
 // announcement exact). Either way the protocol over-protects, never
 // under-protects.
+//
+// Like all epoch schemes, reclamation stalls (but safety holds) if an
+// operation parks forever between Protect and Release.
 package reclaim
 
 import (
@@ -64,16 +78,11 @@ func (g *Guard) Protect(stamp uint64) { g.stamp.Store(stamp) }
 //lf:hotpath
 func (g *Guard) Release() { g.stamp.Store(NoStamp) }
 
-// Epoch is the shared state of one pooled data structure: a global
-// stamp source, the registry of every guard ever issued (append-only;
-// MinStamp scans it lock-free), and a freelist of inactive guards.
-// One Epoch can back several Pools — rings and their slots, nodes and
-// their edges — as long as all stamps come from one order.
+// Epoch is the shared state of one pooled data structure: the registry
+// of every guard ever issued (append-only; MinStamp scans it lock-free)
+// and a freelist of inactive guards. Every Pool over one Epoch must draw
+// its stamps from one order.
 type Epoch struct {
-	//lf:contended
-	stamp atomic.Uint64
-	_     [56]byte
-
 	// guards is copy-on-write: newGuard swaps in an extended copy under
 	// mu; MinStamp loads the current slice without locking.
 	guards atomic.Pointer[[]*Guard]
@@ -87,25 +96,6 @@ func NewEpoch() *Epoch {
 	e.guards.Store(new([]*Guard))
 	return e
 }
-
-// NextStamp returns the next stamp in the epoch's global order, for
-// structures whose items carry no structural index of their own.
-//
-//lf:hotpath
-func (e *Epoch) NextStamp() uint64 { return e.stamp.Add(1) }
-
-// Now returns the epoch clock's current position without advancing it:
-// the announcement value of the clock discipline, the alternative to
-// per-item structural stamps. A guard that announces Now() before
-// loading any shared pointer protects every item those loads can reach,
-// provided items are retired with NextStamp() AT RETIRE TIME and only
-// after becoming unreachable from shared locations: a pointer loaded
-// after the announce necessarily refers to a then-live item, whose
-// later retire stamp exceeds the announcement. One announcement per
-// operation covers an arbitrary traversal (see queue/lcrq).
-//
-//lf:hotpath
-func (e *Epoch) Now() uint64 { return e.stamp.Load() }
 
 // Acquire returns an inactive guard: a freelist hit on the steady
 // state, a registered allocation on first use.

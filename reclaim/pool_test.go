@@ -7,24 +7,34 @@ type item struct {
 	v     int
 }
 
+// raceRounds bounds the retries of the tests below that expect a recycled
+// item back from a sync.Pool. Under the race detector sync.Pool.Put drops
+// a random quarter of its items, so one round misses with odds 1/4 and
+// all raceRounds miss with odds 4^-32; without -race the first round hits.
+const raceRounds = 32
+
 func TestPoolRecyclesWhenUnprotected(t *testing.T) {
 	e := NewEpoch()
 	p := NewPool(e, func() *item { return &item{} }, func(it *item) { it.v = -1 })
 
-	a := p.Get()
-	a.stamp, a.v = e.NextStamp(), 1
-	p.Retire(a.stamp, a)
-	if freed := p.Collect(); freed != 1 {
-		t.Fatalf("Collect freed %d, want 1 (nothing protected)", freed)
+	for round := uint64(1); round <= raceRounds; round++ {
+		a := p.Get()
+		a.stamp, a.v = round, 1
+		p.Retire(a.stamp, a)
+		if freed := p.Collect(); freed != 1 {
+			t.Fatalf("round %d: Collect freed %d, want 1 (nothing protected)", round, freed)
+		}
+		if a.v != -1 {
+			t.Fatalf("round %d: recycled item not reset: v=%d, want -1", round, a.v)
+		}
+		if got := p.Freed.Load(); got != round {
+			t.Fatalf("round %d: Freed=%d, want %d", round, got, round)
+		}
+		if p.Get() == a {
+			return
+		}
 	}
-	if got := p.Get(); got != a {
-		t.Fatalf("Get returned a fresh item, want the recycled one")
-	} else if got.v != -1 {
-		t.Fatalf("recycled item not reset: v=%d, want -1", got.v)
-	}
-	if p.Freed.Load() != 1 {
-		t.Fatalf("Freed=%d, want 1", p.Freed.Load())
-	}
+	t.Fatalf("Get returned a fresh item in all %d rounds, want the recycled one", raceRounds)
 }
 
 func TestPoolDefersWhileProtected(t *testing.T) {
@@ -32,7 +42,7 @@ func TestPoolDefersWhileProtected(t *testing.T) {
 	p := NewPool(e, func() *item { return &item{} }, nil)
 
 	it := p.Get()
-	it.stamp = e.NextStamp()
+	it.stamp = 1
 	g := e.Acquire()
 	g.Protect(it.stamp) // an in-flight reader announced this stamp
 	p.Retire(it.stamp, it)
@@ -42,7 +52,7 @@ func TestPoolDefersWhileProtected(t *testing.T) {
 	// A later announcement does not resurrect protection for older stamps.
 	e.Release(g)
 	g2 := e.Acquire()
-	g2.Protect(e.NextStamp())
+	g2.Protect(2)
 	if freed := p.Collect(); freed != 1 {
 		t.Fatalf("Collect freed %d after release, want 1", freed)
 	}
@@ -66,10 +76,18 @@ func TestEpochGuardReuseAndMinStamp(t *testing.T) {
 		t.Fatalf("MinStamp after release = %d, want 7", min)
 	}
 	e.Release(g)
-	// Released guards recycle through the freelist.
-	if again := e.Acquire(); again != g && again != h {
-		t.Fatalf("Acquire after release returned a fresh guard, want a recycled one")
+	// Released guards recycle through the freelist. A fresh guard means
+	// the pool dropped the Puts (see raceRounds): release it too and retry.
+	released := map[*Guard]bool{g: true, h: true}
+	for round := 0; round < raceRounds; round++ {
+		again := e.Acquire()
+		if released[again] {
+			return
+		}
+		released[again] = true
+		e.Release(again)
 	}
+	t.Fatalf("Acquire after release returned a fresh guard in all %d rounds, want a recycled one", raceRounds)
 }
 
 func TestPoolAmortizedCollect(t *testing.T) {
@@ -78,7 +96,7 @@ func TestPoolAmortizedCollect(t *testing.T) {
 	// collectEvery retires trigger a collection without an explicit call.
 	for i := 0; i < collectEvery; i++ {
 		it := p.Get()
-		it.stamp = e.NextStamp()
+		it.stamp = uint64(i + 1)
 		p.Retire(it.stamp, it)
 	}
 	if p.Freed.Load() == 0 {

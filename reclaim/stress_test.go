@@ -1,13 +1,12 @@
 package reclaim_test
 
-// -race stress tests of the pooled reuse pattern, one per protection
-// discipline: a Michael-Scott queue under announce-and-verify with
-// structural stamps (the sbq/msq/baskets scheme) and a Treiber stack
-// under clock announcements with retire-time stamps (the lcrq scheme).
-// Both are exercised by concurrent producers and consumers exactly the
-// way the queues' WithNodePool mode uses reclaim. The race detector
-// proves reuse never overlaps a protected reader; the poison/
-// exactly-once checks prove the epoch ordering itself.
+// -race stress test of the pooled reuse pattern: a Michael-Scott queue
+// whose nodes carry structural stamps (each node's stamp is one past its
+// predecessor's) under announce-and-verify, the discipline sbq and faaq
+// use in their WithNodePool mode. Concurrent producers and consumers
+// drive it the way those queues drive reclaim. The race detector proves
+// reuse never overlaps a protected reader; the poison/exactly-once checks
+// prove the epoch ordering itself.
 
 import (
 	"runtime"
@@ -102,141 +101,6 @@ func (q *pooledMSQ) dequeue() (uint64, bool, bool) {
 			q.pool.Retire(stamp, h)
 			return v, true, poisoned
 		}
-	}
-}
-
-// clockStack is a pooled Treiber stack protected by the CLOCK
-// discipline (Epoch.Now announcements + NextStamp-at-retire-time
-// stamps) — the scheme queue/lcrq uses — rather than the structural
-// stamps pooledMSQ exercises. One announcement made before any shared
-// load covers everything the operation can reach; no per-item
-// re-announce, no verify loop.
-type clockStack struct {
-	epoch *reclaim.Epoch
-	pool  *reclaim.Pool[snode]
-	top   atomic.Pointer[snode]
-}
-
-func newClockStack() *clockStack {
-	e := reclaim.NewEpoch()
-	return &clockStack{
-		epoch: e,
-		pool:  reclaim.NewPool(e, func() *snode { return new(snode) }, func(n *snode) { n.pooled.Store(true) }),
-	}
-}
-
-func (s *clockStack) push(v uint64) {
-	n := s.pool.Get()
-	n.pooled.Store(false)
-	n.v = v
-	g := s.epoch.Acquire()
-	g.Protect(s.epoch.Now()) // announce BEFORE the first shared load
-	defer s.epoch.Release(g)
-	for {
-		top := s.top.Load()
-		n.next.Store(top)
-		//lint:ignore casloop test-harness Treiber push; the stress test wants raw contention, not pacing
-		if s.top.CompareAndSwap(top, n) {
-			return
-		}
-	}
-}
-
-func (s *clockStack) pop() (uint64, bool, bool) {
-	g := s.epoch.Acquire()
-	g.Protect(s.epoch.Now())
-	defer s.epoch.Release(g)
-	for {
-		top := s.top.Load()
-		if top == nil {
-			return 0, false, false
-		}
-		poisoned := top.pooled.Load() // must be false while protected
-		next := top.next.Load()
-		v := top.v
-		//lint:ignore casloop test-harness Treiber pop; the stress test wants raw contention, not pacing
-		if s.top.CompareAndSwap(top, next) {
-			// Stamp at retire time, strictly after unlinking: every
-			// guard that can still reach top announced before now, so
-			// its announcement is below this stamp.
-			s.pool.Retire(s.epoch.NextStamp(), top)
-			return v, true, poisoned
-		}
-	}
-}
-
-// TestClockDisciplineStress races pushers against poppers over the
-// clock-protected stack under -race: reuse overlapping a protected
-// reader is a detector report, a poisoned read under protection or a
-// lost/duplicated value is an explicit failure.
-func TestClockDisciplineStress(t *testing.T) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	perWorker := 20000
-	if testing.Short() {
-		perWorker = 2000
-	}
-
-	s := newClockStack()
-	total := workers * perWorker
-	delivered := make([]atomic.Uint32, total)
-	var poison atomic.Uint32
-
-	var wg, pushWG sync.WaitGroup
-	pushWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pushWG.Done()
-			for i := 0; i < perWorker; i++ {
-				s.push(uint64(w*perWorker + i))
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { pushWG.Wait(); close(done) }()
-
-	for c := 0; c < workers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				v, ok, poisoned := s.pop()
-				if ok {
-					if poisoned {
-						poison.Add(1)
-					}
-					delivered[v].Add(1)
-					continue
-				}
-				select {
-				case <-done:
-					if _, ok, _ := s.pop(); !ok {
-						return
-					}
-				default:
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if n := poison.Load(); n != 0 {
-		t.Fatalf("%d reads of pooled (reclaimed) nodes under clock protection", n)
-	}
-	for v := range delivered {
-		if n := delivered[v].Load(); n != 1 {
-			t.Fatalf("value %d delivered %d times, want exactly once", v, n)
-		}
-	}
-	s.pool.Collect()
-	if s.pool.Freed.Load() == 0 {
-		t.Fatalf("pool never recycled a node; stress exercised nothing")
 	}
 }
 
