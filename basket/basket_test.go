@@ -121,14 +121,15 @@ func TestScalableBadCapacityPanics(t *testing.T) {
 }
 
 // TestNewClampsBound: out-of-range bounds fall back to the capacity, for
-// both basket kinds.
+// both basket kinds; the bound lives in the settings record their Maker
+// shares.
 func TestNewClampsBound(t *testing.T) {
 	for _, bound := range []int{0, -1, 99} {
-		if b := scalable[int](3, bound); b.bound != 3 {
-			t.Errorf("scalable bound %d: got %d, want 3", bound, b.bound)
+		if b := scalable[int](3, bound); b.set.bound != 3 {
+			t.Errorf("scalable bound %d: got %d, want 3", bound, b.set.bound)
 		}
-		if b := partitioned[int](3, bound, 2); b.bound != 3 {
-			t.Errorf("partitioned bound %d: got %d, want 3", bound, b.bound)
+		if b := partitioned[int](3, bound, 2); b.set.bound != 3 {
+			t.Errorf("partitioned bound %d: got %d, want 3", bound, b.set.bound)
 		}
 	}
 }

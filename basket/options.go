@@ -11,8 +11,8 @@ import (
 // timeline (EvBasketOpen/EvBasketClose pair on the same id).
 var basketIDs atomic.Uint64
 
-// Option configures a basket built with New. Options are value-free of the
-// element type, so call sites read naturally:
+// Option configures the baskets built by New or Maker. Options are
+// value-free of the element type, so call sites read naturally:
 //
 //	b := basket.New[string](basket.WithCapacity(8), basket.WithPartitions(2))
 type Option func(*options)
@@ -22,6 +22,29 @@ type options struct {
 	bound      int
 	partitions int
 	rec        obs.Recorder
+}
+
+// settings is what every basket built by one Maker shares. It is resolved
+// once and never written afterwards, so baskets point at it instead of
+// carrying a copy each.
+type settings struct {
+	bound int          // extraction scans cells[0:bound] (the active inserters)
+	rec   obs.Recorder // nil unless telemetry is attached (WithRecorder)
+	// ev carries the baskets' lifecycle timeline: open at construction,
+	// close when the empty bit is set (nil unless rec is a flight-recorder
+	// collector).
+	ev obs.EventRecorder
+}
+
+// open issues a basket id and records its EvBasketOpen, if a flight
+// recorder is attached; the id is 0 otherwise.
+func (s *settings) open() uint64 {
+	if s.ev == nil {
+		return 0
+	}
+	id := basketIDs.Add(1)
+	s.ev.Event(obs.EvBasketOpen, obs.LaneDefault, id)
+	return id
 }
 
 // WithCapacity sets the number of inserter cells. The paper's evaluation
@@ -46,7 +69,15 @@ func WithRecorder(r obs.Recorder) Option { return func(o *options) { o.rec = obs
 // New builds a basket from options: the scalable basket of Algorithms 8-9
 // by default, or its partitioned-extraction extension when WithPartitions
 // selects more than one partition.
-func New[T any](opts ...Option) Basket[T] {
+func New[T any](opts ...Option) Basket[T] { return Maker[T](opts...)(nil) }
+
+// Maker applies and validates opts once and returns a constructor for
+// baskets that share the resulting settings: a queue resolves its options
+// per queue, not per node. The constructor builds the scalable basket in
+// own when own is non-nil, so a caller can embed the basket in its own
+// allocation, and in a fresh allocation otherwise; the partitioned basket
+// ignores own.
+func Maker[T any](opts ...Option) func(own *Scalable[T]) Basket[T] {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
@@ -60,20 +91,16 @@ func New[T any](opts ...Option) Basket[T] {
 	if o.bound <= 0 || o.bound > o.capacity {
 		o.bound = o.capacity
 	}
-	ev := obs.Events(o.rec)
-	var id uint64
-	if ev != nil {
-		id = basketIDs.Add(1)
-		ev.Event(obs.EvBasketOpen, obs.LaneDefault, id)
+	s := &settings{bound: o.bound, rec: o.rec, ev: obs.Events(o.rec)}
+	capacity, k := o.capacity, min(o.partitions, o.bound)
+	if k > 1 {
+		return func(*Scalable[T]) Basket[T] { return newPartitioned[T](capacity, k, s) }
 	}
-	if o.partitions > 1 {
-		b := newPartitioned[T](o.capacity, o.bound, o.partitions)
-		b.rec = o.rec
-		b.ev, b.id = ev, id
-		return b
+	return func(own *Scalable[T]) Basket[T] {
+		if own == nil {
+			own = new(Scalable[T])
+		}
+		own.cells, own.set, own.id = make([]scell[T], capacity), s, s.open()
+		return own
 	}
-	b := newScalable[T](o.capacity, o.bound)
-	b.rec = o.rec
-	b.ev, b.id = ev, id
-	return b
 }

@@ -27,12 +27,9 @@ type Partitioned[T any] struct {
 	// reaches len(parts).
 	exhausted atomic.Int64
 	empty     atomic.Bool
-	bound     int
-	rec       obs.Recorder // nil unless telemetry is attached (WithRecorder)
-	// ev/id carry the basket's lifecycle timeline: open at construction,
-	// close when the empty bit is set (nil/0 unless the recorder is a
-	// flight-recorder collector — see New in options.go).
-	ev obs.EventRecorder
+	set       *settings // shared with every basket of the same Maker
+	// id pairs the basket's EvBasketOpen and EvBasketClose (0 unless a
+	// flight recorder is attached).
 	id uint64
 }
 
@@ -47,14 +44,11 @@ type partition struct {
 }
 
 // newPartitioned returns a basket with capacity cells, scanning the first
-// bound on extraction, split into k partitions. New validates capacity
-// and bound (0 < bound <= capacity) and passes k > 1; k is clamped to
-// bound here.
-func newPartitioned[T any](capacity, bound, k int) *Partitioned[T] {
-	if k > bound {
-		k = bound
-	}
-	b := &Partitioned[T]{cells: make([]scell[T], capacity), parts: make([]partition, k), bound: bound}
+// s.bound on extraction, split into k partitions. Maker validates
+// capacity and bound (0 < bound <= capacity) and passes 1 < k <= bound.
+func newPartitioned[T any](capacity, k int, s *settings) *Partitioned[T] {
+	bound := s.bound
+	b := &Partitioned[T]{cells: make([]scell[T], capacity), parts: make([]partition, k), set: s, id: s.open()}
 	for i := range b.parts {
 		b.parts[i].lo = bound * i / k
 		b.parts[i].hi = bound * (i + 1) / k
@@ -69,14 +63,14 @@ func newPartitioned[T any](capacity, bound, k int) *Partitioned[T] {
 func (b *Partitioned[T]) Insert(id int, x T) bool {
 	c := &b.cells[id]
 	if c.state.Load() != cellInsert {
-		if r := b.rec; r != nil {
+		if r := b.set.rec; r != nil {
 			r.Inc(obs.BasketInsertFails)
 		}
 		return false
 	}
 	c.v = x
 	ok := c.state.CompareAndSwap(cellInsert, cellFull)
-	if r := b.rec; r != nil {
+	if r := b.set.rec; r != nil {
 		if ok {
 			r.Inc(obs.BasketInserts)
 		} else {
@@ -92,7 +86,7 @@ func (b *Partitioned[T]) Insert(id int, x T) bool {
 //lf:hotpath
 func (b *Partitioned[T]) Extract() (T, bool) {
 	v, ok := b.extract()
-	if r := b.rec; r != nil {
+	if r := b.set.rec; r != nil {
 		if ok {
 			r.Inc(obs.BasketExtracts)
 		} else {
@@ -122,7 +116,7 @@ func (b *Partitioned[T]) extract() (T, bool) {
 				// once this swap lands; account it exactly once.
 				if b.exhausted.Add(1) == int64(k) {
 					b.empty.Store(true)
-					if ev := b.ev; ev != nil {
+					if ev := b.set.ev; ev != nil {
 						ev.Event(obs.EvBasketClose, obs.LaneDefault, b.id)
 					}
 				}

@@ -13,41 +13,27 @@ const (
 	cellEmpty                // claimed by an extractor
 )
 
-// pad keeps adjacent cells off each other's cache lines; the paper's C
-// implementation packs them, but extraction sweeps the array anyway and
-// insertion is the hot synchronization-free path.
+// scell is one inserter's cell. Cells are packed, as in the paper's C
+// implementation: a basket belongs to one queue node, so padding here
+// would be paid on every node allocation (DESIGN §7.3).
 type scell[T any] struct {
 	state atomic.Uint32
 	v     T
-	_     [40]byte
 }
 
 // Scalable is the paper's scalable basket (Algorithms 8-9): an array with
 // one private cell per inserter, an extraction counter scanned with FAA,
 // and an empty bit set by the extractor that claims the last index.
+// Build it with New or Maker; a Maker constructor can build it inside a
+// caller's allocation, such as a queue node.
 type Scalable[T any] struct {
-	cells []scell[T]
-	_     [40]byte
-	//lf:contended every extraction FAAs the scan counter; keep it off the
-	// cells header line that all inserters read
+	cells   []scell[T]
 	counter atomic.Uint64
-	_       [56]byte
 	empty   atomic.Bool
-	bound   int          // extraction scans cells[0:bound] (the active inserters)
-	rec     obs.Recorder // nil unless telemetry is attached (WithRecorder)
-	// ev/id carry the basket's lifecycle timeline: open at construction,
-	// close when the empty bit is set (nil/0 unless the recorder is a
-	// flight-recorder collector — see New in options.go).
-	ev obs.EventRecorder
+	set     *settings // shared with every basket of the same Maker
+	// id pairs the basket's EvBasketOpen and EvBasketClose (0 unless a
+	// flight recorder is attached).
 	id uint64
-}
-
-// newScalable returns a basket with capacity cells, scanning only the
-// first bound cells on extraction. The paper's evaluation fixes capacity
-// at the machine's thread count and sets bound to the live enqueuer count
-// (§6.1). New validates both: 0 < bound <= capacity.
-func newScalable[T any](capacity, bound int) *Scalable[T] {
-	return &Scalable[T]{cells: make([]scell[T], capacity), bound: bound}
 }
 
 // Insert publishes x in inserter id's private cell: synchronization-free
@@ -57,14 +43,14 @@ func newScalable[T any](capacity, bound int) *Scalable[T] {
 func (b *Scalable[T]) Insert(id int, x T) bool {
 	c := &b.cells[id]
 	if c.state.Load() != cellInsert {
-		if r := b.rec; r != nil {
+		if r := b.set.rec; r != nil {
 			r.Inc(obs.BasketInsertFails)
 		}
 		return false
 	}
 	c.v = x
 	ok := c.state.CompareAndSwap(cellInsert, cellFull)
-	if r := b.rec; r != nil {
+	if r := b.set.rec; r != nil {
 		if ok {
 			r.Inc(obs.BasketInserts)
 		} else {
@@ -81,7 +67,7 @@ func (b *Scalable[T]) Insert(id int, x T) bool {
 //lf:hotpath
 func (b *Scalable[T]) Extract() (T, bool) {
 	v, ok := b.extract()
-	if r := b.rec; r != nil {
+	if r := b.set.rec; r != nil {
 		if ok {
 			r.Inc(obs.BasketExtracts)
 		} else {
@@ -96,14 +82,15 @@ func (b *Scalable[T]) extract() (T, bool) {
 	if b.empty.Load() {
 		return zero, false
 	}
+	bound := uint64(b.set.bound)
 	for {
 		idx := b.counter.Add(1) - 1
-		if idx >= uint64(b.bound) {
+		if idx >= bound {
 			return zero, false
 		}
-		if idx == uint64(b.bound)-1 {
+		if idx == bound-1 {
 			b.empty.Store(true)
-			if ev := b.ev; ev != nil {
+			if ev := b.set.ev; ev != nil {
 				ev.Event(obs.EvBasketClose, obs.LaneDefault, b.id)
 			}
 		}

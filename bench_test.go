@@ -274,11 +274,14 @@ func BenchmarkNative_EnqueueBatch(b *testing.B) {
 }
 
 // TestNativeSBQPairAllocs pins the heap cost of one GC-mode SBQ-CAS
-// enqueue/dequeue pair built through the registry at four allocations:
-// the node, the scalable basket, its cell slice and basket.New's options
-// struct. This package does not import repro/basket, so the compiler
-// cannot inline basket's option constructors into an sbq.New
-// instantiation made here; the count must not depend on that.
+// enqueue/dequeue pair built through the registry: two allocations, the
+// node with its embedded scalable basket and the basket's cell slice,
+// and at most 160 B at 2 producers (144 B: the node's 112 B size class
+// plus two packed 16 B cells). A basket split back out of its node, a
+// per-node options struct or a re-padded cell each fails a check. This
+// package does not import repro/basket, so the compiler cannot inline
+// basket's option constructors into an sbq.New instantiation made here;
+// the cost must not depend on that.
 func TestNativeSBQPairAllocs(t *testing.T) {
 	if queuetest.RaceEnabled {
 		t.Skip("race instrumentation distorts allocation counts")
@@ -286,19 +289,33 @@ func TestNativeSBQPairAllocs(t *testing.T) {
 	// An sbq.New[uint64] instantiation compiled in this package, which the
 	// linker may also use for the registry's entry.
 	_ = sbq.New[uint64](sbq.WithEnqueuers(1))
-	inst, err := registry.Build("SBQ-CAS", registry.Config{Producers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, c := inst.ProducerView(0), inst.ConsumerView(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		p.Enqueue(1)
-		if _, ok := c.Dequeue(); !ok {
-			t.Fatal("unexpected empty")
+	pair := func(producers int) func() {
+		inst, err := registry.Build("SBQ-CAS", registry.Config{Producers: producers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 4 {
-		t.Fatalf("GC-mode SBQ-CAS pair: %v allocations, want 4", allocs)
+		p, c := inst.ProducerView(0), inst.ConsumerView(0)
+		return func() {
+			p.Enqueue(1)
+			if _, ok := c.Dequeue(); !ok {
+				t.Fatal("unexpected empty")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, pair(1)); allocs != 2 {
+		t.Fatalf("GC-mode SBQ-CAS pair: %v allocations, want 2", allocs)
+	}
+	const pairs = 10000
+	run := pair(2)
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perPair := float64(after.TotalAlloc-before.TotalAlloc) / pairs; perPair > 160 {
+		t.Fatalf("GC-mode SBQ-CAS pair at 2 producers: %.1f B allocated, want <= 160", perPair)
 	}
 }
 

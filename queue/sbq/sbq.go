@@ -63,6 +63,10 @@ type node[T any] struct {
 	// the node is private, so a contender that loses the linking CAS to it
 	// can name the winner (see txcas.Node).
 	linker int
+	// own is the storage of the default scalable basket, which basket
+	// then points at, so a node and its basket are one allocation. It is
+	// unused when a WithBasket constructor builds the basket.
+	own basket.Scalable[T]
 }
 
 // Linker implements txcas.Node.
@@ -81,8 +85,11 @@ type Queue[T any] struct {
 	// eng runs every linking CAS (txcas.GuardedCAS) and owns its
 	// telemetry, so soft aborts genuinely reduce measured attempts and
 	// failures.
-	eng       *txcas.Engine
-	newBasket func() basket.Basket[T]
+	eng *txcas.Engine
+	// newBasket builds a node's basket: the default builds the scalable
+	// basket in the node's own storage; a WithBasket constructor ignores
+	// it.
+	newBasket func(own *basket.Scalable[T]) basket.Basket[T]
 	rec       obs.Recorder // nil unless WithRecorder attached telemetry
 	// ev is the timeline extension of rec (nil unless the recorder is a
 	// flight-recorder collector). Producer events land on lane=handle id;
@@ -107,18 +114,10 @@ type Queue[T any] struct {
 func New[T any](opts ...Option) *Queue[T] {
 	o, enqueuers := buildOptions[T](opts)
 	q := &Queue[T]{enqueuers: enqueuers, rec: o.rec, ev: obs.Events(o.rec)}
-	if o.newBasket != nil {
-		q.newBasket = o.newBasket.(func() basket.Basket[T])
+	if mk, ok := o.newBasket.(func() basket.Basket[T]); ok {
+		q.newBasket = func(*basket.Scalable[T]) basket.Basket[T] { return mk() }
 	} else {
-		// The options are built once per queue, not once per node: as
-		// closures created inside newBasket they would each escape to the
-		// heap wherever the compiler does not inline the With* calls.
-		bopts := []basket.Option{
-			basket.WithCapacity(enqueuers),
-			basket.WithBound(enqueuers),
-			basket.WithRecorder(o.rec),
-		}
-		q.newBasket = func() basket.Basket[T] { return basket.New[T](bopts...) }
+		q.newBasket = basket.Maker[T](basket.WithCapacity(enqueuers), basket.WithBound(enqueuers), basket.WithRecorder(o.rec))
 	}
 	// The queue's recorder and window come first so WithTxCAS options
 	// override them. Without WithTxCAS the window is 0: a plain CAS.
@@ -127,18 +126,20 @@ func New[T any](opts ...Option) *Queue[T] {
 		window = txcas.DefaultWindow
 	}
 	q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithWindow(window), txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
+	sentinel := q.newNode()
 	if o.pooled {
-		if _, ok := q.newBasket().(basket.Resettable); !ok {
+		// Probe the sentinel's basket: a throwaway one would run the
+		// constructor twice and open a basket that never closes.
+		if _, ok := sentinel.basket.(basket.Resettable); !ok {
 			panic("sbq: WithNodePool requires a basket implementing basket.Resettable")
 		}
 		q.epoch = reclaim.NewEpoch()
-		q.pool = reclaim.NewPool(q.epoch, func() *node[T] { return &node[T]{basket: q.newBasket()} }, func(n *node[T]) {
+		q.pool = reclaim.NewPool(q.epoch, q.newNode, func(n *node[T]) {
 			n.next.Store(nil)
 			n.retired.Store(false)
 			n.basket.(basket.Resettable).Reset()
 		})
 	}
-	sentinel := &node[T]{basket: q.newBasket()}
 	// The sentinel's basket must read as exhausted.
 	for {
 		if _, ok := sentinel.basket.Extract(); !ok {
@@ -153,13 +154,23 @@ func New[T any](opts ...Option) *Queue[T] {
 // getNode returns a fresh or recycled node with an open, empty basket,
 // prepared by handle linker.
 func (q *Queue[T]) getNode(linker int) *node[T] {
+	var n *node[T]
 	if p := q.pool; p != nil {
-		n := p.Get()
-		n.linker = linker
-		return n
+		n = p.Get()
+	} else {
+		n = q.newNode()
 	}
-	//lint:ignore allocfree GC mode allocates one node (and basket) per appended node by design; WithNodePool is the zero-alloc configuration the gates enforce
-	return &node[T]{basket: q.newBasket(), linker: linker}
+	n.linker = linker
+	return n
+}
+
+// newNode allocates a node and builds its basket. The sentinel, GC mode
+// and the pool's freelist misses all build nodes here.
+func (q *Queue[T]) newNode() *node[T] {
+	//lint:ignore allocfree GC mode allocates one node (and its cell slice) per appended node by design; WithNodePool is the zero-alloc configuration the gates enforce
+	n := new(node[T])
+	n.basket = q.newBasket(&n.own)
+	return n
 }
 
 // protect pins src's current node against pooled reuse (announce-and-

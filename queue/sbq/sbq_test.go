@@ -6,6 +6,8 @@ import (
 
 	"repro/basket"
 	"repro/internal/machine/policy"
+	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/txcas"
 	"repro/queue"
 	"repro/queue/queuetest"
@@ -148,6 +150,46 @@ func TestCustomBasket(t *testing.T) {
 		h.Enqueue(uint64(i))
 	}
 	drain(t, q, 20)
+}
+
+// TestPooledNewBuildsOneBasket: a pooled New checks that the basket is
+// resettable on the sentinel's basket, so the constructor runs once, as in
+// GC mode, not once more for a throwaway probe.
+func TestPooledNewBuildsOneBasket(t *testing.T) {
+	built := 0
+	sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithNodePool(), sbq.WithBasket(func() basket.Basket[uint64] {
+		built++
+		return basket.NewClosingStack[uint64]()
+	}))
+	if built != 1 {
+		t.Fatalf("pooled New built %d baskets, want 1", built)
+	}
+}
+
+// TestPooledBasketLifecycleBalanced: every basket a pooled queue opens on
+// the flight recorder closes once the queue is drained, so sbqtrace sees
+// no basket that never closes. Ten enqueues recycle no node yet, so the
+// baskets are the sentinel's and ten fresh nodes'.
+func TestPooledBasketLifecycleBalanced(t *testing.T) {
+	c := trace.New()
+	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithNodePool(), sbq.WithRecorder(c))
+	h := q.NewHandle()
+	for i := 0; i < 10; i++ {
+		h.Enqueue(uint64(i))
+	}
+	drain(t, q, 10)
+	opens, closes := 0, 0
+	for _, e := range c.Snapshot().Events {
+		switch e.Kind {
+		case obs.EvBasketOpen:
+			opens++
+		case obs.EvBasketClose:
+			closes++
+		}
+	}
+	if opens != 11 || closes != 11 {
+		t.Fatalf("pooled queue recorded %d basket opens and %d closes, want 11 and 11", opens, closes)
+	}
 }
 
 func TestBadBasketTypePanics(t *testing.T) {
