@@ -72,18 +72,21 @@ func TestSnapshotMergeAccumulates(t *testing.T) {
 }
 
 // TestSnapshotMergeAdditivityAcrossTenants models the export layer's
-// invariant: when every per-tenant recorder is tee'd into one global
-// recorder, the merge of the per-tenant snapshots equals the global
-// snapshot, counter for counter and bucket for bucket.
+// invariant: when every tenant records into a child scope of one global
+// Stats (and each tenant's queue shard into a child of the tenant's), the
+// merge of the per-tenant snapshots equals the global snapshot, counter
+// for counter and bucket for bucket.
 func TestSnapshotMergeAdditivityAcrossTenants(t *testing.T) {
 	global := New()
-	tenants := []*Stats{New(), New(), New()}
+	tenants := []*Stats{global.Scope(), global.Scope(), global.Scope()}
 	for i, ts := range tenants {
-		rec := Tee(ts, global)
-		rec.Add(SrvSubmits, uint64(10*(i+1)))
-		rec.Inc(SrvAcks)
-		rec.Observe(LeaseLatency, uint64(1<<uint(i+4)))
-		rec.Observe(AckLatency, uint64(100*(i+1)))
+		ts.Add(SrvSubmits, uint64(10*(i+1)))
+		ts.Inc(SrvAcks)
+		ts.Observe(LeaseLatency, uint64(1<<uint(i+4)))
+		ts.Observe(AckLatency, uint64(100*(i+1)))
+		shard := ts.Scope()
+		shard.Add(EnqOps, uint64(i+1))
+		shard.Observe(EnqLatency, uint64(50*(i+1)))
 	}
 
 	var merged Snapshot
@@ -93,9 +96,9 @@ func TestSnapshotMergeAdditivityAcrossTenants(t *testing.T) {
 	if got, want := merged, global.Snapshot(); got != want {
 		t.Fatalf("merged per-tenant snapshots != global snapshot:\n got %+v\nwant %+v", got, want)
 	}
-	if merged.Counter(SrvSubmits) != 60 || merged.Counter(SrvAcks) != 3 {
-		t.Fatalf("unexpected merged counters: submits=%d acks=%d",
-			merged.Counter(SrvSubmits), merged.Counter(SrvAcks))
+	if merged.Counter(SrvSubmits) != 60 || merged.Counter(SrvAcks) != 3 || merged.Counter(EnqOps) != 6 {
+		t.Fatalf("unexpected merged counters: submits=%d acks=%d enq=%d",
+			merged.Counter(SrvSubmits), merged.Counter(SrvAcks), merged.Counter(EnqOps))
 	}
 }
 

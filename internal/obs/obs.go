@@ -17,8 +17,9 @@
 //     code holds a nil Recorder when telemetry is off, so the disabled path
 //     is a single nil check; Nop is an explicit no-op value for plumbing,
 //     normalized to nil by every constructor (see Normalize).
-//   - Stats is the concrete lock-free recorder: padded per-handle shards
-//     aggregated by Snapshot.
+//   - Stats is the concrete lock-free recorder: one padded shard of atomic
+//     counters per scope. Scope issues child scopes; a record lands in
+//     one scope only, and Snapshot sums a scope's subtree at read time.
 //
 // Typical wiring:
 //

@@ -29,29 +29,129 @@ func TestStatsCountersAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestLocalShardsAggregate(t *testing.T) {
-	s := obs.New()
+func TestScopesSumIntoParent(t *testing.T) {
+	root := obs.New()
+	root.Inc(obs.SrvSubmits)
 	const goroutines, per = 8, 1000
+	scopes := make([]*obs.Stats, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		l := s.Local()
+	for g := range scopes {
+		sc := root.Scope()
+		scopes[g] = sc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Inc(obs.EnqOps)
-				l.Observe(obs.DeqLatency, uint64(i))
+				sc.Inc(obs.EnqOps)
+				sc.Observe(obs.DeqLatency, uint64(i))
+			}
+		}()
+	}
+	// A grandchild counts in its parent and the root, not in its siblings.
+	leaf := scopes[0].Scope()
+	leaf.Add(obs.CASFailures, 5)
+	wg.Wait()
+
+	snap := root.Snapshot()
+	if got := snap.Counter(obs.EnqOps); got != goroutines*per {
+		t.Errorf("root enq_ops = %d, want %d", got, goroutines*per)
+	}
+	if got := snap.Series[obs.DeqLatency].Count; got != goroutines*per {
+		t.Errorf("root deq hist count = %d, want %d", got, goroutines*per)
+	}
+	if got := snap.Counter(obs.SrvSubmits); got != 1 {
+		t.Errorf("root srv_submits = %d, want 1 (its own record)", got)
+	}
+	if got := snap.Counter(obs.CASFailures); got != 5 {
+		t.Errorf("root cas_failures = %d, want 5 (the grandchild's)", got)
+	}
+	for i, sc := range scopes {
+		cs := sc.Snapshot()
+		if got := cs.Counter(obs.EnqOps); got != per {
+			t.Errorf("scope %d enq_ops = %d, want %d (its own records only)", i, got, per)
+		}
+		if got := cs.Counter(obs.SrvSubmits); got != 0 {
+			t.Errorf("scope %d srv_submits = %d, want 0 (the parent's record)", i, got)
+		}
+		wantCAS := uint64(0)
+		if i == 0 {
+			wantCAS = 5
+		}
+		if got := cs.Counter(obs.CASFailures); got != wantCAS {
+			t.Errorf("scope %d cas_failures = %d, want %d", i, got, wantCAS)
+		}
+	}
+	if got := leaf.Snapshot().Counter(obs.EnqOps); got != 0 {
+		t.Errorf("leaf enq_ops = %d, want 0", got)
+	}
+}
+
+// TestScopeWhileRecording creates scopes while other goroutines record into
+// the tree and snapshot it: every snapshot must be monotonic, and the final
+// one must hold every record.
+func TestScopeWhileRecording(t *testing.T) {
+	root := obs.New()
+	const writers, per = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := root.Scope()
+			for i := 0; i < per; i++ {
+				if i%100 == 0 {
+					sc = sc.Scope() // nest while siblings record
+				}
+				sc.Inc(obs.EnqOps)
+				sc.Observe(obs.EnqLatency, uint64(i))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := root.Snapshot()
+				got := snap.Counter(obs.EnqOps)
+				if got < last {
+					t.Errorf("enq_ops went back from %d to %d", last, got)
+					return
+				}
+				last = got
+				if h := snap.Series[obs.EnqLatency]; h.Count < sumBuckets(h.Buckets[:]) {
+					t.Errorf("histogram count %d below its buckets' sum", h.Count)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	snap := s.Snapshot()
-	if got := snap.Counter(obs.EnqOps); got != goroutines*per {
-		t.Errorf("enq_ops = %d, want %d", got, goroutines*per)
+	close(done)
+	readers.Wait()
+	snap := root.Snapshot()
+	if got := snap.Counter(obs.EnqOps); got != writers*per {
+		t.Fatalf("enq_ops = %d, want %d", got, writers*per)
 	}
-	if got := snap.Series[obs.DeqLatency].Count; got != goroutines*per {
-		t.Errorf("deq hist count = %d, want %d", got, goroutines*per)
+	if got := snap.Series[obs.EnqLatency].Count; got != writers*per {
+		t.Fatalf("enq hist count = %d, want %d", got, writers*per)
 	}
+}
+
+func sumBuckets(b []uint64) uint64 {
+	var n uint64
+	for _, v := range b {
+		n += v
+	}
+	return n
 }
 
 func TestNormalize(t *testing.T) {

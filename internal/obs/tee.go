@@ -1,10 +1,11 @@
 package obs
 
 // Tee fans telemetry out to two recorders, so one instrumentation site can
-// feed several aggregation scopes at once — e.g. a queue shard recording
-// into its own Stats, its tenant's Stats, and the process-wide Stats that
-// the chaos harness or /metrics exporter reads. Scopes compose by chaining:
-// Tee(shard, Tee(tenant, global)).
+// feed a Stats scope and a recorder that is not a Stats — e.g. a flight
+// recorder (repro/internal/trace) that also wants every counter. Scopes of
+// one Stats tree need no tee: a record on a child scope already counts in
+// every ancestor's Snapshot (see Stats.Scope), and teeing two scopes of
+// one tree would count the event twice in their common ancestor.
 //
 // Both sides are Normalized; when either is nil the other is returned
 // as-is, so a disabled scope costs nothing and a fully disabled tee is a

@@ -51,8 +51,9 @@ type Config struct {
 	// ShardRecorder, when non-nil, supplies the recorder for shard i of a
 	// sharded entry, so callers can aggregate queue telemetry per shard
 	// (the /metrics exporter labels each shard's CAS-failure and retry
-	// counters with it). Returning obs.Tee(shardStats, cfg.Recorder)-style
-	// recorders gives both scopes. Unsharded entries ignore it; sharded
+	// counters with it). Returning child scopes of an *obs.Stats Recorder
+	// (obs.Stats.Scope) gives both scopes, each event recorded once: the
+	// Recorder's Snapshot sums its shards. Unsharded entries ignore it; sharded
 	// entries fall back to Recorder when it is nil. The sharded front-end's
 	// own counters (steals, steal misses) always go to Recorder — they are
 	// a property of the front-end, not of any one shard.

@@ -447,14 +447,14 @@ func TestShardRecorder(t *testing.T) {
 			global := obs.New()
 			perShard := make([]*obs.Stats, shards)
 			for i := range perShard {
-				perShard[i] = obs.New()
+				perShard[i] = global.Scope()
 			}
 			inst, err := registry.Build(name, registry.Config{
 				Producers: 1,
 				Shards:    shards,
 				Recorder:  global,
 				ShardRecorder: func(shard int) obs.Recorder {
-					return obs.Tee(perShard[shard], global)
+					return perShard[shard]
 				},
 			})
 			if err != nil {
@@ -492,7 +492,7 @@ func TestShardRecorder(t *testing.T) {
 			}
 			g := global.Snapshot()
 			if g.Counter(obs.EnqOps) != ops {
-				t.Fatalf("global enq = %d, want %d (tee through ShardRecorder)", g.Counter(obs.EnqOps), ops)
+				t.Fatalf("global enq = %d, want %d (shard scopes summed into their parent)", g.Counter(obs.EnqOps), ops)
 			}
 		})
 	}

@@ -31,10 +31,13 @@
 // Telemetry flows through repro/internal/obs (SrvSubmits..SrvRejects
 // counters, LeaseLatency/AckLatency series) and, when the configured
 // recorder is a flight recorder, per-job timeline events
-// (EvSrvSubmit..EvSrvDLQ). Every tenant additionally owns a private
-// obs.Stats — teed with the service recorder via obs.Tee, so scopes stay
-// additive — and each queue shard another, which MetricsCollection renders
-// as a Prometheus /metrics page with tenant/queue/shard labels.
+// (EvSrvSubmit..EvSrvDLQ). Each event is recorded once, into the narrowest
+// scope that owns it: every tenant records into a child scope of the
+// service's root obs.Stats, and each queue shard into a child of its
+// tenant's. Wider scopes sum their children at read time, so merging every
+// tenant's snapshot reproduces the root's. MetricsCollection renders the
+// tenant and shard scopes as a Prometheus /metrics page with
+// tenant/queue/shard labels.
 // Structured request logs (log/slog, per-kind sampling) are enabled by
 // Config.Logger; GET /readyz reports drain state for orchestration.
 package service
@@ -106,11 +109,18 @@ type Config struct {
 	// SnapshotPath, when non-empty, is where Shutdown checkpoints
 	// unsettled jobs and where New looks for a checkpoint to restore.
 	SnapshotPath string
-	// Recorder receives telemetry (nil = a private obs.Stats, readable
-	// through Stats). Independent of Recorder, every tenant owns a private
-	// obs.Stats that the /metrics exporter reads per tenant and per queue
-	// shard (see MetricsCollection); Recorder additionally receives the
-	// service-wide aggregate of everything those scopes record.
+	// Recorder receives telemetry. When it is an *obs.Stats it is the
+	// service's root scope: each tenant records into a child scope of it
+	// (obs.Stats.Scope) and each queue shard into a child of its tenant's,
+	// so every event is recorded once and Recorder's Snapshot sums them
+	// all. Tenant scopes stay attached to that Stats for its lifetime, so
+	// a recorder shared by successive Services (the chaos harness restarts
+	// one mid-run) keeps counting across them. Any other recorder (nil, or
+	// a flight recorder) gets a private root, readable through Stats; a
+	// non-nil one additionally receives every scope's records through
+	// obs.Tee, so it sees each counter once and every queue and service
+	// event. The /metrics exporter reads the tenant and shard scopes (see
+	// MetricsCollection).
 	Recorder obs.Recorder
 	// Logger, when non-nil, receives structured job-lifecycle records
 	// (log/slog): submit, lease, ack, nack, expire, dead-letter, reject,
@@ -185,10 +195,13 @@ const (
 // Service is the job-queue daemon core. All methods are safe for
 // concurrent use.
 type Service struct {
-	cfg   Config
-	rec   obs.Recorder
+	cfg Config
+	// stats is the root telemetry scope (see Config.Recorder); sink is
+	// Config.Recorder when that is a recorder other than an *obs.Stats,
+	// which every tenant and shard scope is teed toward, else nil.
+	stats *obs.Stats
+	sink  obs.Recorder
 	ev    obs.EventRecorder
-	stats *obs.Stats // rec when the recorder is counter-readable, else nil
 	log   *srvLogger // nil when Config.Logger is nil (methods are nil-safe)
 	now   func() time.Time
 	rng   lockedRNG
@@ -196,16 +209,10 @@ type Service struct {
 	metricsOnce sync.Once
 	metrics     *export.Collection // lazily built; windows persist across scrapes
 
-	state atomic.Int32 // srvServing → srvDraining → srvStopped
-	// fence is the shutdown fence: Submit, Lease and SwapBackend hold a
-	// read lock for their whole call (see begin), and Shutdown, having
-	// flipped state, takes the write lock once to wait them out. No path
-	// may nest begin: a read lock requested while Shutdown waits blocks.
-	fence sync.RWMutex
-
-	nextID    atomic.Uint64
-	nextToken atomic.Uint64
-	inFlight  atomic.Int64 // outstanding lease tokens, settled post-state
+	_ [64]byte
+	//lf:contended every Submit, Lease and Ack writes these
+	srvHot
+	_ [64]byte
 
 	// Lock discipline: tmu, the lease and job table shards, dmu,
 	// tenant.dlqMu, the producer lanes, job.mu and the backoff RNG's mutex
@@ -247,16 +254,14 @@ func New(cfg Config) (*Service, error) {
 	s.tenants.Store(&map[string]*tenant{})
 	s.rng.s = cfg.Seed
 	s.log = newSrvLogger(cfg.Logger, cfg.LogEvery)
-	if cfg.Recorder == nil {
-		s.stats = obs.New()
-		s.rec = s.stats
+	rec := obs.Normalize(cfg.Recorder)
+	if st, ok := rec.(*obs.Stats); ok {
+		s.stats = st
 	} else {
-		s.rec = obs.Normalize(cfg.Recorder)
-		if st, ok := s.rec.(*obs.Stats); ok {
-			s.stats = st
-		}
-		s.ev = obs.Events(s.rec)
+		s.stats = obs.New()
+		s.sink = rec
 	}
+	s.ev = obs.Events(rec)
 	if cfg.SnapshotPath != "" {
 		if err := s.restore(cfg.SnapshotPath); err != nil {
 			return nil, err
@@ -264,6 +269,22 @@ func New(cfg Config) (*Service, error) {
 	}
 	go s.scanLoop()
 	return s, nil
+}
+
+// srvHot holds the Service words that every Submit, Lease or Ack writes.
+// They share lines with each other only: the Service pads them off the
+// fields every call merely reads.
+type srvHot struct {
+	state atomic.Int32 // srvServing → srvDraining → srvStopped
+	// fence is the shutdown fence: Submit, Lease and SwapBackend hold a
+	// read lock for their whole call (see begin), and Shutdown, having
+	// flipped state, takes the write lock once to wait them out. No path
+	// may nest begin: a read lock requested while Shutdown waits blocks.
+	fence sync.RWMutex
+
+	nextID    atomic.Uint64
+	nextToken atomic.Uint64
+	inFlight  atomic.Int64 // outstanding lease tokens, settled post-state
 }
 
 // lockedRNG is an xorshift64* stream behind a mutex — backoff jitter is

@@ -113,8 +113,8 @@ type StatsSnapshot struct {
 	Rejects      uint64 `json:"rejects"`
 
 	// Latency quantiles in nanoseconds, from the obs series: lease =
-	// submit→first delivery, ack = submit→ack. Zero when the recorder is
-	// not counter-readable or nothing was recorded.
+	// submit→first delivery, ack = submit→ack. Zero when nothing was
+	// recorded.
 	LeaseP50  float64 `json:"lease_p50_ns"`
 	LeaseP99  float64 `json:"lease_p99_ns"`
 	LeaseP999 float64 `json:"lease_p999_ns"`
@@ -125,8 +125,9 @@ type StatsSnapshot struct {
 	Tenants []TenantStats `json:"tenants"`
 }
 
-// Stats snapshots the service. Counter and quantile fields are populated
-// only when the service owns (or was given) an *obs.Stats recorder.
+// Stats snapshots the service. Counter and quantile fields read the root
+// telemetry scope (see Config.Recorder): every tenant of this Service, and
+// of any earlier Service that shared the same *obs.Stats recorder.
 func (s *Service) Stats() StatsSnapshot {
 	out := StatsSnapshot{InFlight: s.inFlight.Load()}
 	switch s.state.Load() {
@@ -137,23 +138,21 @@ func (s *Service) Stats() StatsSnapshot {
 	default:
 		out.State = "stopped"
 	}
-	if s.stats != nil {
-		snap := s.stats.Snapshot()
-		out.Submits = snap.Counter(obs.SrvSubmits)
-		out.Leases = snap.Counter(obs.SrvLeases)
-		out.Redeliveries = snap.Counter(obs.SrvRedeliveries)
-		out.Acks = snap.Counter(obs.SrvAcks)
-		out.Nacks = snap.Counter(obs.SrvNacks)
-		out.Expired = snap.Counter(obs.SrvExpired)
-		out.DLQ = snap.Counter(obs.SrvDLQ)
-		out.Rejects = snap.Counter(obs.SrvRejects)
-		lease := snap.Series[obs.LeaseLatency]
-		ack := snap.Series[obs.AckLatency]
-		out.LeaseP50, out.LeaseP99, out.LeaseP999 =
-			lease.Quantile(0.50), lease.Quantile(0.99), lease.Quantile(0.999)
-		out.AckP50, out.AckP99, out.AckP999 =
-			ack.Quantile(0.50), ack.Quantile(0.99), ack.Quantile(0.999)
-	}
+	snap := s.stats.Snapshot()
+	out.Submits = snap.Counter(obs.SrvSubmits)
+	out.Leases = snap.Counter(obs.SrvLeases)
+	out.Redeliveries = snap.Counter(obs.SrvRedeliveries)
+	out.Acks = snap.Counter(obs.SrvAcks)
+	out.Nacks = snap.Counter(obs.SrvNacks)
+	out.Expired = snap.Counter(obs.SrvExpired)
+	out.DLQ = snap.Counter(obs.SrvDLQ)
+	out.Rejects = snap.Counter(obs.SrvRejects)
+	lease := snap.Series[obs.LeaseLatency]
+	ack := snap.Series[obs.AckLatency]
+	out.LeaseP50, out.LeaseP99, out.LeaseP999 =
+		lease.Quantile(0.50), lease.Quantile(0.99), lease.Quantile(0.999)
+	out.AckP50, out.AckP99, out.AckP999 =
+		ack.Quantile(0.50), ack.Quantile(0.99), ack.Quantile(0.999)
 
 	for _, t := range s.tenantList() {
 		ts := TenantStats{Tenant: t.name, Queue: t.be.Load().queueName, Depth: t.depth.Load()}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/machine/policy"
+	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/service"
 )
@@ -392,4 +393,53 @@ func BenchmarkScanOnce(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/outstanding, "ns/lease")
+}
+
+// BenchmarkCycle runs the cycle of the benchmark's jobs-inproc workload:
+// two goroutines loop Submit → Lease → Ack on one tenant over a standing
+// backlog, with an obs.Stats recorder. One op is one cycle. Profile the
+// service's hot path with
+//
+//	go test -run '^$' -bench '^BenchmarkCycle$' -cpuprofile cpu.out ./service
+func BenchmarkCycle(b *testing.B) {
+	const backlog, clients = 4096, 2
+	s, err := service.New(service.Config{Recorder: obs.New()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	payload := json.RawMessage(`{"n":1}`)
+	for i := 0; i < backlog; i++ {
+		if _, err := s.Submit("acme", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		n := b.N / clients
+		if c == 0 {
+			n += b.N % clients
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if _, err := s.Submit("acme", payload); err != nil {
+					b.Error(err)
+					return
+				}
+				l, ok, err := s.Lease("acme")
+				if err != nil || !ok {
+					b.Errorf("Lease: ok=%v err=%v", ok, err)
+					return
+				}
+				if err := s.Ack(l.Token); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -38,7 +38,7 @@ func (s *Service) Ready() bool { return s.state.Load() == srvServing }
 //
 //   - per-tenant counter and histogram snapshots, label {tenant} — the
 //     service lifecycle counters plus the tenant's queue counters, which
-//     the tenant tee aggregates (see tenant.rec);
+//     the tenant scope sums from its shard scopes (see tenant.stats);
 //   - per-shard queue snapshots, labels {tenant, shard} — the paper's
 //     CAS-failure and retry signals at the granularity they occur;
 //   - depth/readiness gauges, labels {tenant, queue} (see Metric*).

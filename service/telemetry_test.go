@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/export"
+	"repro/internal/trace"
 	"repro/service"
 )
 
@@ -153,11 +155,55 @@ func TestMetricsTenantScopesSumToGlobal(t *testing.T) {
 	}
 	sc := scrapeMetrics(t, s.Handler())
 	global := s.Stats()
+	if global.Submits != 12 || global.Acks != 3 {
+		t.Fatalf("global submits=%d acks=%d, want 12 and 3 (each event recorded once)", global.Submits, global.Acks)
+	}
 	if got := sc.Sum("sbq_srv_submits_total"); got != float64(global.Submits) {
 		t.Fatalf("sum of tenant submits = %g, global = %d", got, global.Submits)
 	}
 	if got := sc.Sum("sbq_srv_acks_total"); got != float64(global.Acks) {
 		t.Fatalf("sum of tenant acks = %g, global = %d", got, global.Acks)
+	}
+}
+
+// TestStatsUnderFlightRecorder runs cycles with a flight recorder as
+// Config.Recorder: Stats still counts them, and the recorder sees each
+// counter once and every queue event.
+func TestStatsUnderFlightRecorder(t *testing.T) {
+	st := obs.New()
+	col := trace.New(trace.WithStats(st))
+	s := mustService(t, service.Config{Recorder: col})
+	defer s.Shutdown(context.Background())
+	const cycles = 10
+	for i := 0; i < cycles; i++ {
+		if _, err := s.Submit("a", nil); err != nil {
+			t.Fatal(err)
+		}
+		l, ok, err := s.Lease("a")
+		if err != nil || !ok {
+			t.Fatalf("Lease: ok=%v err=%v", ok, err)
+		}
+		if err := s.Ack(l.Token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats(); got.Submits != cycles || got.Acks != cycles {
+		t.Fatalf("Stats submits=%d acks=%d, want %d each", got.Submits, got.Acks, cycles)
+	}
+	snap := st.Snapshot()
+	for _, c := range []obs.Counter{obs.SrvSubmits, obs.EnqOps, obs.SrvAcks} {
+		if got := snap.Counter(c); got != cycles {
+			t.Errorf("recorder %s = %d, want %d", c, got, cycles)
+		}
+	}
+	enqStarts := 0
+	for _, e := range col.Snapshot().Events {
+		if e.Kind == obs.EvEnqStart {
+			enqStarts++
+		}
+	}
+	if enqStarts != cycles {
+		t.Errorf("recorder holds %d %s events, want %d", enqStarts, obs.EvEnqStart, cycles)
 	}
 }
 

@@ -16,24 +16,24 @@ type tenant struct {
 	name string
 	svc  *Service
 
-	// stats aggregates this tenant's telemetry: the service lifecycle
-	// counters (SrvSubmits..SrvRejects, lease/ack latency series) plus its
-	// queue's own counters (CAS attempts/failures, steals, ...), which the
-	// backend tees in below. rec fans every record out to stats and the
-	// service-wide recorder, so per-tenant and global scopes stay additive:
-	// merging every tenant's snapshot reproduces the global one.
+	// stats is this tenant's scope, a child of the service's root. The
+	// service lifecycle counters (SrvSubmits..SrvRejects, lease/ack latency
+	// series) and the sharded front-end's steal counters land in it; its
+	// queue shards record into child scopes of it (shardStats), which its
+	// Snapshot sums. rec is stats, teed toward the service's sink when
+	// there is one.
 	stats *obs.Stats
 	rec   obs.Recorder
 
-	// shardStats holds one Stats per queue shard, created by the backend
-	// builder: an immutable slice, replaced by a longer copy when a build
-	// needs more shards. Builds on one tenant never overlap (newTenant
-	// builds before publishing the tenant, SwapBackend under swapMu), so
-	// replacing it needs no lock. Shard stats deliberately persist across
-	// SwapBackend — shard i of the new backend accumulates into the same
-	// Stats as shard i of the old one — so the exported per-shard counters
-	// stay monotonic for the /metrics scraper even while the chaos harness
-	// swaps backends mid-run.
+	// shardStats holds one child scope of stats per queue shard, created
+	// by the backend builder: an immutable slice, replaced by a longer copy
+	// when a build needs more shards. Builds on one tenant never overlap
+	// (newTenant builds before publishing the tenant, SwapBackend under
+	// swapMu), so replacing it needs no lock. Shard scopes deliberately
+	// persist across SwapBackend — shard i of the new backend accumulates
+	// into the same scope as shard i of the old one — so the exported
+	// per-shard counters stay monotonic for the /metrics scraper even while
+	// the chaos harness swaps backends mid-run.
 	shardStats atomic.Pointer[[]*obs.Stats]
 
 	// be is the current backend; SwapBackend replaces it atomically and
@@ -44,14 +44,21 @@ type tenant struct {
 	// replace that destination, or the drained ids would land in an
 	// abandoned backend and become unreachable by Lease.
 	swapMu sync.Mutex
-	// next picks the producer lane round-robin.
-	next atomic.Uint32
 
-	depth atomic.Int64 // queued + delayed + leased (quota accounting)
+	_ [64]byte
+	//lf:contended every Submit and Ack writes these
+	tenantHot
+	_ [64]byte
 
 	jobs  shardedMap[*job] // live (non-dead, non-done) jobs by id
 	dlqMu sync.Mutex       // guards dead
 	dead  []*job           // dead-letter queue, oldest first
+}
+
+// tenantHot holds the tenant words that every Submit or Ack writes.
+type tenantHot struct {
+	next  atomic.Uint32 // picks the producer lane round-robin
+	depth atomic.Int64  // queued + delayed + leased (quota accounting)
 }
 
 // backend is one built queue instance as the tenant drives it: producer
@@ -66,16 +73,26 @@ type backend struct {
 // lane serializes one registry producer view. HTTP handlers run on
 // arbitrary goroutines; the registry documents producer views as
 // single-goroutine, so each lane owns its view behind a mutex and Submit
-// spreads across lanes round-robin.
+// spreads across lanes round-robin. Lanes are allocated one by one; the
+// pads keep each lane's mutex off its neighbours' lines.
 type lane struct {
+	_ [64]byte
+	//lf:contended Submits through this lane lock mu and enqueue on q
+	laneHot
+	_ [64]byte
+}
+
+// laneHot is a lane's mutex and the producer view it guards.
+type laneHot struct {
 	mu sync.Mutex
 	q  queue.BatchQueue[uint64]
 }
 
-// newBackend builds queueName for this tenant's shape. The queue records
-// into the tenant's tee (tenant stats + service recorder); each shard
-// additionally records into the tenant's persistent per-shard Stats, so
-// /metrics can label CAS-failure and retry counters by shard.
+// newBackend builds queueName for this tenant's shape. The sharded
+// front-end records into the tenant's scope, each shard into the tenant's
+// persistent scope for that shard, so /metrics can label CAS-failure and
+// retry counters by shard; unsharded entries record into the tenant's
+// scope.
 func (t *tenant) newBackend(queueName string) (*backend, error) {
 	s := t.svc
 	inst, err := registry.Build(queueName, registry.Config{
@@ -83,7 +100,7 @@ func (t *tenant) newBackend(queueName string) (*backend, error) {
 		Shards:    s.cfg.Shards,
 		Recorder:  t.rec,
 		ShardRecorder: func(shard int) obs.Recorder {
-			return obs.Tee(t.shardStatsFor(shard), t.rec)
+			return obs.Tee(t.shardStatsFor(shard), s.sink)
 		},
 	})
 	if err != nil {
@@ -92,12 +109,12 @@ func (t *tenant) newBackend(queueName string) (*backend, error) {
 	be := &backend{queueName: queueName, cons: inst.ConsumerView(0)}
 	be.lanes = make([]*lane, s.cfg.Lanes)
 	for i := range be.lanes {
-		be.lanes[i] = &lane{q: inst.ProducerView(i)}
+		be.lanes[i] = &lane{laneHot: laneHot{q: inst.ProducerView(i)}}
 	}
 	return be, nil
 }
 
-// shardStatsFor returns (creating if needed) the tenant's Stats for one
+// shardStatsFor returns (creating if needed) the tenant's scope for one
 // queue shard. Only backend construction calls it; the returned recorder
 // is what sits on the queue hot path.
 func (t *tenant) shardStatsFor(shard int) *obs.Stats {
@@ -107,13 +124,13 @@ func (t *tenant) shardStatsFor(shard int) *obs.Stats {
 	}
 	next := append([]*obs.Stats(nil), cur...)
 	for len(next) <= shard {
-		next = append(next, obs.New())
+		next = append(next, t.stats.Scope())
 	}
 	t.shardStats.Store(&next)
 	return next[shard]
 }
 
-// shardStatsList returns the per-shard Stats slice; callers must not
+// shardStatsList returns the per-shard scopes; callers must not
 // modify it.
 func (t *tenant) shardStatsList() []*obs.Stats {
 	if p := t.shardStats.Load(); p != nil {
@@ -134,8 +151,8 @@ func (t *tenant) deadList() []*job {
 // newTenant builds a tenant on the named registry entry. Callers serialize
 // it (tenantFor under s.tmu, restore before the scanner starts).
 func (s *Service) newTenant(name, queueName string) (*tenant, error) {
-	t := &tenant{name: name, svc: s, jobs: newShardedMap[*job](jobShards), stats: obs.New()}
-	t.rec = obs.Tee(t.stats, s.rec)
+	t := &tenant{name: name, svc: s, jobs: newShardedMap[*job](jobShards), stats: s.stats.Scope()}
+	t.rec = obs.Tee(t.stats, s.sink)
 	be, err := t.newBackend(queueName)
 	if err != nil {
 		return nil, err
