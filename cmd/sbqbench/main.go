@@ -103,7 +103,7 @@ func main() {
 		onlySet = map[string]bool{}
 		for _, n := range strings.Split(*only, ",") {
 			n = strings.TrimSpace(n)
-			if _, ok := registry.Lookup(n); !ok {
+			if _, ok := registry.OrderingOf(n); !ok {
 				fmt.Fprintf(os.Stderr, "sbqbench: unknown impl %q (have %s)\n", n, strings.Join(registry.Names(), ", "))
 				os.Exit(2)
 			}

@@ -66,7 +66,7 @@ func main() {
 	logCfg := cliflag.LogFlags(fs, cliflag.LogConfig{Format: "text", Level: "info", Every: 100})
 	fs.Parse(os.Args[1:])
 
-	if _, ok := registry.LookupEntry(*queueName); !ok {
+	if _, ok := registry.OrderingOf(*queueName); !ok {
 		fmt.Fprintf(os.Stderr, "sbqd: unknown queue %q (have %v)\n", *queueName, registry.Names())
 		os.Exit(2)
 	}

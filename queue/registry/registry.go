@@ -1,38 +1,43 @@
 // Package registry names the repository's native queue configurations and
-// builds them uniformly, so benchmarks, tools, and conformance tests share
-// one queue-selection table instead of each keeping its own switch.
+// builds them uniformly, so benchmarks, tools, conformance tests and sbqd
+// share one queue-selection table instead of each keeping its own switch.
 //
-// There are five entries. SBQ-CAS, SBQ-DCAS and SBQ-TxCAS are the
-// scalable baskets queue (repro/queue/sbq) with its linking CAS run plain,
-// delayed, or speculating (repro/internal/txcas). Sharded-FAA and
-// Sharded-SBQ are the sharded front-end (repro/queue/sharded) over
-// repro/queue/faaq or SBQ shards. The paper's baselines of Figures 5-7
-// (MS-Queue, the original baskets queue, the FAA queue, LCRQ, CC-Queue)
-// live on the simulated track only (repro/internal/simqueue).
+// There are five entries, in one fixed table. SBQ-CAS, SBQ-DCAS and
+// SBQ-TxCAS are the scalable baskets queue (repro/queue/sbq) with its
+// linking CAS run plain, delayed, or speculating (repro/internal/txcas).
+// Sharded-FAA and Sharded-SBQ are the sharded front-end
+// (repro/queue/sharded) over repro/queue/faaq or SBQ shards. The paper's
+// baselines of Figures 5-7 (MS-Queue, the original baskets queue, the FAA
+// queue, LCRQ, CC-Queue) live on the simulated track only
+// (repro/internal/simqueue).
 //
-// Entries are uint64-element queues (the element type every harness in this
-// repository drives). Each builder receives a Config — producer count,
-// shard count, and an optional telemetry recorder — and returns an Instance
-// handing out per-producer and per-consumer views: an SBQ producer view
-// is its own handle (one basket cell), a sharded producer view enqueues on
-// its home shard. Views are batch-capable (queue.BatchQueue), and every
-// entry batches natively: one linking CAS appends an SBQ batch, one FAA
-// claims a faaq shard's.
+// Every entry builds at any element type: BuildOf[T] carries the element
+// itself, the way the paper's baskets hand a losing enqueuer's element
+// over. Build is its uint64 instantiation, the element type the harnesses
+// and benchmarks drive; sbqd builds its tenant queues at its job record.
+// Each build receives a Config — producer count, shard count, and an
+// optional telemetry recorder — and returns an Instance handing out
+// per-producer and per-consumer views: an SBQ producer view is its own
+// handle (one basket cell), a sharded producer view enqueues on its home
+// shard. Views are batch-capable (queue.BatchQueue), and every entry
+// batches natively: one linking CAS appends an SBQ batch, one FAA claims a
+// faaq shard's.
 //
 // Entries also declare their ordering contract: the single-queue entries
 // are TotalFIFO (linearizable against a sequential FIFO spec), while the
 // sharded front-ends relax to PerProducerFIFO. Conformance suites read the
-// contract through LookupEntry and pick the matching checker.
+// contract through OrderingOf and pick the matching checker.
 package registry
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/machine/policy"
 	"repro/internal/obs"
+	"repro/internal/txcas"
 	"repro/queue"
+	"repro/queue/sbq"
 )
 
 // Config parameterizes a build.
@@ -121,94 +126,108 @@ func (o Ordering) String() string {
 // Instance is a built queue exposed as per-role views. ProducerView(i) must
 // be called with 0 <= i < Config.Producers and each returned view used by
 // at most one goroutine at a time; ConsumerView views are safe to share
-// unless the entry documents otherwise. Construct one with Views.
-type Instance struct {
-	producer func(i int) queue.BatchQueue[uint64]
-	consumer func(i int) queue.BatchQueue[uint64]
-}
-
-// Views builds an Instance from per-role view constructors.
-func Views(producer, consumer func(i int) queue.BatchQueue[uint64]) Instance {
-	return Instance{producer: producer, consumer: consumer}
+// unless the entry documents otherwise.
+type Instance[T any] struct {
+	producer func(i int) queue.BatchQueue[T]
+	consumer func(i int) queue.BatchQueue[T]
 }
 
 // ProducerView returns the batch-capable view for producer i.
-func (in Instance) ProducerView(i int) queue.BatchQueue[uint64] { return in.producer(i) }
+func (in Instance[T]) ProducerView(i int) queue.BatchQueue[T] { return in.producer(i) }
 
 // ConsumerView returns the batch-capable view for consumer i.
-func (in Instance) ConsumerView(i int) queue.BatchQueue[uint64] { return in.consumer(i) }
+func (in Instance[T]) ConsumerView(i int) queue.BatchQueue[T] { return in.consumer(i) }
 
-// Builder constructs a queue for one registry entry.
-type Builder func(cfg Config) Instance
-
-// Entry is one registered implementation: how to build it and what
-// ordering contract the built queue honors.
-type Entry struct {
-	Build    Builder
-	Ordering Ordering
+// entry is one row of the registry: a name, the ordering contract of what
+// it builds, and what that is — one SBQ, or the sharded front-end over SBQ
+// or faaq shards.
+type entry struct {
+	name     string
+	ordering Ordering
+	sharded  bool
+	// linking returns the options that configure the linking CAS of the
+	// entry's SBQ, or of each of its SBQ shards. A sharded entry without it
+	// has faaq shards.
+	linking func(cfg Config) []sbq.Option
 }
 
-var (
-	mu      sync.RWMutex
-	entries = map[string]Entry{}
-)
+// delayedCASCycles is the linking-CAS delay of the SBQ-DCAS entry: the
+// paper's tuned ~270ns (§6.1) at the policies' 2.5 cycles/ns.
+const delayedCASCycles = 675
 
-// RegisterEntry adds a named entry. Registering a duplicate name panics:
-// the registry is assembled from package init functions where a collision
-// is a programming error. A nil Build also panics.
-func RegisterEntry(name string, e Entry) {
-	if e.Build == nil {
-		panic("registry: entry " + name + " has no builder")
+// entries is the registry, sorted by name.
+var entries = [...]entry{
+	// The three SBQ entries share one linking-CAS path (txcas.GuardedCAS)
+	// in three configurations. SBQ-CAS: window 0, a plain CAS.
+	{name: "SBQ-CAS", linking: plainCAS},
+	// SBQ-DCAS: the §4.1 delayed CAS, a policy fallback after the delay.
+	{name: "SBQ-DCAS", linking: func(Config) []sbq.Option {
+		return []sbq.Option{sbq.WithTxCAS(txcas.WithPolicy(policy.DelayedCAS{Delay: delayedCASCycles}))}
+	}},
+	// SBQ-TxCAS: contenders watch the link during the speculation window
+	// (Config.TxWindow; default the paper's ~270ns §4.1 delay) and abandon
+	// doomed CASes as soft aborts instead of issuing them.
+	{name: "SBQ-TxCAS", linking: func(cfg Config) []sbq.Option {
+		if cfg.TxWindow > 0 {
+			return []sbq.Option{sbq.WithTxCAS(txcas.WithWindow(cfg.TxWindow))}
+		}
+		return []sbq.Option{sbq.WithTxCAS()}
+	}},
+	// The sharded front-ends relax total FIFO to per-producer FIFO (see
+	// repro/queue/sharded): conformance suites must read the contract via
+	// OrderingOf and skip the linearizability checker.
+	{name: "Sharded-FAA", ordering: PerProducerFIFO, sharded: true},
+	{name: "Sharded-SBQ", ordering: PerProducerFIFO, sharded: true, linking: plainCAS},
+}
+
+func plainCAS(Config) []sbq.Option { return nil }
+
+func find(name string) *entry {
+	for i := range entries {
+		if entries[i].name == name {
+			return &entries[i]
+		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := entries[name]; dup {
-		panic("registry: duplicate queue name " + name)
-	}
-	entries[name] = e
+	return nil
 }
 
-// Register adds a named builder with the default TotalFIFO contract.
-func Register(name string, b Builder) {
-	RegisterEntry(name, Entry{Build: b})
-}
-
-// Names returns the registered names, sorted for stable iteration order.
+// Names returns the entry names, sorted.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	names := make([]string, 0, len(entries))
-	for n := range entries {
-		names = append(names, n)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// LookupEntry returns the full entry for name.
-func LookupEntry(name string) (Entry, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	e, ok := entries[name]
-	return e, ok
+// OrderingOf returns the ordering contract of the named entry; ok is false
+// when no entry has that name.
+func OrderingOf(name string) (o Ordering, ok bool) {
+	if e := find(name); e != nil {
+		return e.ordering, true
+	}
+	return 0, false
 }
 
-// Lookup returns the builder for name.
-func Lookup(name string) (Builder, bool) {
-	e, ok := LookupEntry(name)
-	return e.Build, ok
-}
-
-// Build constructs the named queue, erroring on unknown names (with the
-// known names in the message, since the caller is usually a CLI flag) and
-// on invalid configurations (see Config.Validate).
-func Build(name string, cfg Config) (Instance, error) {
+// BuildOf constructs the named queue with element type T, erroring on
+// unknown names (with the known names in the message, since the caller is
+// usually a CLI flag) and on invalid configurations (see Config.Validate).
+func BuildOf[T any](name string, cfg Config) (Instance[T], error) {
 	if err := cfg.Validate(); err != nil {
-		return Instance{}, err
+		return Instance[T]{}, err
 	}
-	b, ok := Lookup(name)
-	if !ok {
-		return Instance{}, fmt.Errorf("registry: unknown queue %q (have %v)", name, Names())
+	e := find(name)
+	if e == nil {
+		return Instance[T]{}, fmt.Errorf("registry: unknown queue %q (have %v)", name, Names())
 	}
-	return b(cfg), nil
+	if !e.sharded {
+		return newSBQ[T](cfg, e.linking(cfg)), nil
+	}
+	return newSharded[T](cfg, e.linking), nil
+}
+
+// Build is BuildOf at uint64, the element type the harnesses, benchmarks
+// and conformance suites drive.
+func Build(name string, cfg Config) (Instance[uint64], error) {
+	return BuildOf[uint64](name, cfg)
 }

@@ -1,7 +1,9 @@
 package registry_test
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/queue"
 	"repro/queue/queuetest"
 	"repro/queue/registry"
 )
@@ -30,36 +31,145 @@ func TestConformance(t *testing.T) {
 		t.Fatalf("registry entries %v, want %v", names, want)
 	}
 	for _, name := range names {
-		e, ok := registry.LookupEntry(name)
+		ord, ok := registry.OrderingOf(name)
 		if !ok {
-			t.Fatalf("LookupEntry(%q) failed after Names listed it", name)
+			t.Fatalf("OrderingOf(%q) failed after Names listed it", name)
 		}
-		// Pin Shards to 3 so the sharded entries cover multi-shard routing
-		// and work-stealing even where GOMAXPROCS is 1; unsharded entries
-		// ignore the field.
-		f := queuetest.FromRegistryConfig(e.Build, registry.Config{Shards: 3})
-		single := queuetest.FromRegistry(e.Build)
+		single := queuetest.FromRegistry(name, registry.Config{})
 		t.Run(name, func(t *testing.T) {
 			queuetest.CheckSequential(t, single)
 			per := 500
 			if testing.Short() {
 				per = 100
 			}
-			switch e.Ordering {
+			switch ord {
 			case registry.TotalFIFO:
 				queuetest.CheckConcurrent(t, single, 4, 4, per)
 			case registry.PerProducerFIFO:
-				relaxed := func(producers int) (func(int) queue.Queue[uint64], func(int) queue.Queue[uint64]) {
-					p, c := f(producers)
-					return func(i int) queue.Queue[uint64] { return p(i) },
-						func(i int) queue.Queue[uint64] { return c(i) }
-				}
+				// Pin Shards to 3 so the sharded entries cover multi-shard
+				// routing and work-stealing even where GOMAXPROCS is 1.
+				relaxed := queuetest.FromRegistry(name, registry.Config{Shards: 3})
 				queuetest.CheckConcurrentRelaxed(t, relaxed, 4, 4, per)
 			default:
-				t.Fatalf("entry %q has unknown ordering %v", name, e.Ordering)
+				t.Fatalf("entry %q has unknown ordering %v", name, ord)
 			}
 			queuetest.CheckDrainMultiset(t, single, 8, per)
 		})
+	}
+}
+
+// TestPointerConformance builds every entry at a pointer element type, the
+// way sbqd builds its tenant queues at its job record, in GC mode and in
+// pooled mode. Producers enqueue freshly allocated elements that nothing
+// but the queue references. Halfway, with consumers held back, a full
+// collection runs; then consumers drain while producers enqueue the rest.
+// A queue that hid a pointer from the collector, or handed out a recycled
+// slot's stale pointer, would surface a freed-and-reused element (a broken
+// tag), a duplicate or a loss. Every element must come out exactly once,
+// intact, and in enqueue order per producer at each consumer.
+func TestPointerConformance(t *testing.T) {
+	type elem struct {
+		producer, seq int
+		tag           uint64
+	}
+	tagOf := func(p, i int) uint64 { return 0x9e3779b97f4a7c15 ^ uint64(p)<<32 ^ uint64(i) }
+	const producers, consumers = 4, 4
+	per := 1000
+	if testing.Short() {
+		per = 200
+	}
+	for _, pooled := range []bool{false, true} {
+		for _, name := range registry.Names() {
+			t.Run(fmt.Sprintf("%s/pooled=%v", name, pooled), func(t *testing.T) {
+				inst, err := registry.BuildOf[*elem](name, registry.Config{Producers: producers, Shards: 3, Pooled: pooled})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var half, prod, cons sync.WaitGroup
+				start := make(chan struct{})
+				half.Add(producers)
+				for p := 0; p < producers; p++ {
+					v := inst.ProducerView(p)
+					prod.Add(1)
+					go func() {
+						defer prod.Done()
+						for i := 0; i < per; i++ {
+							if i == per/2 {
+								half.Done()
+								<-start
+							}
+							v.Enqueue(&elem{producer: p, seq: i, tag: tagOf(p, i)})
+						}
+					}()
+				}
+				var (
+					mu      sync.Mutex
+					seen    = make([][]bool, producers)
+					got     atomic.Int64
+					failure atomic.Value
+				)
+				for p := range seen {
+					seen[p] = make([]bool, per)
+				}
+				fail := func(format string, args ...any) { failure.CompareAndSwap(nil, fmt.Sprintf(format, args...)) }
+				for c := 0; c < consumers; c++ {
+					v := inst.ConsumerView(c)
+					cons.Add(1)
+					go func() {
+						defer cons.Done()
+						<-start
+						last := make([]int, producers)
+						for p := range last {
+							last[p] = -1
+						}
+						deadline := time.Now().Add(time.Minute)
+						for got.Load() < producers*int64(per) && failure.Load() == nil {
+							e, ok := v.Dequeue()
+							if !ok {
+								if time.Now().After(deadline) {
+									fail("stalled at %d of %d elements", got.Load(), producers*per)
+									return
+								}
+								runtime.Gosched()
+								continue
+							}
+							if e == nil || e.producer < 0 || e.producer >= producers || e.seq < 0 || e.seq >= per || e.tag != tagOf(e.producer, e.seq) {
+								fail("dequeued a corrupt element %+v", e)
+								return
+							}
+							if e.seq <= last[e.producer] {
+								fail("producer %d: seq %d after %d at one consumer", e.producer, e.seq, last[e.producer])
+								return
+							}
+							last[e.producer] = e.seq
+							mu.Lock()
+							dup := seen[e.producer][e.seq]
+							seen[e.producer][e.seq] = true
+							mu.Unlock()
+							if dup {
+								fail("producer %d seq %d dequeued twice", e.producer, e.seq)
+								return
+							}
+							got.Add(1)
+						}
+					}()
+				}
+				half.Wait()
+				runtime.GC() // the first halves are reachable only through the queue
+				close(start)
+				prod.Wait()
+				cons.Wait()
+				if f := failure.Load(); f != nil {
+					t.Fatal(f)
+				}
+				if n := got.Load(); n != producers*int64(per) {
+					t.Fatalf("dequeued %d of %d", n, producers*per)
+				}
+				if e, ok := inst.ConsumerView(0).Dequeue(); ok {
+					t.Fatalf("queue not empty after every element came out: %+v", e)
+				}
+			})
+		}
 	}
 }
 
@@ -67,11 +177,7 @@ func TestConformance(t *testing.T) {
 // sequential and concurrent batch checks.
 func TestBatchConformance(t *testing.T) {
 	for _, name := range registry.Names() {
-		e, ok := registry.LookupEntry(name)
-		if !ok {
-			t.Fatalf("LookupEntry(%q) failed after Names listed it", name)
-		}
-		f := queuetest.FromRegistryConfig(e.Build, registry.Config{Shards: 3})
+		f := queuetest.FromRegistryConfig(name, registry.Config{Shards: 3})
 		t.Run(name, func(t *testing.T) {
 			queuetest.CheckBatchSequential(t, f)
 			per := 400
@@ -90,13 +196,9 @@ func TestBatchConformance(t *testing.T) {
 // GOGC=off; under -race it skips itself.
 func TestAllocFree(t *testing.T) {
 	for _, name := range registry.Names() {
-		e, ok := registry.LookupEntry(name)
-		if !ok {
-			t.Fatalf("LookupEntry(%q) failed after Names listed it", name)
-		}
 		// Shards pinned to 2 so the sharded entries gate the multi-shard
 		// routing path, not a degenerate single-shard build.
-		f := queuetest.FromRegistryConfig(e.Build, registry.Config{Pooled: true, Shards: 2})
+		f := queuetest.FromRegistryConfig(name, registry.Config{Pooled: true, Shards: 2})
 		t.Run(name, func(t *testing.T) {
 			queuetest.CheckAllocFree(t, f)
 		})
@@ -109,36 +211,26 @@ func TestAllocFree(t *testing.T) {
 // allocation counts.
 func TestPooledConformance(t *testing.T) {
 	for _, name := range registry.Names() {
-		e, ok := registry.LookupEntry(name)
+		ord, ok := registry.OrderingOf(name)
 		if !ok {
-			t.Fatalf("LookupEntry(%q) failed after Names listed it", name)
+			t.Fatalf("OrderingOf(%q) failed after Names listed it", name)
 		}
 		cfg := registry.Config{Pooled: true, Shards: 3}
-		f := queuetest.FromRegistryConfig(e.Build, cfg)
-		single := queuetest.FromRegistryConfig(e.Build, cfg)
+		f := queuetest.FromRegistryConfig(name, cfg)
+		single := queuetest.FromRegistry(name, cfg)
 		t.Run(name, func(t *testing.T) {
-			asFactory := func(producers int) (func(int) queue.Queue[uint64], func(int) queue.Queue[uint64]) {
-				p, c := single(producers)
-				return func(i int) queue.Queue[uint64] { return p(i) },
-					func(i int) queue.Queue[uint64] { return c(i) }
-			}
-			queuetest.CheckSequential(t, asFactory)
+			queuetest.CheckSequential(t, single)
 			per := 500
 			if testing.Short() {
 				per = 100
 			}
-			switch e.Ordering {
+			switch ord {
 			case registry.TotalFIFO:
-				queuetest.CheckConcurrent(t, asFactory, 4, 4, per)
+				queuetest.CheckConcurrent(t, single, 4, 4, per)
 			case registry.PerProducerFIFO:
-				relaxed := func(producers int) (func(int) queue.Queue[uint64], func(int) queue.Queue[uint64]) {
-					p, c := f(producers)
-					return func(i int) queue.Queue[uint64] { return p(i) },
-						func(i int) queue.Queue[uint64] { return c(i) }
-				}
-				queuetest.CheckConcurrentRelaxed(t, relaxed, 4, 4, per)
+				queuetest.CheckConcurrentRelaxed(t, single, 4, 4, per)
 			default:
-				t.Fatalf("entry %q has unknown ordering %v", name, e.Ordering)
+				t.Fatalf("entry %q has unknown ordering %v", name, ord)
 			}
 			queuetest.CheckBatchSequential(t, f)
 			queuetest.CheckBatchConcurrent(t, f, 4, 4, 8, per)
@@ -152,14 +244,7 @@ func TestPooledConformance(t *testing.T) {
 // reclaim-backed pools.
 func TestPooledStress(t *testing.T) {
 	for _, name := range registry.Names() {
-		e, ok := registry.LookupEntry(name)
-		if !ok {
-			t.Fatalf("LookupEntry(%q) failed after Names listed it", name)
-		}
-		f := queuetest.FromRegistry(func(cfg registry.Config) registry.Instance {
-			cfg.Pooled = true
-			return e.Build(cfg)
-		})
+		f := queuetest.FromRegistry(name, registry.Config{Pooled: true})
 		t.Run(name, func(t *testing.T) {
 			queuetest.StressShapes(t, f)
 		})
@@ -173,11 +258,7 @@ func TestPooledStress(t *testing.T) {
 // happens-before edges.
 func TestStress(t *testing.T) {
 	for _, name := range registry.Names() {
-		b, ok := registry.Lookup(name)
-		if !ok {
-			t.Fatalf("Lookup(%q) failed after Names listed it", name)
-		}
-		f := queuetest.FromRegistry(b)
+		f := queuetest.FromRegistry(name, registry.Config{})
 		t.Run(name, func(t *testing.T) {
 			queuetest.StressShapes(t, f)
 		})
@@ -188,6 +269,9 @@ func TestBuildUnknown(t *testing.T) {
 	if _, err := registry.Build("no-such-queue", registry.Config{}); err == nil {
 		t.Fatal("Build on an unknown name did not error")
 	}
+	if _, ok := registry.OrderingOf("no-such-queue"); ok {
+		t.Fatal("OrderingOf found an unknown name")
+	}
 }
 
 // TestOrderingContracts pins each entry's declared contract: the sharded
@@ -196,13 +280,13 @@ func TestBuildUnknown(t *testing.T) {
 func TestOrderingContracts(t *testing.T) {
 	relaxed := map[string]bool{"Sharded-FAA": true, "Sharded-SBQ": true}
 	for _, name := range registry.Names() {
-		e, _ := registry.LookupEntry(name)
+		got, _ := registry.OrderingOf(name)
 		want := registry.TotalFIFO
 		if relaxed[name] {
 			want = registry.PerProducerFIFO
 		}
-		if e.Ordering != want {
-			t.Errorf("%s: ordering %v, want %v", name, e.Ordering, want)
+		if got != want {
+			t.Errorf("%s: ordering %v, want %v", name, got, want)
 		}
 	}
 	if registry.TotalFIFO.String() != "total-fifo" || registry.PerProducerFIFO.String() != "per-producer-fifo" {

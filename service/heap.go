@@ -64,3 +64,15 @@ func siftDownJob(h []jobAt) {
 		i = least
 	}
 }
+
+// delayedJobs returns the delay heap's jobs grouped by tenant, in no
+// particular order.
+func (s *Service) delayedJobs() map[*tenant][]*job {
+	out := map[*tenant][]*job{}
+	s.dmu.Lock()
+	for _, e := range s.delayed.h {
+		out[e.j.tenant] = append(out[e.j.tenant], e.j)
+	}
+	s.dmu.Unlock()
+	return out
+}

@@ -64,10 +64,12 @@ func (e *BackpressureError) Error() string {
 		e.Tenant, e.Depth, e.Quota, e.RetryAfter)
 }
 
-// jobState is the lifecycle of one job. A job id is in its tenant's queue
-// iff the state is jsQueued; in the delay heap iff jsDelayed; in the lease
-// table iff jsLeased. jsDone jobs are removed from the tenant entirely,
-// jsDead jobs move to the tenant's dead-letter list.
+// jobState is the lifecycle of one job. A job is in its tenant's queue
+// while the state is jsQueued (a Lease that has just dequeued it is about
+// to make it jsLeased), in the delay heap iff jsDelayed, and in the lease
+// table iff jsLeased. jsDead jobs sit on the tenant's dead-letter list, and
+// the service drops jsDone jobs. Stats derives its per-state counts from
+// those structures and the tenant's depth, not from this field.
 type jobState uint8
 
 const (

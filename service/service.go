@@ -2,7 +2,8 @@
 // job-queue service built on the repository's native queues.
 //
 // Each tenant owns one queue built through repro/queue/registry (default
-// entry "Sharded-FAA"); the queue carries job ids, and the service layers
+// entry "Sharded-FAA"); the queue carries the job records themselves, so a
+// lease takes its job straight from the dequeue, and the service layers
 // the durability machinery around it:
 //
 //   - Lease-based at-least-once delivery. Lease hands a worker a job plus
@@ -214,12 +215,12 @@ type Service struct {
 	srvHot
 	_ [64]byte
 
-	// Lock discipline: tmu, the lease and job table shards, dmu,
-	// tenant.dlqMu, the producer lanes, job.mu and the backoff RNG's mutex
-	// are leaves, each held alone, never with another service lock. Only
-	// two locks enclose others, by design: the fence's read side above,
-	// held across a whole call, and tenant.swapMu, which SwapBackend
-	// holds across its lane barrier and drain.
+	// Lock discipline: tmu, the lease table shards, dmu, tenant.dlqMu,
+	// the producer lanes, job.mu and the backoff RNG's mutex are leaves,
+	// each held alone, never with another service lock. Only two locks
+	// enclose others, by design: the fence's read side above, held across
+	// a whole call, and tenant.swapMu, which SwapBackend holds across its
+	// lane barrier and drain.
 
 	// tenants is an immutable name → tenant map, read without a lock and
 	// replaced by a copy when a tenant is created; tmu serializes creation.
@@ -241,7 +242,7 @@ type Service struct {
 // present, and starts the deadline scanner.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	if _, ok := registry.LookupEntry(cfg.Queue); !ok {
+	if _, ok := registry.OrderingOf(cfg.Queue); !ok {
 		return nil, fmt.Errorf("service: unknown queue %q (have %v)", cfg.Queue, registry.Names())
 	}
 	s := &Service{
@@ -389,9 +390,8 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 		state:     jsQueued,
 	}
 	out := j.external() // before publishing: a lease may mutate j at once
-	t.jobs.put(j.id, j)
 	// Record the submit before the enqueue makes the job leasable: a worker
-	// can lease the instant the id is in the queue, and the submit event
+	// can lease the instant the job is in the queue, and the submit event
 	// must carry the earlier timestamp or job-span reconstruction
 	// (trace.AnalyzeJobs) would see a lease-before-submit chain.
 	t.rec.Inc(obs.SrvSubmits)
@@ -399,7 +399,7 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 		s.ev.Event(obs.EvSrvSubmit, obs.LaneDefault, j.id)
 	}
 	s.log.submit(t.name, j.id)
-	t.enqueue(j.id)
+	t.enqueue(j)
 	return out, nil
 }
 
@@ -415,19 +415,11 @@ func (s *Service) Lease(tenantName string) (Lease, bool, error) {
 	if err != nil || t == nil {
 		return Lease{}, false, err
 	}
-	for {
-		id, ok := t.dequeue()
-		if !ok {
-			return Lease{}, false, nil
-		}
-		j, _ := t.jobs.get(id)
-		if j == nil {
-			// The id outlived its job record (possible only after a
-			// restore raced a duplicate checkpoint entry); skip it.
-			continue
-		}
-		return s.lease(j), true, nil
+	j, ok := t.dequeue()
+	if !ok {
+		return Lease{}, false, nil
 	}
+	return s.lease(j), true, nil
 }
 
 // leaseEntry is one outstanding lease in the lease table.
@@ -497,7 +489,6 @@ func (s *Service) Ack(token uint64) error {
 	j.state = jsDone
 	j.mu.Unlock()
 	t := j.tenant
-	t.jobs.take(j.id)
 	t.depth.Add(-1)
 	lat := uint64(now.Sub(j.submitted).Nanoseconds())
 	t.rec.Inc(obs.SrvAcks)
@@ -548,7 +539,7 @@ func (s *Service) redeliver(j *job, now time.Time) {
 		j.mu.Lock()
 		j.state = jsQueued
 		j.mu.Unlock()
-		j.tenant.enqueue(j.id)
+		j.tenant.enqueue(j)
 		s.inFlight.Add(-1)
 		return
 	}
@@ -564,9 +555,9 @@ func (s *Service) redeliver(j *job, now time.Time) {
 }
 
 // deadLetter moves j to its tenant's dead-letter queue. The job enters the
-// dead-letter list before its state leaves jsLeased and before it leaves the
-// job table, and Stats walks the table before it reads the list, so a
-// concurrent Stats may count a dying job twice but never misses it.
+// dead-letter list before it leaves the tenant's depth, and Stats reads the
+// depth before it reads the list, so a concurrent Stats may count a dying
+// job twice (in depth and in the list) but never misses it.
 func (s *Service) deadLetter(j *job) {
 	t := j.tenant
 	t.dlqMu.Lock()
@@ -576,7 +567,6 @@ func (s *Service) deadLetter(j *job) {
 	j.state = jsDead
 	attempts := j.attempts
 	j.mu.Unlock()
-	t.jobs.take(j.id)
 	t.depth.Add(-1)
 	t.rec.Inc(obs.SrvDLQ)
 	if s.ev != nil {
@@ -634,7 +624,7 @@ func (s *Service) scanOnce(now time.Time, force bool) int {
 		j.mu.Lock()
 		j.state = jsQueued
 		j.mu.Unlock()
-		j.tenant.enqueue(j.id)
+		j.tenant.enqueue(j)
 	}
 	return len(expired)
 }

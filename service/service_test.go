@@ -293,6 +293,52 @@ func TestCheckpointRestoreRoundtrip(t *testing.T) {
 	}
 }
 
+// TestRestoreDuplicateJobID restores a checkpoint that lists one job id
+// twice in a tenant and once more in another tenant. Job ids are
+// service-wide, so the first entry wins: the job is delivered once, with
+// the first entry's payload, the later entries are dropped, and every quota
+// slot comes back once the tenants are drained.
+func TestRestoreDuplicateJobID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sbqd.json")
+	checkpoint := `{"version":1,"taken":"2026-01-01T00:00:00Z","next_id":8,"next_token":0,"tenants":[
+		{"name":"acme","jobs":[
+			{"id":7,"payload":"first","attempts":0,"submitted_at":"2026-01-01T00:00:00Z"},
+			{"id":7,"payload":"second","attempts":0,"submitted_at":"2026-01-01T00:00:00Z"}]},
+		{"name":"beta","jobs":[
+			{"id":7,"payload":"third","attempts":0,"submitted_at":"2026-01-01T00:00:00Z"},
+			{"id":8,"payload":"eighth","attempts":0,"submitted_at":"2026-01-01T00:00:00Z"}]}]}`
+	if err := os.WriteFile(path, []byte(checkpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustService(t, service.Config{SnapshotPath: path})
+	defer s.Shutdown(context.Background())
+	want := map[string][]string{"acme": {`7 "first"`}, "beta": {`8 "eighth"`}}
+	for tenant, w := range want {
+		var got []string
+		for {
+			l, ok, err := s.Lease(tenant)
+			if err != nil {
+				t.Fatalf("Lease %s: %v", tenant, err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, fmt.Sprintf("%d %s", l.ID, l.Payload))
+			if err := s.Ack(l.Token); err != nil {
+				t.Fatalf("Ack %s: %v", tenant, err)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("%s delivered %q, want %q", tenant, got, w)
+		}
+	}
+	for _, ts := range s.Stats().Tenants {
+		if ts.Depth != 0 || ts.Queued != 0 || ts.Leased != 0 || ts.Delayed != 0 {
+			t.Errorf("tenant %s after draining: %+v, want depth 0 and nothing queued, leased or delayed", ts.Tenant, ts)
+		}
+	}
+}
+
 // TestForceExpireCheckpointPacing pins the force-expire clock discipline:
 // a shutdown that hits its drain deadline force-expires outstanding leases,
 // and the redelivery pacing written to the checkpoint must be computed from

@@ -2,16 +2,12 @@ package service
 
 import "sync"
 
-// Shard counts of the service's two id-keyed tables: fixed powers of two.
-// Every Submit → Lease → Ack cycle touches its job's shard three times
-// (insert, lookup, delete) and its lease's shard twice (publish, take), from
-// whichever goroutines submit, lease and settle. Consecutive ids and tokens
-// come from one counter each, so concurrent cycles usually land on different
-// shards.
-const (
-	leaseShards = 64 // Service.leases, keyed by lease token
-	jobShards   = 16 // tenant.jobs, keyed by job id
-)
+// leaseShards is the shard count of the lease table (Service.leases, keyed
+// by lease token): a fixed power of two. Every Submit → Lease → Ack cycle
+// touches its lease's shard twice (publish, take), from whichever
+// goroutines lease and settle. Consecutive tokens come from one counter, so
+// concurrent cycles usually land on different shards.
+const leaseShards = 64
 
 // shardedMap is a uint64-keyed map split into cache-line-padded shards, each
 // a mutex and a map, so operations on different keys rarely meet on one lock
@@ -48,14 +44,6 @@ func (m *shardedMap[V]) put(k uint64, v V) {
 	sh.mu.Lock()
 	sh.m[k] = v
 	sh.mu.Unlock()
-}
-
-func (m *shardedMap[V]) get(k uint64) (V, bool) {
-	sh := m.shard(k)
-	sh.mu.Lock()
-	v, ok := sh.m[k]
-	sh.mu.Unlock()
-	return v, ok
 }
 
 // take removes k and returns its value: of several concurrent takes of one

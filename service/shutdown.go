@@ -154,23 +154,22 @@ func (s *Service) Stats() StatsSnapshot {
 	out.AckP50, out.AckP99, out.AckP999 =
 		ack.Quantile(0.50), ack.Quantile(0.99), ack.Quantile(0.999)
 
+	// The per-state counts are derived off the hot path: leased jobs from
+	// one walk of the lease table, delayed ones from the delay heap, and
+	// queued ones as the rest of the depth. A tenant's depth is read before
+	// its dead-letter list: see deadLetter.
+	leased := map[*tenant]int{}
+	s.leases.each(func(e leaseEntry) { leased[e.j.tenant]++ })
+	delayed := s.delayedJobs()
 	for _, t := range s.tenantList() {
-		ts := TenantStats{Tenant: t.name, Queue: t.be.Load().queueName, Depth: t.depth.Load()}
-		// One job-table shard at a time, then the dead-letter list, in
-		// that order: see deadLetter.
-		t.jobs.each(func(j *job) {
-			j.mu.Lock()
-			st := j.state
-			j.mu.Unlock()
-			switch st {
-			case jsQueued:
-				ts.Queued++
-			case jsLeased:
-				ts.Leased++
-			case jsDelayed:
-				ts.Delayed++
-			}
-		})
+		ts := TenantStats{
+			Tenant:  t.name,
+			Queue:   t.be.Load().queueName,
+			Depth:   t.depth.Load(),
+			Leased:  leased[t],
+			Delayed: len(delayed[t]),
+		}
+		ts.Queued = max(0, int(ts.Depth)-ts.Leased-ts.Delayed)
 		ts.Dead = len(t.deadList())
 		out.Tenants = append(out.Tenants, ts)
 	}

@@ -56,38 +56,27 @@ func (s *Service) checkpoint(path string) error {
 		NextToken: s.nextToken.Load(),
 	}
 
+	delayed := s.delayedJobs()
 	for _, t := range s.tenantList() {
 		st := snapTenant{Name: t.name}
 
 		// Queue order first: drain the backend (quiescent, so two empty
 		// sweeps mean empty) and emit jobs in dequeue order.
 		be := t.be.Load()
-		inQueue := map[uint64]bool{}
-		empty := 0
-		for empty < 2 {
-			id, ok := be.cons.Dequeue()
+		for empty := 0; empty < 2; {
+			j, ok := be.cons.Dequeue()
 			if !ok {
 				empty++
 				continue
 			}
 			empty = 0
-			j, _ := t.jobs.get(id)
-			if j == nil || inQueue[id] {
-				continue
-			}
-			inQueue[id] = true
 			st.Jobs = append(st.Jobs, snapJobOf(j))
 		}
 
-		// Then everything else in the job table — delayed jobs, plus any
-		// job a crashy interleaving left unreachable from the queue —
-		// sorted by id for determinism.
-		var rest []*job
-		t.jobs.each(func(j *job) {
-			if !inQueue[j.id] {
-				rest = append(rest, j)
-			}
-		})
+		// Then the tenant's delayed jobs, sorted by id for determinism.
+		// Leases were drained to zero first, so the queue and the delay
+		// heap hold every unsettled job.
+		rest := delayed[t]
 		sort.Slice(rest, func(i, k int) bool { return rest[i].id < rest[k].id })
 		for _, j := range rest {
 			st.Jobs = append(st.Jobs, snapJobOf(j))
@@ -158,14 +147,28 @@ func (s *Service) restore(path string) error {
 	now := s.now()
 	restored := 0
 	tenants := map[string]*tenant{}
+	// Job ids are service-wide. A checkpoint that lists one id twice (this
+	// service never writes one) restores its first entry only: restoring
+	// both would deliver the job twice.
+	seen := map[uint64]bool{}
+	first := func(id uint64) bool {
+		if seen[id] {
+			return false
+		}
+		seen[id] = true
+		return true
+	}
 	for _, st := range snap.Tenants {
 		t, err := s.newTenant(st.Name, s.cfg.Queue)
 		if err != nil {
 			return err
 		}
 		tenants[st.Name] = t
-		restored += len(st.Jobs)
 		for _, sj := range st.Jobs {
+			if !first(sj.ID) {
+				continue
+			}
+			restored++
 			j := &job{
 				id:        sj.ID,
 				tenant:    t,
@@ -174,7 +177,6 @@ func (s *Service) restore(path string) error {
 				attempts:  sj.Attempts,
 				delivered: sj.Attempts > 0,
 			}
-			t.jobs.put(j.id, j)
 			t.depth.Add(1)
 			if sj.NotBefore.After(now) {
 				j.state = jsDelayed
@@ -182,10 +184,13 @@ func (s *Service) restore(path string) error {
 				s.delayed.push(jobAt{at: sj.NotBefore, j: j}) // pre-scanner: no lock needed
 			} else {
 				j.state = jsQueued
-				t.enqueue(j.id)
+				t.enqueue(j)
 			}
 		}
 		for _, sj := range st.Dead {
+			if !first(sj.ID) {
+				continue
+			}
 			t.dead = append(t.dead, &job{
 				id:        sj.ID,
 				tenant:    t,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/machine/policy"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/trace"
@@ -204,6 +205,113 @@ func TestStatsUnderFlightRecorder(t *testing.T) {
 	}
 	if enqStarts != cycles {
 		t.Errorf("recorder holds %d %s events, want %d", enqStarts, obs.EvEnqStart, cycles)
+	}
+}
+
+// TestStatsPerStateCounts pins the per-tenant state breakdown in Stats and
+// on the /metrics page against a fixed mix built on a fake clock: on tenant
+// a, one acked job, two dead-lettered, three delayed by a nonzero backoff,
+// four leased and five queued; on tenant b, one leased and two queued.
+func TestStatsPerStateCounts(t *testing.T) {
+	clk := newFakeClock()
+	s := mustService(t, service.Config{
+		Now:      clk.Now,
+		LeaseTTL: time.Hour,
+		// Attempt 1 is delayed 10 units, attempt 2 dead-letters.
+		Backoff:     policy.AbortBudget{Budget: 2, Inner: policy.DelayedCAS{Delay: 10}},
+		BackoffUnit: time.Second,
+	})
+	defer func() {
+		// The leases never expire on the fake clock: force the drain.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		s.Shutdown(ctx)
+	}()
+	submit := func(tenant string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := s.Submit(tenant, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lease := func(tenant string, n int) []uint64 {
+		t.Helper()
+		var tokens []uint64
+		for i := 0; i < n; i++ {
+			l, ok, err := s.Lease(tenant)
+			if err != nil || !ok {
+				t.Fatalf("Lease %s: ok=%v err=%v", tenant, ok, err)
+			}
+			tokens = append(tokens, l.Token)
+		}
+		return tokens
+	}
+	nack := func(tokens []uint64) {
+		t.Helper()
+		for _, tok := range tokens {
+			if err := s.Nack(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	submit("a", 1)
+	if err := s.Ack(lease("a", 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	submit("a", 2)
+	nack(lease("a", 2)) // delayed 10s
+	clk.Advance(11 * time.Second)
+	s.ScanOnce(clk.Now()) // back in the queue
+	nack(lease("a", 2))   // second attempt: dead
+	submit("a", 3)
+	nack(lease("a", 3)) // delayed
+	submit("a", 4)
+	lease("a", 4)
+	submit("a", 5)
+	submit("b", 3)
+	lease("b", 1)
+
+	type counts struct {
+		depth                         int64
+		queued, leased, delayed, dead int
+	}
+	want := map[string]counts{
+		"a": {depth: 12, queued: 5, leased: 4, delayed: 3, dead: 2},
+		"b": {depth: 3, queued: 2, leased: 1},
+	}
+	st := s.Stats()
+	if st.InFlight != 5 {
+		t.Errorf("InFlight = %d, want 5", st.InFlight)
+	}
+	if len(st.Tenants) != len(want) {
+		t.Fatalf("Stats lists %d tenants, want %d", len(st.Tenants), len(want))
+	}
+	for _, ts := range st.Tenants {
+		got := counts{ts.Depth, ts.Queued, ts.Leased, ts.Delayed, ts.Dead}
+		if got != want[ts.Tenant] {
+			t.Errorf("Stats tenant %s: %+v, want %+v", ts.Tenant, got, want[ts.Tenant])
+		}
+	}
+
+	sc := scrapeMetrics(t, s.Handler())
+	for tenant, w := range want {
+		l := export.Labels{"tenant": tenant, "queue": service.DefaultQueue}
+		for name, v := range map[string]float64{
+			service.MetricTenantDepth:   float64(w.depth),
+			service.MetricTenantQueued:  float64(w.queued),
+			service.MetricTenantLeased:  float64(w.leased),
+			service.MetricTenantDelayed: float64(w.delayed),
+			service.MetricTenantDead:    float64(w.dead),
+		} {
+			if got := mustValue(t, sc, name, l); got != v {
+				t.Errorf("%s{tenant=%s} = %g, want %g", name, tenant, got, v)
+			}
+		}
+	}
+	if got := mustValue(t, sc, service.MetricInFlight, nil); got != 5 {
+		t.Errorf("%s = %g, want 5", service.MetricInFlight, got)
 	}
 }
 

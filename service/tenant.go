@@ -10,8 +10,8 @@ import (
 	"repro/queue/registry"
 )
 
-// tenant is one isolated job namespace: its own registry-built queue, job
-// table, dead-letter list, and depth quota accounting.
+// tenant is one isolated job namespace: its own registry-built queue of
+// job records, dead-letter list, and depth quota accounting.
 type tenant struct {
 	name string
 	svc  *Service
@@ -41,7 +41,7 @@ type tenant struct {
 	be atomic.Pointer[backend]
 	// swapMu serializes SwapBackend calls on this tenant: a swap's drain
 	// must finish publishing into its destination before another swap may
-	// replace that destination, or the drained ids would land in an
+	// replace that destination, or the drained jobs would land in an
 	// abandoned backend and become unreachable by Lease.
 	swapMu sync.Mutex
 
@@ -50,9 +50,8 @@ type tenant struct {
 	tenantHot
 	_ [64]byte
 
-	jobs  shardedMap[*job] // live (non-dead, non-done) jobs by id
-	dlqMu sync.Mutex       // guards dead
-	dead  []*job           // dead-letter queue, oldest first
+	dlqMu sync.Mutex // guards dead
+	dead  []*job     // dead-letter queue, oldest first
 }
 
 // tenantHot holds the tenant words that every Submit or Ack writes.
@@ -63,11 +62,12 @@ type tenantHot struct {
 
 // backend is one built queue instance as the tenant drives it: producer
 // lanes for Submit (each a single-goroutine registry view behind a mutex)
-// and a shared consumer view for Lease.
+// and a shared consumer view for Lease. Its elements are the tenant's
+// queued jobs.
 type backend struct {
 	queueName string
 	lanes     []*lane
-	cons      queue.BatchQueue[uint64]
+	cons      queue.BatchQueue[*job]
 }
 
 // lane serializes one registry producer view. HTTP handlers run on
@@ -85,7 +85,7 @@ type lane struct {
 // laneHot is a lane's mutex and the producer view it guards.
 type laneHot struct {
 	mu sync.Mutex
-	q  queue.BatchQueue[uint64]
+	q  queue.BatchQueue[*job]
 }
 
 // newBackend builds queueName for this tenant's shape. The sharded
@@ -95,7 +95,7 @@ type laneHot struct {
 // scope.
 func (t *tenant) newBackend(queueName string) (*backend, error) {
 	s := t.svc
-	inst, err := registry.Build(queueName, registry.Config{
+	inst, err := registry.BuildOf[*job](queueName, registry.Config{
 		Producers: s.cfg.Lanes,
 		Shards:    s.cfg.Shards,
 		Recorder:  t.rec,
@@ -151,7 +151,7 @@ func (t *tenant) deadList() []*job {
 // newTenant builds a tenant on the named registry entry. Callers serialize
 // it (tenantFor under s.tmu, restore before the scanner starts).
 func (s *Service) newTenant(name, queueName string) (*tenant, error) {
-	t := &tenant{name: name, svc: s, jobs: newShardedMap[*job](jobShards), stats: s.stats.Scope()}
+	t := &tenant{name: name, svc: s, stats: s.stats.Scope()}
 	t.rec = obs.Tee(t.stats, s.sink)
 	be, err := t.newBackend(queueName)
 	if err != nil {
@@ -161,11 +161,11 @@ func (s *Service) newTenant(name, queueName string) (*tenant, error) {
 	return t, nil
 }
 
-// enqueue pushes a job id through one producer lane. The pointer re-check
-// under the lane lock pairs with swap's lane barrier: an enqueue commits
-// to a backend only while that backend is still current, so the
-// post-barrier drain cannot miss it.
-func (t *tenant) enqueue(id uint64) {
+// enqueue pushes j through one producer lane. The pointer re-check under
+// the lane lock pairs with swap's lane barrier: an enqueue commits to a
+// backend only while that backend is still current, so the post-barrier
+// drain cannot miss it.
+func (t *tenant) enqueue(j *job) {
 	for {
 		be := t.be.Load()
 		ln := be.lanes[int(t.next.Add(1))%len(be.lanes)]
@@ -174,14 +174,14 @@ func (t *tenant) enqueue(id uint64) {
 			ln.mu.Unlock()
 			continue // swapped mid-pick; retry on the new backend
 		}
-		ln.q.Enqueue(id)
+		ln.q.Enqueue(j)
 		ln.mu.Unlock()
 		return
 	}
 }
 
-// dequeue pops one job id, or ok=false when the queue appears empty.
-func (t *tenant) dequeue() (uint64, bool) {
+// dequeue pops one queued job, or ok=false when the queue appears empty.
+func (t *tenant) dequeue() (*job, bool) {
 	return t.be.Load().cons.Dequeue()
 }
 
@@ -190,18 +190,18 @@ func (t *tenant) dequeue() (uint64, bool) {
 // come back empty — by then every pre-swap enqueue has been barriered out
 // (see SwapBackend) and the old queue holds nothing. Re-enqueueing goes
 // through t.enqueue, whose pointer re-check under the lane lock guarantees
-// each id commits to a backend that is still current — never to one a
+// each job commits to a backend that is still current — never to one a
 // concurrent swap already replaced.
 func (t *tenant) drainInto(old *backend) {
 	empty := 0
 	for empty < 2 {
-		id, ok := old.cons.Dequeue()
+		j, ok := old.cons.Dequeue()
 		if !ok {
 			empty++
 			continue
 		}
 		empty = 0
-		t.enqueue(id)
+		t.enqueue(j)
 	}
 }
 
@@ -227,7 +227,7 @@ func (s *Service) SwapBackend(tenantName, queueName string) error {
 		return err
 	}
 	defer s.end()
-	if _, ok := registry.LookupEntry(queueName); !ok {
+	if _, ok := registry.OrderingOf(queueName); !ok {
 		return fmt.Errorf("service: unknown queue %q (have %v)", queueName, registry.Names())
 	}
 	t, err := s.tenantFor(tenantName, false)
