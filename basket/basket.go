@@ -35,14 +35,3 @@ type Basket[T any] interface {
 	// (the unpublished-node reuse of §5.2.2).
 	ResetOwn(id int)
 }
-
-// Resettable is implemented by baskets that can be fully re-armed for
-// reuse after being drained: Reset restores the just-constructed state
-// (all cells insertable, counters zeroed, empty bit cleared) and drops
-// any element references. It must only be called on a basket no other
-// goroutine can still reach — the contract of the queues' pooled-node
-// mode, which recycles nodes (and their baskets) through epoch-guarded
-// freelists. All baskets in this package implement it.
-type Resettable interface {
-	Reset()
-}

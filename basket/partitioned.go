@@ -140,21 +140,3 @@ func (b *Partitioned[T]) Empty() bool { return b.empty.Load() }
 func (b *Partitioned[T]) ResetOwn(id int) {
 	b.cells[id].state.Store(cellInsert)
 }
-
-// Reset re-arms a drained basket for reuse: every cell back to the
-// insertable state with its value dropped, all partition counters and
-// the exhausted count zeroed, empty bit cleared. Only legal on a basket
-// no other goroutine can reach (see basket.Resettable).
-func (b *Partitioned[T]) Reset() {
-	var zero T
-	for i := range b.cells {
-		c := &b.cells[i]
-		c.v = zero
-		c.state.Store(cellInsert)
-	}
-	for i := range b.parts {
-		b.parts[i].counter.Store(0)
-	}
-	b.exhausted.Store(0)
-	b.empty.Store(false)
-}

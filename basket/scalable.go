@@ -112,20 +112,5 @@ func (b *Scalable[T]) ResetOwn(id int) {
 	b.cells[id].state.Store(cellInsert)
 }
 
-// Reset re-arms a drained basket for reuse: every cell back to the
-// insertable state with its value dropped, scan counter zeroed, empty
-// bit cleared. Only legal on a basket no other goroutine can reach (see
-// basket.Resettable).
-func (b *Scalable[T]) Reset() {
-	var zero T
-	for i := range b.cells {
-		c := &b.cells[i]
-		c.v = zero
-		c.state.Store(cellInsert)
-	}
-	b.counter.Store(0)
-	b.empty.Store(false)
-}
-
 // Capacity returns the number of cells.
 func (b *Scalable[T]) Capacity() int { return len(b.cells) }

@@ -40,7 +40,7 @@ func (s *ClosingStack[T]) load() *stackState[T] { return s.state.Load() }
 //
 //lf:hotpath
 func (s *ClosingStack[T]) Insert(_ int, x T) bool {
-	//lint:ignore allocfree the stack basket allocates per push by design: it models the original queue's implicit basket and is excluded from the zero-alloc pooled configurations
+	//lint:ignore allocfree the stack basket allocates per push by design: it models the original queue's implicit basket, and no registry entry uses it
 	n := &snode[T]{v: x}
 	for {
 		st := s.load()
@@ -48,7 +48,7 @@ func (s *ClosingStack[T]) Insert(_ int, x T) bool {
 			return false
 		}
 		n.next = st.top
-		//lint:ignore casloop,allocfree Treiber push: contention is accounted by the enclosing queue's Basket* counters, and the state-record replacement allocates by design (the stack basket is excluded from the zero-alloc pooled configurations)
+		//lint:ignore casloop,allocfree Treiber push: contention is accounted by the enclosing queue's Basket* counters, and the state-record replacement allocates by design (no registry entry uses the stack basket)
 		if s.state.CompareAndSwap(st, &stackState[T]{top: n}) {
 			return true
 		}
@@ -65,13 +65,13 @@ func (s *ClosingStack[T]) Extract() (T, bool) {
 		st := s.load()
 		if st.top == nil {
 			// Exhausted: close so Empty becomes accurate and inserts stop.
-			//lint:ignore casloop,allocfree Treiber pop: contention is accounted by the enclosing queue's Basket* counters, and the state-record replacement allocates by design (the stack basket is excluded from the zero-alloc pooled configurations)
+			//lint:ignore casloop,allocfree Treiber pop: contention is accounted by the enclosing queue's Basket* counters, and the state-record replacement allocates by design (no registry entry uses the stack basket)
 			if st.closed || s.state.CompareAndSwap(st, &stackState[T]{closed: true}) {
 				return zero, false
 			}
 			continue
 		}
-		//lint:ignore allocfree state-record replacement allocates by design; the stack basket is excluded from the zero-alloc pooled configurations
+		//lint:ignore allocfree state-record replacement allocates by design; no registry entry uses the stack basket
 		if s.state.CompareAndSwap(st, &stackState[T]{top: st.top.next, closed: true}) {
 			return st.top.v, true
 		}
@@ -89,14 +89,5 @@ func (s *ClosingStack[T]) Empty() bool {
 // ResetOwn reopens an unpublished basket by discarding its contents. Only
 // legal before the basket is shared.
 func (s *ClosingStack[T]) ResetOwn(_ int) {
-	s.state.Store(&stackState[T]{})
-}
-
-// Reset reopens and empties the stack for reuse. Only legal on a basket
-// no other goroutine can reach (see basket.Resettable). Unlike the
-// array baskets this allocates one state record; the stack basket
-// models the original queue's implicit basket and is not used by the
-// zero-alloc pooled configurations.
-func (s *ClosingStack[T]) Reset() {
 	s.state.Store(&stackState[T]{})
 }

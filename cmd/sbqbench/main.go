@@ -11,7 +11,6 @@
 //	sbqbench -impl SBQ-DCAS -stats        # print telemetry snapshots
 //	sbqbench -queue Sharded-FAA -shards 4 # sharded front-end, explicit shard count
 //	sbqbench -batch 1,8,64                # sweep EnqueueBatch/DequeueBatch sizes
-//	sbqbench -pooled both                 # sweep GC mode and pooled-node mode
 //	sbqbench -txcas 0,270ns,5us           # sweep TxCAS speculation windows
 //	sbqbench -bench-json out.json         # also write a schema-versioned record
 //	sbqbench -diff old.json new.json      # compare two records (report-only)
@@ -20,11 +19,6 @@
 // -batch 0 (the default) measures the single-operation path; positive
 // sizes drive the batch surface with that k, amortizing the shared-word
 // operation over the batch; every registry entry batches natively.
-//
-// -pooled selects node reclamation: "false" (the default; nodes are
-// garbage-collected), "true" (WithNodePool: reclaim-backed freelists,
-// zero steady-state allocations — the configuration the alloc gates
-// enforce), or "both" to measure the two modes side by side.
 //
 // -txcas sweeps the software-TxCAS speculation window (how long a
 // contending enqueuer watches the link it is about to CAS before issuing
@@ -68,7 +62,6 @@ func main() {
 	txWindows := cliflag.Durations(flag.CommandLine, "txcas",
 		"comma-separated TxCAS speculation windows swept on the TxCAS entries (e.g. 0,270ns,5us); 0 = engine default; other entries ignore it")
 	shards := flag.Int("shards", 0, "shard count for the sharded front-end entries; 0 = entry default (GOMAXPROCS)")
-	pooled := flag.String("pooled", "false", `node reclamation mode: "false" (GC), "true" (WithNodePool), or "both" to sweep`)
 	stats := flag.Bool("stats", false, "print a telemetry snapshot (CAS failure rates, retries, basket outcomes) per run")
 	benchJSON := flag.String("bench-json", "", "write results as schema-versioned JSON to this file")
 	diff := flag.Bool("diff", false, "compare two bench-json files: sbqbench -diff old.json new.json")
@@ -83,19 +76,6 @@ func main() {
 		}
 		runDiff(flag.Arg(0), flag.Arg(1), *diffThreshold, *diffEnforce)
 		return
-	}
-
-	var pooledModes []bool
-	switch *pooled {
-	case "false":
-		pooledModes = []bool{false}
-	case "true":
-		pooledModes = []bool{true}
-	case "both":
-		pooledModes = []bool{false, true}
-	default:
-		fmt.Fprintf(os.Stderr, "sbqbench: -pooled must be false, true, or both (got %q)\n", *pooled)
-		os.Exit(2)
 	}
 
 	var onlySet map[string]bool
@@ -148,60 +128,55 @@ func main() {
 		if len(txWindows.Durations) > 0 && strings.Contains(name, "TxCAS") {
 			windows = txWindows.Durations
 		}
-		for _, pm := range pooledModes {
-			for _, k := range batchSizes {
-				for _, w := range windows {
-					var snaps []statRun
-					label := name
-					if k > 0 {
-						label = fmt.Sprintf("%s/k=%d", name, k)
+		for _, k := range batchSizes {
+			for _, w := range windows {
+				var snaps []statRun
+				label := name
+				if k > 0 {
+					label = fmt.Sprintf("%s/k=%d", name, k)
+				}
+				if w > 0 {
+					label += fmt.Sprintf("/w=%v", w)
+				}
+				fmt.Printf("%-20s", label)
+				for _, n := range threadCounts {
+					// The interface must stay untyped-nil when stats are off: a
+					// typed-nil *obs.Stats would pass the queues' nil checks and
+					// crash on the first Inc.
+					var rec obs.Recorder
+					var snap *obs.Stats
+					if *stats {
+						snap = obs.New()
+						rec = snap
 					}
-					if pm {
-						label += "/pooled"
+					ns := runOne(name, rec, *workload, n, *ops, k, *shards, w)
+					fmt.Printf(" %10.1f", ns)
+					res := benchjson.Result{
+						Impl: name, Workload: *workload, Threads: n, Batch: k, Shards: *shards,
+						TxWindowNS: w.Nanoseconds(), Ops: *ops, NSPerOp: ns,
 					}
-					if w > 0 {
-						label += fmt.Sprintf("/w=%v", w)
-					}
-					fmt.Printf("%-20s", label)
-					for _, n := range threadCounts {
-						// The interface must stay untyped-nil when stats are off: a
-						// typed-nil *obs.Stats would pass the queues' nil checks and
-						// crash on the first Inc.
-						var rec obs.Recorder
-						var snap *obs.Stats
-						if *stats {
-							snap = obs.New()
-							rec = snap
+					if snap != nil {
+						s := snap.Snapshot()
+						res.CASAttempts = s.Counter(obs.CASAttempts)
+						res.CASFailures = s.Counter(obs.CASFailures)
+						res.TxSoftAborts = s.Counter(obs.TxSoftAborts)
+						res.TxSharerHints = s.Counter(obs.TxSharerHints)
+						if res.CASAttempts > 0 {
+							res.CASFailureRate = float64(res.CASFailures) / float64(res.CASAttempts)
 						}
-						ns := runOne(name, rec, *workload, n, *ops, k, *shards, pm, w)
-						fmt.Printf(" %10.1f", ns)
-						res := benchjson.Result{
-							Impl: name, Workload: *workload, Threads: n, Batch: k, Shards: *shards,
-							Pooled: pm, TxWindowNS: w.Nanoseconds(), Ops: *ops, NSPerOp: ns,
-						}
-						if snap != nil {
-							s := snap.Snapshot()
-							res.CASAttempts = s.Counter(obs.CASAttempts)
-							res.CASFailures = s.Counter(obs.CASFailures)
-							res.TxSoftAborts = s.Counter(obs.TxSoftAborts)
-							res.TxSharerHints = s.Counter(obs.TxSharerHints)
-							if res.CASAttempts > 0 {
-								res.CASFailureRate = float64(res.CASFailures) / float64(res.CASAttempts)
-							}
-							snaps = append(snaps, statRun{n, s})
-						}
-						record.Results = append(record.Results, res)
+						snaps = append(snaps, statRun{n, s})
 					}
+					record.Results = append(record.Results, res)
+				}
+				fmt.Println()
+				for _, sr := range snaps {
+					fmt.Printf("\n  %s @ %d threads:\n", label, sr.threads)
+					for _, line := range strings.Split(strings.TrimRight(sr.snap.FormatQueue(), "\n"), "\n") {
+						fmt.Printf("    %s\n", line)
+					}
+				}
+				if len(snaps) > 0 {
 					fmt.Println()
-					for _, sr := range snaps {
-						fmt.Printf("\n  %s @ %d threads:\n", label, sr.threads)
-						for _, line := range strings.Split(strings.TrimRight(sr.snap.FormatQueue(), "\n"), "\n") {
-							fmt.Printf("    %s\n", line)
-						}
-					}
-					if len(snaps) > 0 {
-						fmt.Println()
-					}
 				}
 			}
 		}
@@ -248,14 +223,13 @@ func runDiff(oldPath, newPath string, threshold float64, enforce bool) {
 	}
 }
 
-// runOne measures one (impl, workload, threads, batch, pooled, txWindow)
-// cell and returns ns per element normalized to one thread. batch 0 drives
-// the single-op path; positive batch drives EnqueueBatch/DequeueBatch with
+// runOne measures one (impl, workload, threads, batch, txWindow) cell and
+// returns ns per element normalized to one thread. batch 0 drives the
+// single-op path; positive batch drives EnqueueBatch/DequeueBatch with
 // that k (ops still counts elements, so numbers across batch sizes
-// compare per element). pooled selects WithNodePool reclamation. txWindow
-// overrides the TxCAS speculation window (0 = entry default; non-TxCAS
+// compare per element). txWindow overrides the TxCAS speculation window (0 = entry default; non-TxCAS
 // entries ignore it).
-func runOne(name string, rec obs.Recorder, workload string, threads, ops, batch, shards int, pooled bool, txWindow time.Duration) float64 {
+func runOne(name string, rec obs.Recorder, workload string, threads, ops, batch, shards int, txWindow time.Duration) float64 {
 	producers, consumers := threads, threads
 	switch workload {
 	case "enqueue":
@@ -272,8 +246,7 @@ func runOne(name string, rec obs.Recorder, workload string, threads, ops, batch,
 		nProd = threads // prefill threads double as producers
 	}
 	inst, err := registry.Build(name, registry.Config{
-		Producers: nProd, Shards: shards, Recorder: rec, Pooled: pooled,
-		TxWindow: txWindow,
+		Producers: nProd, Shards: shards, Recorder: rec, TxWindow: txWindow,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sbqbench:", err)

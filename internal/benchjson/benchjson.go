@@ -37,11 +37,11 @@ type Result struct {
 	// Shards is the explicit shard count the queue was built with; zero
 	// means the entry's default (or an unsharded entry).
 	Shards int `json:"shards,omitempty"`
-	// Pooled reports whether the queue ran in pooled-node mode
-	// (WithNodePool: reclaim-backed freelists, zero steady-state
-	// allocations) rather than leaning on the garbage collector. False —
-	// the GC mode every pre-pooling baseline measured — is omitted, so
-	// old files decode to comparable cells.
+	// Pooled is set only by records made before pooled-node mode was
+	// deleted (BENCH_PR7.json's "pooled" cells, which recycled nodes
+	// through epoch-guarded freelists). Every run since measures GC mode
+	// and leaves it false. It stays in the cell key so such a cell never
+	// matches its GC-mode twin; old pooled cells read "baseline only".
 	Pooled bool `json:"pooled,omitempty"`
 	// TxWindowNS is the TxCAS speculation window in nanoseconds for cells
 	// measured with an explicit -txcas sweep value; zero means the entry's

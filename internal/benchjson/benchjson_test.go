@@ -153,3 +153,30 @@ func TestDiffZeroBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledBaselineCellsStayApart: BENCH_PR7.json lists each pooled-mode
+// cell right after its GC-mode twin, under the same impl, workload and
+// threads. Runs made since pooled mode was deleted measure GC mode only,
+// so their cells must match the GC twin; a key without the pooled field
+// would let the later pooled cell win the match.
+func TestPooledBaselineCellsStayApart(t *testing.T) {
+	old, err := Read(strings.NewReader(`{"schema":"sbqbench/v1","results":[
+		{"impl":"SBQ-CAS","workload":"mixed","threads":2,"ops_per_thread":20000,"ns_per_op":100},
+		{"impl":"SBQ-CAS","workload":"mixed","threads":2,"pooled":true,"ops_per_thread":20000,"ns_per_op":400}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	new := &File{Schema: Schema, Results: []Result{
+		{Impl: "SBQ-CAS", Workload: "mixed", Threads: 2, Ops: 20000, NSPerOp: 110},
+	}}
+	rep := Diff(old, new, 0.10)
+	if len(rep.Deltas) != 1 || rep.Deltas[0].OldNSPerOp != 100 {
+		t.Fatalf("deltas = %+v, want one against the GC cell's 100 ns/op", rep.Deltas)
+	}
+	if len(rep.OnlyOld) != 1 || !rep.OnlyOld[0].Pooled {
+		t.Fatalf("only-old = %+v, want the pooled cell", rep.OnlyOld)
+	}
+	if len(rep.OnlyNew) != 0 {
+		t.Fatalf("only-new = %+v", rep.OnlyNew)
+	}
+}

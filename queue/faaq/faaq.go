@@ -9,22 +9,12 @@
 // contended-FAA cost profile — the property SBQ is compared against — is
 // the fast path's. Progress here is lock-free rather than wait-free; see
 // DESIGN.md for the substitution rationale.
-//
-// WithNodePool switches the queue to pooled-segment mode: segments
-// recycle through a reclaim.Pool with epoch guards pinning each
-// operation's cache snapshot (segment ids are the stamps — every segment
-// reachable forward of the snapshot has a larger id). A segment is
-// retired by whichever cache advance passes it last, so neither side's
-// in-flight walks nor the other cache's standing pointer can reach a
-// recycled segment. The steady state then allocates nothing per
-// operation.
 package faaq
 
 import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/reclaim"
 )
 
 // SegSize is the number of cells per segment.
@@ -43,23 +33,15 @@ type cell[T any] struct {
 }
 
 type segment[T any] struct {
-	// id is the index of cells[0] divided by SegSize; it doubles as the
-	// reclamation stamp (ids grow along the list, so protecting a
-	// snapshot's id protects everything reachable forward of it). Atomic
-	// because a stale reader may race a pooled segment's re-stamping;
-	// see reclaim's protocol note.
-	id   atomic.Uint64
-	next atomic.Pointer[segment[T]]
-	// retired arbitrates the two cache advances (enqueue- and
-	// dequeue-side) that may concurrently discover the segment is fully
-	// passed; only the CAS winner retires it.
-	retired atomic.Bool
-	cells   [SegSize]cell[T]
+	// id is the index of cells[0] divided by SegSize, written while the
+	// segment is private.
+	id    atomic.Uint64
+	next  atomic.Pointer[segment[T]]
+	cells [SegSize]cell[T]
 }
 
 // Queue is an FAA-based queue. Old segments are reclaimed by the garbage
-// collector once head traffic moves past them, or recycled through a
-// freelist in pooled-segment mode (WithNodePool).
+// collector once head traffic moves past them.
 type Queue[T any] struct {
 	//lf:contended FAAed by every enqueuer
 	enqIdx atomic.Uint64
@@ -80,10 +62,12 @@ type Queue[T any] struct {
 	// flight-recorder collector); events land on the collector handle's
 	// own lane (obs.LaneDefault).
 	ev obs.EventRecorder
-
-	// epoch/pool are non-nil in pooled-segment mode (WithNodePool).
-	epoch *reclaim.Epoch
-	pool  *reclaim.Pool[segment[T]]
+	// The tail pad makes Queue 320 B, a whole number of cache lines, so
+	// consecutive allocations (a sharded front-end's shards) each start on
+	// a line. At 288 B every other shard's enqIdx shared its line with the
+	// previous shard's rec and ev, which every operation on that shard
+	// reads (see DESIGN.md §7.3).
+	_ [32]byte
 }
 
 // event records one timeline event, if a flight recorder is attached.
@@ -100,58 +84,17 @@ func New[T any](opts ...Option) *Queue[T] {
 		opt(&o)
 	}
 	q := &Queue[T]{rec: o.rec, ev: obs.Events(o.rec)}
-	if o.pooled {
-		q.epoch = reclaim.NewEpoch()
-		q.pool = reclaim.NewPool(q.epoch, func() *segment[T] { return &segment[T]{} }, func(s *segment[T]) {
-			s.next.Store(nil)
-			s.retired.Store(false)
-			s.cells = [SegSize]cell[T]{} // drop element references; re-arm states
-		})
-	}
 	s := &segment[T]{}
 	q.enqSeg.Store(s)
 	q.deqSeg.Store(s)
 	return q
 }
 
-// getSegment returns a fresh or recycled segment stamped with id, next
-// nil and all cells empty.
-func (q *Queue[T]) getSegment(id uint64) *segment[T] {
-	var s *segment[T]
-	if p := q.pool; p != nil {
-		s = p.Get()
-	} else {
-		//lint:ignore allocfree GC mode allocates one segment per SegSize enqueues by design; WithNodePool is the zero-alloc configuration the gates enforce
-		s = &segment[T]{}
-	}
-	s.id.Store(id)
-	return s
-}
-
-// snapshot loads the current cache segment and, in pooled mode, pins it
-// (and everything reachable forward of it) with the announce-and-verify
-// protocol before the caller claims an index from the cache's counter.
-func (q *Queue[T]) snapshot(cache *atomic.Pointer[segment[T]], g *reclaim.Guard) *segment[T] {
-	seg := cache.Load()
-	if g == nil {
-		return seg
-	}
-	for {
-		g.Protect(seg.id.Load())
-		again := cache.Load()
-		if again == seg {
-			return seg
-		}
-		seg = again
-	}
-}
-
 // findCell returns the cell with global index idx, walking (and extending)
 // the segment list from start. start must have been loaded from the cache
 // BEFORE idx was claimed: the cache trails its counter, so a pre-claim
 // snapshot can never overshoot idx's segment; the snapshot keeps older
-// segments alive against the GC (or, pooled, against reuse via the
-// caller's guard) while we walk.
+// segments alive against the GC while we walk.
 func (q *Queue[T]) findCell(cache *atomic.Pointer[segment[T]], start *segment[T], idx uint64) *cell[T] {
 	c, _ := q.findCellSeg(cache, start, idx)
 	return c
@@ -164,22 +107,20 @@ func (q *Queue[T]) findCellSeg(cache *atomic.Pointer[segment[T]], start *segment
 	for seg.id.Load() != idx/SegSize {
 		next := seg.next.Load()
 		if next == nil {
-			n := q.getSegment(seg.id.Load() + 1)
+			//lint:ignore allocfree one segment per SegSize claimed cells by design; the registry's GC-mode allocation pins fix the cost
+			n := &segment[T]{}
+			n.id.Store(seg.id.Load() + 1)
 			//lint:ignore casloop helping loop: a failed extend-CAS means another thread appended the segment we need
 			if seg.next.CompareAndSwap(nil, n) {
 				next = n
 			} else {
-				if p := q.pool; p != nil {
-					p.Put(n) // lost the extend race; n was never published
-				}
 				next = seg.next.Load()
 			}
 		}
 		seg = next
 	}
 	// Advance the cache monotonically; it stays behind the counter
-	// because idx was claimed from it. The winning CAS owns retirement
-	// of the segments it jumped over.
+	// because idx was claimed from it.
 	for {
 		cur := cache.Load()
 		if cur.id.Load() >= seg.id.Load() {
@@ -187,49 +128,10 @@ func (q *Queue[T]) findCellSeg(cache *atomic.Pointer[segment[T]], start *segment
 		}
 		//lint:ignore casloop monotonic cache advance: a failed CAS means the cache moved forward, shrinking the remaining gap
 		if cache.CompareAndSwap(cur, seg) {
-			q.retireRange(cache, cur, seg)
 			break
 		}
 	}
 	return &seg.cells[idx%SegSize], seg
-}
-
-// retireRange retires the segments in [from, to) that the OTHER side's
-// cache has also passed; the rest are left for that side's next advance
-// (each side passes a segment exactly once, and the retired flag
-// arbitrates the one race where both pass it simultaneously). Called by
-// the winner of the cache-advance CAS from from to to, whose guard still
-// pins the range.
-func (q *Queue[T]) retireRange(cache *atomic.Pointer[segment[T]], from, to *segment[T]) {
-	if q.pool == nil {
-		return
-	}
-	other := &q.deqSeg
-	if cache == &q.deqSeg {
-		other = &q.enqSeg
-	}
-	// Verify the limit read like an announcement: a cache never points at
-	// a retired segment, but between the pointer load and the id load the
-	// segment could be retired, freed and re-stamped higher, which would
-	// inflate the limit and retire segments the other side still needs.
-	// The re-load bounds limit by an id the cache really held (an ABA
-	// re-install can only make the read conservative, never inflated).
-	var limit uint64
-	for {
-		o := other.Load()
-		limit = o.id.Load()
-		if other.Load() == o {
-			break
-		}
-	}
-	for s := from; s != to; {
-		next := s.next.Load()
-		//lint:ignore casloop one-shot arbitration CAS per segment (never retried) inside a walk bounded by the jumped-over range
-		if id := s.id.Load(); id < limit && s.retired.CompareAndSwap(false, true) {
-			q.pool.Retire(id, s)
-		}
-		s = next
-	}
 }
 
 // Enqueue claims a cell with one FAA and publishes v; if a fast dequeuer
@@ -241,25 +143,18 @@ func (q *Queue[T]) Enqueue(v T) {
 		r.Inc(obs.EnqOps)
 	}
 	q.event(obs.EvEnqStart, 0)
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
 	for first := true; ; first = false {
 		if !first {
 			if r := q.rec; r != nil {
 				r.Inc(obs.EnqRetries)
 			}
 		}
-		seg := q.snapshot(&q.enqSeg, g) // snapshot before the claim; see findCell
+		seg := q.enqSeg.Load() // snapshot before the claim; see findCell
 		idx := q.enqIdx.Add(1) - 1
 		c := q.findCell(&q.enqSeg, seg, idx)
 		c.v = v
 		q.event(obs.EvCASAttempt, idx)
 		if c.state.CompareAndSwap(cellEmpty, cellFull) {
-			if g != nil {
-				q.epoch.Release(g)
-			}
 			q.event(obs.EvEnqEnd, 1)
 			return
 		}
@@ -275,10 +170,6 @@ func (q *Queue[T]) Enqueue(v T) {
 func (q *Queue[T]) Dequeue() (T, bool) {
 	var zero T
 	q.event(obs.EvDeqStart, 0)
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
 	for first := true; ; first = false {
 		if !first {
 			if r := q.rec; r != nil {
@@ -286,28 +177,21 @@ func (q *Queue[T]) Dequeue() (T, bool) {
 			}
 		}
 		if q.deqIdx.Load() >= q.enqIdx.Load() {
-			if g != nil {
-				q.epoch.Release(g)
-			}
 			if r := q.rec; r != nil {
 				r.Inc(obs.DeqEmpty)
 			}
 			q.event(obs.EvDeqEnd, 0)
 			return zero, false
 		}
-		seg := q.snapshot(&q.deqSeg, g) // snapshot before the claim; see findCell
+		seg := q.deqSeg.Load() // snapshot before the claim; see findCell
 		idx := q.deqIdx.Add(1) - 1
 		c := q.findCell(&q.deqSeg, seg, idx)
 		if c.state.Swap(cellTaken) == cellFull {
-			v := c.v // copy out while the guard still pins the segment
-			if g != nil {
-				q.epoch.Release(g)
-			}
 			if r := q.rec; r != nil {
 				r.Inc(obs.DeqOps)
 			}
 			q.event(obs.EvDeqEnd, 1)
-			return v, true
+			return c.v, true
 		}
 		// The enqueuer of this cell has not arrived; it will see the
 		// poison and move on. Claim the next cell.
@@ -334,13 +218,9 @@ func (q *Queue[T]) EnqueueBatch(vs []T) {
 		r.Inc(obs.EnqBatches)
 	}
 	q.event(obs.EvEnqStart, uint64(len(vs)))
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
 	rest := vs
 	for {
-		seg := q.snapshot(&q.enqSeg, g) // snapshot before the claim; see findCell
+		seg := q.enqSeg.Load() // snapshot before the claim; see findCell
 		n := uint64(len(rest))
 		base := q.enqIdx.Add(n) - n
 		publishedAll := true
@@ -364,9 +244,6 @@ func (q *Queue[T]) EnqueueBatch(vs []T) {
 			}
 		}
 		if publishedAll {
-			if g != nil {
-				q.epoch.Release(g)
-			}
 			q.event(obs.EvEnqEnd, uint64(len(vs)))
 			return
 		}
@@ -388,10 +265,6 @@ func (q *Queue[T]) DequeueBatch(dst []T) int {
 	if r := q.rec; r != nil {
 		r.Inc(obs.DeqBatches)
 	}
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
 	got := 0
 	for got < len(dst) {
 		d, e := q.deqIdx.Load(), q.enqIdx.Load()
@@ -402,7 +275,7 @@ func (q *Queue[T]) DequeueBatch(dst []T) int {
 		if avail := e - d; avail < n {
 			n = avail
 		}
-		seg := q.snapshot(&q.deqSeg, g) // snapshot before the claim; see findCell
+		seg := q.deqSeg.Load() // snapshot before the claim; see findCell
 		base := q.deqIdx.Add(n) - n
 		misses := uint64(0)
 		for j := uint64(0); j < n; j++ {
@@ -420,9 +293,6 @@ func (q *Queue[T]) DequeueBatch(dst []T) int {
 		if r := q.rec; r != nil && misses > 0 {
 			r.Add(obs.DeqRetries, misses)
 		}
-	}
-	if g != nil {
-		q.epoch.Release(g)
 	}
 	if r := q.rec; r != nil {
 		if got > 0 {

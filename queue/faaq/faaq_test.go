@@ -2,6 +2,7 @@ package faaq_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/queue"
 	"repro/queue/faaq"
@@ -14,6 +15,18 @@ func factory() queuetest.Factory {
 
 func TestConformance(t *testing.T) {
 	queuetest.RunAll(t, factory())
+}
+
+// TestQueueWholeCacheLines: a Queue that is a whole number of 64 B cache
+// lines starts every allocation on a line, so neighbouring shards' queues
+// never share one (see the tail pad on Queue).
+func TestQueueWholeCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("Queue's pads assume 8-byte pointers")
+	}
+	if size := unsafe.Sizeof(faaq.Queue[uint64]{}); size%64 != 0 {
+		t.Fatalf("Queue is %d B, not a whole number of 64 B cache lines", size)
+	}
 }
 
 func TestSegmentBoundaryCrossing(t *testing.T) {

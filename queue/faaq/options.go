@@ -6,18 +6,7 @@ import "repro/internal/obs"
 type Option func(*options)
 
 type options struct {
-	rec    obs.Recorder
-	pooled bool
-}
-
-// WithNodePool enables pooled-segment mode: segments recycle through a
-// reclaim-backed freelist (per-P via sync.Pool) with epoch-deferred
-// reuse, so steady-state operations allocate nothing and the queue stops
-// leaning on the garbage collector under sustained load. The trade is
-// one guard acquire/announce per operation and an amortized segment
-// scrub per SegSize dequeues.
-func WithNodePool() Option {
-	return func(o *options) { o.pooled = true }
+	rec obs.Recorder
 }
 
 // WithRecorder attaches a telemetry recorder (see repro/internal/obs): the

@@ -15,8 +15,8 @@
 // approximation (repro/internal/txcas); the HTM-backed TxCAS and the
 // paper's baseline queues (MS-Queue, the original baskets queue, the FAA
 // queue, LCRQ, CC-Queue) run on the simulated track only (see DESIGN.md).
-// Memory reclamation is left to the Go garbage collector by default;
-// pooled-node mode recycles nodes through repro/reclaim's epoch scheme.
+// Memory reclamation is left to the Go garbage collector; the paper's
+// epoch scheme (Algorithm 7) runs on the simulated track.
 //
 // Beyond the single-element Queue interface, batch.go defines the
 // optional batch capability (BatchEnqueuer, BatchDequeuer, BatchQueue)

@@ -8,7 +8,7 @@ import (
 // FromRegistry adapts the named registry entry into a Factory, so the whole
 // conformance suite can be table-driven over registry.Names(). cfg is the
 // build template: the suite overwrites Producers per check and leaves the
-// rest (Shards, Recorder, Pooled) as given — the way to pin an explicit
+// rest (Shards, Recorder, TxWindow) as given — the way to pin an explicit
 // shard count so multi-shard paths get covered even when GOMAXPROCS is 1.
 func FromRegistry(name string, cfg registry.Config) Factory {
 	f := FromRegistryConfig(name, cfg)

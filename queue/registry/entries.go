@@ -19,9 +19,6 @@ func newSBQ[T any](cfg Config, linking []sbq.Option) Instance[T] {
 		sbq.WithEnqueuers(max(cfg.Producers, 1)),
 		sbq.WithRecorder(cfg.Recorder),
 	}
-	if cfg.Pooled {
-		opts = append(opts, sbq.WithNodePool())
-	}
 	q := sbq.New[T](append(opts, linking...)...)
 	var mu sync.Mutex
 	handles := map[int]queue.BatchQueue[T]{}
@@ -50,17 +47,13 @@ func newSharded[T any](cfg Config, linking func(Config) []sbq.Option) Instance[T
 		shards = runtime.GOMAXPROCS(0)
 	}
 	build := func(shard, _ int) sharded.Shard[T] {
-		fopts := []faaq.Option{faaq.WithRecorder(shardRec(cfg, shard))}
-		if cfg.Pooled {
-			fopts = append(fopts, faaq.WithNodePool())
-		}
-		q := queue.AsBatch(faaq.New[T](fopts...))
+		q := queue.AsBatch(faaq.New[T](faaq.WithRecorder(shardRec(cfg, shard))))
 		shared := func(int) queue.BatchQueue[T] { return q }
 		return sharded.Shard[T]{Producer: shared, Consumer: shared}
 	}
 	if linking != nil {
 		build = func(shard, perShard int) sharded.Shard[T] {
-			in := newSBQ[T](Config{Producers: perShard, Recorder: shardRec(cfg, shard), Pooled: cfg.Pooled}, linking(cfg))
+			in := newSBQ[T](Config{Producers: perShard, Recorder: shardRec(cfg, shard)}, linking(cfg))
 			return sharded.Shard[T]{Producer: in.producer, Consumer: in.consumer}
 		}
 	}

@@ -63,12 +63,6 @@ type Config struct {
 	// own counters (steals, steal misses) always go to Recorder — they are
 	// a property of the front-end, not of any one shard.
 	ShardRecorder func(shard int) obs.Recorder
-	// Pooled selects pooled-node mode (each implementation's WithNodePool
-	// option): nodes recycle through reclaim-backed freelists with
-	// epoch-deferred reuse instead of leaning on the garbage collector,
-	// and steady-state operations allocate nothing — the configuration
-	// queuetest's CheckAllocFree gates enforce registry-wide.
-	Pooled bool
 	// TxWindow overrides the speculation window of TxCAS-mode entries
 	// (SBQ-TxCAS): how long a contending enqueuer watches the link it is
 	// about to CAS before issuing the CAS (see repro/internal/txcas).

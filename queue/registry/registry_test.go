@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/queue"
+	"repro/queue/faaq"
 	"repro/queue/queuetest"
 	"repro/queue/registry"
 )
@@ -59,14 +61,13 @@ func TestConformance(t *testing.T) {
 }
 
 // TestPointerConformance builds every entry at a pointer element type, the
-// way sbqd builds its tenant queues at its job record, in GC mode and in
-// pooled mode. Producers enqueue freshly allocated elements that nothing
-// but the queue references. Halfway, with consumers held back, a full
-// collection runs; then consumers drain while producers enqueue the rest.
-// A queue that hid a pointer from the collector, or handed out a recycled
-// slot's stale pointer, would surface a freed-and-reused element (a broken
-// tag), a duplicate or a loss. Every element must come out exactly once,
-// intact, and in enqueue order per producer at each consumer.
+// way sbqd builds its tenant queues at its job record. Producers enqueue
+// freshly allocated elements that nothing but the queue references.
+// Halfway, with consumers held back, a full collection runs; then
+// consumers drain while producers enqueue the rest. A queue that hid a
+// pointer from the collector would surface a freed-and-reused element (a
+// broken tag), a duplicate or a loss. Every element must come out exactly
+// once, intact, and in enqueue order per producer at each consumer.
 func TestPointerConformance(t *testing.T) {
 	type elem struct {
 		producer, seq int
@@ -78,98 +79,96 @@ func TestPointerConformance(t *testing.T) {
 	if testing.Short() {
 		per = 200
 	}
-	for _, pooled := range []bool{false, true} {
-		for _, name := range registry.Names() {
-			t.Run(fmt.Sprintf("%s/pooled=%v", name, pooled), func(t *testing.T) {
-				inst, err := registry.BuildOf[*elem](name, registry.Config{Producers: producers, Shards: 3, Pooled: pooled})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var half, prod, cons sync.WaitGroup
-				start := make(chan struct{})
-				half.Add(producers)
-				for p := 0; p < producers; p++ {
-					v := inst.ProducerView(p)
-					prod.Add(1)
-					go func() {
-						defer prod.Done()
-						for i := 0; i < per; i++ {
-							if i == per/2 {
-								half.Done()
-								<-start
-							}
-							v.Enqueue(&elem{producer: p, seq: i, tag: tagOf(p, i)})
+	for _, name := range registry.Names() {
+		t.Run(name, func(t *testing.T) {
+			inst, err := registry.BuildOf[*elem](name, registry.Config{Producers: producers, Shards: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var half, prod, cons sync.WaitGroup
+			start := make(chan struct{})
+			half.Add(producers)
+			for p := 0; p < producers; p++ {
+				v := inst.ProducerView(p)
+				prod.Add(1)
+				go func() {
+					defer prod.Done()
+					for i := 0; i < per; i++ {
+						if i == per/2 {
+							half.Done()
+							<-start
 						}
-					}()
-				}
-				var (
-					mu      sync.Mutex
-					seen    = make([][]bool, producers)
-					got     atomic.Int64
-					failure atomic.Value
-				)
-				for p := range seen {
-					seen[p] = make([]bool, per)
-				}
-				fail := func(format string, args ...any) { failure.CompareAndSwap(nil, fmt.Sprintf(format, args...)) }
-				for c := 0; c < consumers; c++ {
-					v := inst.ConsumerView(c)
-					cons.Add(1)
-					go func() {
-						defer cons.Done()
-						<-start
-						last := make([]int, producers)
-						for p := range last {
-							last[p] = -1
-						}
-						deadline := time.Now().Add(time.Minute)
-						for got.Load() < producers*int64(per) && failure.Load() == nil {
-							e, ok := v.Dequeue()
-							if !ok {
-								if time.Now().After(deadline) {
-									fail("stalled at %d of %d elements", got.Load(), producers*per)
-									return
-								}
-								runtime.Gosched()
-								continue
-							}
-							if e == nil || e.producer < 0 || e.producer >= producers || e.seq < 0 || e.seq >= per || e.tag != tagOf(e.producer, e.seq) {
-								fail("dequeued a corrupt element %+v", e)
+						v.Enqueue(&elem{producer: p, seq: i, tag: tagOf(p, i)})
+					}
+				}()
+			}
+			var (
+				mu      sync.Mutex
+				seen    = make([][]bool, producers)
+				got     atomic.Int64
+				failure atomic.Value
+			)
+			for p := range seen {
+				seen[p] = make([]bool, per)
+			}
+			fail := func(format string, args ...any) { failure.CompareAndSwap(nil, fmt.Sprintf(format, args...)) }
+			for c := 0; c < consumers; c++ {
+				v := inst.ConsumerView(c)
+				cons.Add(1)
+				go func() {
+					defer cons.Done()
+					<-start
+					last := make([]int, producers)
+					for p := range last {
+						last[p] = -1
+					}
+					deadline := time.Now().Add(time.Minute)
+					for got.Load() < producers*int64(per) && failure.Load() == nil {
+						e, ok := v.Dequeue()
+						if !ok {
+							if time.Now().After(deadline) {
+								fail("stalled at %d of %d elements", got.Load(), producers*per)
 								return
 							}
-							if e.seq <= last[e.producer] {
-								fail("producer %d: seq %d after %d at one consumer", e.producer, e.seq, last[e.producer])
-								return
-							}
-							last[e.producer] = e.seq
-							mu.Lock()
-							dup := seen[e.producer][e.seq]
-							seen[e.producer][e.seq] = true
-							mu.Unlock()
-							if dup {
-								fail("producer %d seq %d dequeued twice", e.producer, e.seq)
-								return
-							}
-							got.Add(1)
+							runtime.Gosched()
+							continue
 						}
-					}()
-				}
-				half.Wait()
-				runtime.GC() // the first halves are reachable only through the queue
-				close(start)
-				prod.Wait()
-				cons.Wait()
-				if f := failure.Load(); f != nil {
-					t.Fatal(f)
-				}
-				if n := got.Load(); n != producers*int64(per) {
-					t.Fatalf("dequeued %d of %d", n, producers*per)
-				}
-				if e, ok := inst.ConsumerView(0).Dequeue(); ok {
-					t.Fatalf("queue not empty after every element came out: %+v", e)
-				}
-			})
-		}
+						if e == nil || e.producer < 0 || e.producer >= producers || e.seq < 0 || e.seq >= per || e.tag != tagOf(e.producer, e.seq) {
+							fail("dequeued a corrupt element %+v", e)
+							return
+						}
+						if e.seq <= last[e.producer] {
+							fail("producer %d: seq %d after %d at one consumer", e.producer, e.seq, last[e.producer])
+							return
+						}
+						last[e.producer] = e.seq
+						mu.Lock()
+						dup := seen[e.producer][e.seq]
+						seen[e.producer][e.seq] = true
+						mu.Unlock()
+						if dup {
+							fail("producer %d seq %d dequeued twice", e.producer, e.seq)
+							return
+						}
+						got.Add(1)
+					}
+				}()
+			}
+			half.Wait()
+			runtime.GC() // the first halves are reachable only through the queue
+			close(start)
+			prod.Wait()
+			cons.Wait()
+			if f := failure.Load(); f != nil {
+				t.Fatal(f)
+			}
+			if n := got.Load(); n != producers*int64(per) {
+				t.Fatalf("dequeued %d of %d", n, producers*per)
+			}
+			if e, ok := inst.ConsumerView(0).Dequeue(); ok {
+				t.Fatalf("queue not empty after every element came out: %+v", e)
+			}
+		})
 	}
 }
 
@@ -189,64 +188,95 @@ func TestBatchConformance(t *testing.T) {
 	}
 }
 
-// TestAllocFree gates every entry's pooled-node mode at zero steady-state
-// heap allocations, single and batch operations alike — the dynamic half
-// of the zero-alloc hot-path invariant (the static half is lfcheck's
-// hotpath+allocfree analyzers). CI's alloc-gates job runs this test with
-// GOGC=off; under -race it skips itself.
-func TestAllocFree(t *testing.T) {
-	for _, name := range registry.Names() {
-		// Shards pinned to 2 so the sharded entries gate the multi-shard
-		// routing path, not a degenerate single-shard build.
-		f := queuetest.FromRegistryConfig(name, registry.Config{Pooled: true, Shards: 2})
-		t.Run(name, func(t *testing.T) {
-			queuetest.CheckAllocFree(t, f)
-		})
+// TestAllocPins pins every entry's heap cost: exact allocation counts for
+// one enqueue/dequeue pair and for one k=8 EnqueueBatch/DequeueBatch round
+// at 1 producer, and a bound on the bytes one pair allocates at 2
+// producers. Shards is 2 throughout, so the sharded entries run their
+// multi-shard routing. The figures follow from each entry's layout at
+// uint64 elements:
+//
+//   - An SBQ node embeds its scalable basket: appending one is two
+//     allocations, the 96 B node and the basket's cell slice of 16 B
+//     cells, one cell per producer of the queue. A pair appends one node
+//     and a k=8 round eight; dequeues allocate nothing.
+//   - A faaq shard allocates one segment per SegSize (1024) claimed
+//     cells: 1024 16 B cells plus its id and link, 16400 B in the
+//     18432 B size class, 18 B per cell. A pair claims one cell and a
+//     round eight, so 1000 measured runs allocate at most eight
+//     segments, and AllocsPerRun, which divides in integers, reads 0.
+//
+// Each bound is the layout's figure plus 8 B, so an SBQ node or a faaq
+// cell that grows into the next size class fails it. CI's alloc-gates job
+// runs this test; under -race it skips itself.
+func TestAllocPins(t *testing.T) {
+	if queuetest.RaceEnabled {
+		t.Skip("race instrumentation distorts allocation counts")
 	}
-}
-
-// TestPooledConformance re-runs the conformance checks over every entry
-// in pooled-node mode: node recycling under epoch guards must preserve
-// exactly-once delivery and the entry's ordering contract, not just
-// allocation counts.
-func TestPooledConformance(t *testing.T) {
+	pins := map[string]struct{ pair, batch, pairBytes float64 }{
+		// 96 B node + two 16 B cells (the 32 B class) = 128 B at 2 producers.
+		"SBQ-CAS":   {2, 16, 136},
+		"SBQ-DCAS":  {2, 16, 136},
+		"SBQ-TxCAS": {2, 16, 136},
+		// 18 B of segment per claimed cell.
+		"Sharded-FAA": {0, 0, 26},
+		// Two producers on two shards leave one producer per shard: a
+		// 96 B node + one 16 B cell = 112 B.
+		"Sharded-SBQ": {2, 16, 120},
+	}
 	for _, name := range registry.Names() {
-		ord, ok := registry.OrderingOf(name)
+		pin, ok := pins[name]
 		if !ok {
-			t.Fatalf("OrderingOf(%q) failed after Names listed it", name)
+			t.Errorf("%s: no allocation pin", name)
+			continue
 		}
-		cfg := registry.Config{Pooled: true, Shards: 3}
-		f := queuetest.FromRegistryConfig(name, cfg)
-		single := queuetest.FromRegistry(name, cfg)
 		t.Run(name, func(t *testing.T) {
-			queuetest.CheckSequential(t, single)
-			per := 500
-			if testing.Short() {
-				per = 100
+			views := func(producers int) (queue.BatchQueue[uint64], queue.BatchQueue[uint64]) {
+				inst, err := registry.Build(name, registry.Config{Producers: producers, Shards: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return inst.ProducerView(0), inst.ConsumerView(0)
 			}
-			switch ord {
-			case registry.TotalFIFO:
-				queuetest.CheckConcurrent(t, single, 4, 4, per)
-			case registry.PerProducerFIFO:
-				queuetest.CheckConcurrentRelaxed(t, single, 4, 4, per)
-			default:
-				t.Fatalf("entry %q has unknown ordering %v", name, ord)
+			p, c := views(1)
+			pair := func() {
+				p.Enqueue(7)
+				if _, ok := c.Dequeue(); !ok {
+					t.Fatal("dequeue reported empty after an enqueue")
+				}
 			}
-			queuetest.CheckBatchSequential(t, f)
-			queuetest.CheckBatchConcurrent(t, f, 4, 4, 8, per)
-		})
-	}
-}
+			if got := testing.AllocsPerRun(1000, pair); got != pin.pair {
+				t.Errorf("enqueue/dequeue pair: %v allocations, want %v", got, pin.pair)
+			}
+			const k = 8
+			vs, dst := make([]uint64, k), make([]uint64, k)
+			round := func() {
+				p.EnqueueBatch(vs)
+				for got := 0; got < k; {
+					n := c.DequeueBatch(dst[got:])
+					if n == 0 {
+						t.Fatalf("batch round ran dry at %d of %d", got, k)
+					}
+					got += n
+				}
+			}
+			if got := testing.AllocsPerRun(1000, round); got != pin.batch {
+				t.Errorf("k=%d batch round: %v allocations, want %v", k, got, pin.batch)
+			}
 
-// TestPooledStress runs the stress shapes over every entry in pooled-node
-// mode. Under -race (the CI test job) this is the suite that shakes out
-// missing happens-before edges in the retire/advance interplay of the
-// reclaim-backed pools.
-func TestPooledStress(t *testing.T) {
-	for _, name := range registry.Names() {
-		f := queuetest.FromRegistry(name, registry.Config{Pooled: true})
-		t.Run(name, func(t *testing.T) {
-			queuetest.StressShapes(t, f)
+			// A whole number of segments, so a faaq shard allocates
+			// exactly pairs/SegSize of them.
+			const pairs = 10 * faaq.SegSize
+			p, c = views(2)
+			pair()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < pairs; i++ {
+				pair()
+			}
+			runtime.ReadMemStats(&after)
+			if perPair := float64(after.TotalAlloc-before.TotalAlloc) / pairs; perPair > pin.pairBytes {
+				t.Errorf("pair at 2 producers: %.1f B allocated, want <= %v", perPair, pin.pairBytes)
+			}
 		})
 	}
 }

@@ -30,18 +30,6 @@ type options struct {
 	// parameter from a value-free call like WithEnqueuers(8)). New[T]
 	// checks the element type and panics on mismatch.
 	newBasket any
-	pooled    bool
-}
-
-// WithNodePool enables pooled-node mode: nodes recycle through a
-// reclaim-backed freelist (per-P via sync.Pool) with epoch-deferred
-// reuse, and their baskets are re-armed in place via basket.Resettable,
-// so steady-state enqueue/dequeue allocate nothing and the queue stops
-// leaning on the garbage collector under sustained load. The basket
-// (default or WithBasket) must implement basket.Resettable; New panics
-// otherwise. The trade is one guard acquire/announce per operation.
-func WithNodePool() Option {
-	return func(o *options) { o.pooled = true }
 }
 
 // WithEnqueuers sets the number of producer handles the queue will issue

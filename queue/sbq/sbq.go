@@ -21,11 +21,8 @@
 // Threads interact with the queue through handles: each producer goroutine
 // needs its own Handle (carrying its basket cell index and its reusable
 // node); consumers may share one or use handles too. Memory reclamation is
-// delegated to Go's garbage collector by default; WithNodePool switches to
-// pooled-node mode, where nodes (and their baskets, re-armed via
-// basket.Resettable) recycle through a reclaim.Pool under epoch guards —
-// the native analogue of the paper's epoch scheme, which is otherwise
-// reproduced on the simulator where memory is manual.
+// delegated to Go's garbage collector; the paper's epoch scheme
+// (Algorithm 7) is reproduced on the simulator, where memory is manual.
 //
 // Queues are built with functional options:
 //
@@ -43,22 +40,15 @@ import (
 	"repro/basket"
 	"repro/internal/obs"
 	"repro/internal/txcas"
-	"repro/reclaim"
 )
 
 // node is a queue node: a basket plus a link and a position index.
 type node[T any] struct {
 	basket basket.Basket[T]
 	next   atomic.Pointer[node[T]]
-	// index is the node's position in the list (predecessor's plus one);
-	// it doubles as the pooled-mode reclamation stamp. Atomic because a
-	// stale reader may race a pooled node's re-stamping (see reclaim's
-	// protocol note).
+	// index is the node's position in the list (predecessor's plus one),
+	// written while the node is private.
 	index atomic.Uint64
-	// retired arbitrates the head- and tail-side passes that may
-	// concurrently discover the node is behind both pointers; only the
-	// CAS winner retires it.
-	retired atomic.Bool
 	// linker is the id of the handle that prepared the node, written while
 	// the node is private, so a contender that loses the linking CAS to it
 	// can name the winner (see txcas.Node).
@@ -97,15 +87,6 @@ type Queue[T any] struct {
 	ev obs.EventRecorder
 
 	producers atomic.Int64 // handles issued
-
-	// epoch/pool are non-nil in pooled-node mode (WithNodePool). A node
-	// is retired by whichever of the head and tail pointers passes it
-	// last (both passes consult the other pointer's position; the
-	// retired flag arbitrates the race where they tie), so neither
-	// pointer ever dangles at a retired node and the announce-and-verify
-	// protocol on head/tail snapshots is sound.
-	epoch *reclaim.Epoch
-	pool  *reclaim.Pool[node[T]]
 }
 
 // New returns a queue configured by opts. With no options it sizes itself
@@ -126,20 +107,7 @@ func New[T any](opts ...Option) *Queue[T] {
 		window = txcas.DefaultWindow
 	}
 	q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithWindow(window), txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
-	sentinel := q.newNode()
-	if o.pooled {
-		// Probe the sentinel's basket: a throwaway one would run the
-		// constructor twice and open a basket that never closes.
-		if _, ok := sentinel.basket.(basket.Resettable); !ok {
-			panic("sbq: WithNodePool requires a basket implementing basket.Resettable")
-		}
-		q.epoch = reclaim.NewEpoch()
-		q.pool = reclaim.NewPool(q.epoch, q.newNode, func(n *node[T]) {
-			n.next.Store(nil)
-			n.retired.Store(false)
-			n.basket.(basket.Resettable).Reset()
-		})
-	}
+	sentinel := q.newNode(0)
 	// The sentinel's basket must read as exhausted.
 	for {
 		if _, ok := sentinel.basket.Extract(); !ok {
@@ -151,84 +119,13 @@ func New[T any](opts ...Option) *Queue[T] {
 	return q
 }
 
-// getNode returns a fresh or recycled node with an open, empty basket,
-// prepared by handle linker.
-func (q *Queue[T]) getNode(linker int) *node[T] {
-	var n *node[T]
-	if p := q.pool; p != nil {
-		n = p.Get()
-	} else {
-		n = q.newNode()
-	}
-	n.linker = linker
-	return n
-}
-
-// newNode allocates a node and builds its basket. The sentinel, GC mode
-// and the pool's freelist misses all build nodes here.
-func (q *Queue[T]) newNode() *node[T] {
-	//lint:ignore allocfree GC mode allocates one node (and its cell slice) per appended node by design; WithNodePool is the zero-alloc configuration the gates enforce
-	n := new(node[T])
+// newNode allocates a node prepared by handle linker and builds its
+// basket, open and empty.
+func (q *Queue[T]) newNode(linker int) *node[T] {
+	//lint:ignore allocfree each appended node is one allocation (plus its basket's cell slice) by design; the registry's GC-mode allocation pins fix the count
+	n := &node[T]{linker: linker}
 	n.basket = q.newBasket(&n.own)
 	return n
-}
-
-// protect pins src's current node against pooled reuse (announce-and-
-// verify; sound because neither list pointer ever dangles at a retired
-// node) and returns it. With a nil guard it is a plain load.
-func (q *Queue[T]) protect(src *atomic.Pointer[node[T]], g *reclaim.Guard) *node[T] {
-	n := src.Load()
-	if g == nil {
-		return n
-	}
-	for {
-		g.Protect(n.index.Load())
-		again := src.Load()
-		if again == n {
-			return n
-		}
-		n = again
-	}
-}
-
-// passedIndex reads ptr's current position with the verify re-load, so
-// the result is a sound lower bound even if the loaded node is freed and
-// re-stamped between the two loads (an ABA re-install can only make the
-// read conservative, never inflated).
-func (q *Queue[T]) passedIndex(ptr *atomic.Pointer[node[T]]) uint64 {
-	for {
-		n := ptr.Load()
-		idx := n.index.Load()
-		if ptr.Load() == n {
-			return idx
-		}
-	}
-}
-
-// maybeRetire retires n — which the caller's pointer CAS just passed —
-// if the other pointer has passed it too (its position exceeds n's).
-func (q *Queue[T]) maybeRetire(n *node[T], otherIdx uint64) {
-	if idx := n.index.Load(); idx < otherIdx && n.retired.CompareAndSwap(false, true) {
-		q.pool.Retire(idx, n)
-	}
-}
-
-// retireRange runs maybeRetire over [from, to) after the caller's CAS
-// moved ptr from from to to; the caller's guard still pins the range.
-func (q *Queue[T]) retireRange(ptr *atomic.Pointer[node[T]], from, to *node[T]) {
-	if q.pool == nil {
-		return
-	}
-	other := &q.head
-	if ptr == &q.head {
-		other = &q.tail
-	}
-	limit := q.passedIndex(other)
-	for s := from; s != to; {
-		next := s.next.Load()
-		q.maybeRetire(s, limit)
-		s = next
-	}
 }
 
 // Handle is a per-goroutine view of the queue. Producer handles own a
@@ -283,8 +180,7 @@ func (q *Queue[T]) tryAppend(tail, n *node[T], lane int32) appendStatus {
 
 // advance is Algorithm 6: advance *ptr to at least n. Retried CASes are
 // charged to the recorder so the §3 accounting covers pointer catch-up,
-// not just appends. In pooled mode the winning CAS owns retirement of
-// the nodes it jumped over (those the other pointer has also passed).
+// not just appends.
 func (q *Queue[T]) advance(ptr *atomic.Pointer[node[T]], n *node[T]) {
 	r := q.rec
 	for {
@@ -296,7 +192,6 @@ func (q *Queue[T]) advance(ptr *atomic.Pointer[node[T]], n *node[T]) {
 			r.Inc(obs.CASAttempts)
 		}
 		if ptr.CompareAndSwap(old, n) {
-			q.retireRange(ptr, old, n)
 			return
 		}
 		if r != nil {
@@ -317,14 +212,10 @@ func (h *Handle[T]) Enqueue(v T) {
 	}
 	lane := int32(h.id)
 	q.event(obs.EvEnqStart, lane, 0)
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
-	t := q.protect(&q.tail, g)
+	t := q.tail.Load()
 	n := h.reserved
 	if n == nil {
-		n = q.getNode(h.id)
+		n = q.newNode(h.id)
 	} else {
 		n.basket.ResetOwn(h.id) // undo the previous insertion (§5.2.2)
 	}
@@ -338,23 +229,14 @@ func (h *Handle[T]) Enqueue(v T) {
 		n.index.Store(t.index.Load() + 1)
 		switch q.tryAppend(t, n, lane) {
 		case appendSuccess:
-			if q.tail.CompareAndSwap(t, n) && q.pool != nil {
-				// We passed t; retire it if the head has too.
-				q.maybeRetire(t, q.passedIndex(&q.head))
-			}
+			q.tail.CompareAndSwap(t, n)
 			h.reserved = nil
-			if g != nil {
-				q.epoch.Release(g)
-			}
 			q.event(obs.EvEnqEnd, lane, 1)
 			return
 		case appendFailure:
 			t = t.next.Load()
 			if t.basket.Insert(h.id, v) {
 				h.reserved = n // keep the unappended node for reuse
-				if g != nil {
-					q.epoch.Release(g)
-				}
 				q.event(obs.EvEnqEnd, lane, 1)
 				return
 			}
@@ -404,9 +286,8 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 	}
 	lane := int32(h.id)
 	q.event(obs.EvEnqStart, lane, uint64(k))
-	// Build the private chain directly through the nodes' next links —
-	// no scratch slice, so the batch path stays allocation-free in
-	// pooled mode.
+	// Build the private chain directly through the nodes' next links, so
+	// the batch allocates its nodes and nothing else.
 	var first, last *node[T]
 	for _, v := range vs {
 		n := h.reserved
@@ -415,7 +296,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 			n.basket.ResetOwn(h.id) // undo the previous insertion (§5.2.2)
 			n.next.Store(nil)
 		} else {
-			n = q.getNode(h.id)
+			n = q.newNode(h.id)
 		}
 		n.basket.Insert(h.id, v)
 		if first == nil {
@@ -425,11 +306,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		}
 		last = n
 	}
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
-	t := q.protect(&q.tail, g)
+	t := q.tail.Load()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if r := q.rec; r != nil {
@@ -443,9 +320,6 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		}
 		if q.tryAppend(t, first, lane) == appendSuccess {
 			q.advance(&q.tail, last)
-			if g != nil {
-				q.epoch.Release(g)
-			}
 			q.event(obs.EvEnqEnd, lane, uint64(k))
 			return
 		}
@@ -480,11 +354,7 @@ func (h *Handle[T]) DequeueBatch(dst []T) int { return h.q.DequeueBatch(dst) }
 func (q *Queue[T]) Dequeue() (T, bool) {
 	var zero T
 	q.event(obs.EvDeqStart, obs.LaneDefault, 0)
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
-	h := q.protect(&q.head, g)
+	h := q.head.Load()
 	var v T
 	var ok bool
 	rounds := 0
@@ -503,9 +373,6 @@ func (q *Queue[T]) Dequeue() (T, bool) {
 		}
 	}
 	q.advance(&q.head, h)
-	if g != nil {
-		q.epoch.Release(g)
-	}
 	if r := q.rec; r != nil {
 		if ok {
 			r.Inc(obs.DeqOps)
@@ -539,11 +406,7 @@ func (q *Queue[T]) DequeueBatch(dst []T) int {
 	if r := q.rec; r != nil {
 		r.Inc(obs.DeqBatches)
 	}
-	var g *reclaim.Guard
-	if q.epoch != nil {
-		g = q.epoch.Acquire()
-	}
-	h := q.protect(&q.head, g)
+	h := q.head.Load()
 	got := 0
 	rounds := 0
 	for got < len(dst) {
@@ -564,9 +427,6 @@ func (q *Queue[T]) DequeueBatch(dst []T) int {
 	}
 drained:
 	q.advance(&q.head, h)
-	if g != nil {
-		q.epoch.Release(g)
-	}
 	if r := q.rec; r != nil {
 		if got > 0 {
 			r.Add(obs.DeqOps, uint64(got))

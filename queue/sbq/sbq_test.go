@@ -152,27 +152,27 @@ func TestCustomBasket(t *testing.T) {
 	drain(t, q, 20)
 }
 
-// TestPooledNewBuildsOneBasket: a pooled New checks that the basket is
-// resettable on the sentinel's basket, so the constructor runs once, as in
-// GC mode, not once more for a throwaway probe.
-func TestPooledNewBuildsOneBasket(t *testing.T) {
+// TestNewBuildsOneBasket: New builds the sentinel's basket and no other,
+// so a WithBasket constructor runs once and opens no basket that never
+// closes.
+func TestNewBuildsOneBasket(t *testing.T) {
 	built := 0
-	sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithNodePool(), sbq.WithBasket(func() basket.Basket[uint64] {
+	sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithBasket(func() basket.Basket[uint64] {
 		built++
 		return basket.NewClosingStack[uint64]()
 	}))
 	if built != 1 {
-		t.Fatalf("pooled New built %d baskets, want 1", built)
+		t.Fatalf("New built %d baskets, want 1", built)
 	}
 }
 
-// TestPooledBasketLifecycleBalanced: every basket a pooled queue opens on
-// the flight recorder closes once the queue is drained, so sbqtrace sees
-// no basket that never closes. Ten enqueues recycle no node yet, so the
-// baskets are the sentinel's and ten fresh nodes'.
-func TestPooledBasketLifecycleBalanced(t *testing.T) {
+// TestBasketLifecycleBalanced: every basket a queue opens on the flight
+// recorder closes once the queue is drained, so sbqtrace sees no basket
+// that never closes. The baskets are the sentinel's and the ten appended
+// nodes'.
+func TestBasketLifecycleBalanced(t *testing.T) {
 	c := trace.New()
-	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithNodePool(), sbq.WithRecorder(c))
+	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithRecorder(c))
 	h := q.NewHandle()
 	for i := 0; i < 10; i++ {
 		h.Enqueue(uint64(i))
@@ -188,7 +188,7 @@ func TestPooledBasketLifecycleBalanced(t *testing.T) {
 		}
 	}
 	if opens != 11 || closes != 11 {
-		t.Fatalf("pooled queue recorded %d basket opens and %d closes, want 11 and 11", opens, closes)
+		t.Fatalf("queue recorded %d basket opens and %d closes, want 11 and 11", opens, closes)
 	}
 }
 

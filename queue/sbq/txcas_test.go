@@ -18,12 +18,6 @@ func TestConformanceTxCAS(t *testing.T) {
 	}))
 }
 
-func TestConformanceTxCASPooled(t *testing.T) {
-	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithTxCAS(), sbq.WithNodePool())
-	}))
-}
-
 func TestConformanceTxCASPolicy(t *testing.T) {
 	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
 		return sbq.New[uint64](sbq.WithEnqueuers(e),

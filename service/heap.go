@@ -65,13 +65,13 @@ func siftDownJob(h []jobAt) {
 	}
 }
 
-// delayedJobs returns the delay heap's jobs grouped by tenant, in no
+// delayedJobs returns the delay heap's entries grouped by tenant, in no
 // particular order.
-func (s *Service) delayedJobs() map[*tenant][]*job {
-	out := map[*tenant][]*job{}
+func (s *Service) delayedJobs() map[*tenant][]jobAt {
+	out := map[*tenant][]jobAt{}
 	s.dmu.Lock()
 	for _, e := range s.delayed.h {
-		out[e.j.tenant] = append(out[e.j.tenant], e.j)
+		out[e.j.tenant] = append(out[e.j.tenant], e)
 	}
 	s.dmu.Unlock()
 	return out

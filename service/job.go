@@ -64,23 +64,11 @@ func (e *BackpressureError) Error() string {
 		e.Tenant, e.Depth, e.Quota, e.RetryAfter)
 }
 
-// jobState is the lifecycle of one job. A job is in its tenant's queue
-// while the state is jsQueued (a Lease that has just dequeued it is about
-// to make it jsLeased), in the delay heap iff jsDelayed, and in the lease
-// table iff jsLeased. jsDead jobs sit on the tenant's dead-letter list, and
-// the service drops jsDone jobs. Stats derives its per-state counts from
-// those structures and the tenant's depth, not from this field.
-type jobState uint8
-
-const (
-	jsQueued jobState = iota
-	jsLeased
-	jsDelayed
-	jsDone
-	jsDead
-)
-
-// job is the internal record. mu guards the mutable lifecycle fields;
+// job is the internal record. A job's place says where it is in its
+// lifecycle: its tenant's queue, the lease table, the delay heap (whose
+// entry holds the redelivery time) or the dead-letter list; a settled job
+// is in none of them. Stats derives its per-state counts from those
+// structures and the tenant's depth. mu guards the delivery count;
 // identity fields (id, tenant, payload, submitted) are immutable after
 // construction. Lock ordering: job.mu is a leaf — never acquire any other
 // service lock while holding it.
@@ -91,10 +79,8 @@ type job struct {
 	submitted time.Time
 
 	mu        sync.Mutex
-	state     jobState
 	attempts  int
-	notBefore time.Time // redelivery pacing when jsDelayed
-	delivered bool      // first delivery observed (lease-latency series)
+	delivered bool // first delivery observed (lease-latency series)
 }
 
 // external renders the job in its public shape. Callers must hold j.mu or

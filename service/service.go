@@ -387,7 +387,6 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 		tenant:    t,
 		payload:   payload,
 		submitted: s.now(),
-		state:     jsQueued,
 	}
 	out := j.external() // before publishing: a lease may mutate j at once
 	// Record the submit before the enqueue makes the job leasable: a worker
@@ -428,15 +427,14 @@ type leaseEntry struct {
 	deadline time.Time
 }
 
-// lease transitions j to jsLeased under a fresh token and publishes the
-// token in the lease table.
+// lease delivers j under a fresh token and publishes the token in the
+// lease table.
 func (s *Service) lease(j *job) Lease {
 	token := s.nextToken.Add(1)
 	now := s.now()
 	deadline := now.Add(s.cfg.LeaseTTL)
 
 	j.mu.Lock()
-	j.state = jsLeased
 	j.attempts++
 	first := !j.delivered
 	j.delivered = true
@@ -485,9 +483,6 @@ func (s *Service) Ack(token uint64) error {
 		return ErrNoSuchLease
 	}
 	now := s.now()
-	j.mu.Lock()
-	j.state = jsDone
-	j.mu.Unlock()
 	t := j.tenant
 	t.depth.Add(-1)
 	lat := uint64(now.Sub(j.submitted).Nanoseconds())
@@ -536,20 +531,12 @@ func (s *Service) redeliver(j *job, now time.Time) {
 	}
 	delay := time.Duration(dec.Delay) * s.cfg.BackoffUnit
 	if delay <= 0 {
-		j.mu.Lock()
-		j.state = jsQueued
-		j.mu.Unlock()
 		j.tenant.enqueue(j)
 		s.inFlight.Add(-1)
 		return
 	}
-	nb := now.Add(delay)
-	j.mu.Lock()
-	j.state = jsDelayed
-	j.notBefore = nb
-	j.mu.Unlock()
 	s.dmu.Lock()
-	s.delayed.push(jobAt{at: nb, j: j})
+	s.delayed.push(jobAt{at: now.Add(delay), j: j})
 	s.dmu.Unlock()
 	s.inFlight.Add(-1)
 }
@@ -564,7 +551,6 @@ func (s *Service) deadLetter(j *job) {
 	t.dead = append(t.dead, j)
 	t.dlqMu.Unlock()
 	j.mu.Lock()
-	j.state = jsDead
 	attempts := j.attempts
 	j.mu.Unlock()
 	t.depth.Add(-1)
@@ -621,9 +607,6 @@ func (s *Service) scanOnce(now time.Time, force bool) int {
 		s.redeliver(j, now)
 	}
 	for _, j := range release {
-		j.mu.Lock()
-		j.state = jsQueued
-		j.mu.Unlock()
 		j.tenant.enqueue(j)
 	}
 	return len(expired)

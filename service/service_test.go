@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -336,6 +337,53 @@ func TestRestoreDuplicateJobID(t *testing.T) {
 		if ts.Depth != 0 || ts.Queued != 0 || ts.Leased != 0 || ts.Delayed != 0 {
 			t.Errorf("tenant %s after draining: %+v, want depth 0 and nothing queued, leased or delayed", ts.Tenant, ts)
 		}
+	}
+}
+
+// TestRestoreDuplicateTenant restores a checkpoint that lists one tenant
+// twice, with a different job in each entry. Both entries' jobs belong to
+// the one tenant: both are delivered, and its depth counts both until they
+// are acked.
+func TestRestoreDuplicateTenant(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sbqd.json")
+	checkpoint := `{"version":1,"taken":"2026-01-01T00:00:00Z","next_id":8,"next_token":0,"tenants":[
+		{"name":"acme","jobs":[{"id":7,"payload":"seventh","attempts":0,"submitted_at":"2026-01-01T00:00:00Z"}]},
+		{"name":"acme","jobs":[{"id":8,"payload":"eighth","attempts":0,"submitted_at":"2026-01-01T00:00:00Z"}]}]}`
+	if err := os.WriteFile(path, []byte(checkpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustService(t, service.Config{SnapshotPath: path})
+	defer s.Shutdown(context.Background())
+	depth := func() int64 {
+		st := s.Stats().Tenants
+		if len(st) != 1 || st[0].Tenant != "acme" {
+			t.Fatalf("tenants after restore: %+v, want acme alone", st)
+		}
+		return st[0].Depth
+	}
+	if d := depth(); d != 2 {
+		t.Fatalf("acme depth after restore = %d, want 2", d)
+	}
+	var got []string
+	for {
+		l, ok, err := s.Lease("acme")
+		if err != nil {
+			t.Fatalf("Lease: %v", err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, fmt.Sprintf("%d %s", l.ID, l.Payload))
+		if err := s.Ack(l.Token); err != nil {
+			t.Fatalf("Ack: %v", err)
+		}
+	}
+	sort.Strings(got) // the default queue orders jobs per producer only
+	if want := []string{`7 "seventh"`, `8 "eighth"`}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("acme delivered %q, want %q", got, want)
+	}
+	if d := depth(); d != 0 {
+		t.Errorf("acme depth after the acks = %d, want 0", d)
 	}
 }
 

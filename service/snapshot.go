@@ -77,9 +77,11 @@ func (s *Service) checkpoint(path string) error {
 		// Leases were drained to zero first, so the queue and the delay
 		// heap hold every unsettled job.
 		rest := delayed[t]
-		sort.Slice(rest, func(i, k int) bool { return rest[i].id < rest[k].id })
-		for _, j := range rest {
-			st.Jobs = append(st.Jobs, snapJobOf(j))
+		sort.Slice(rest, func(i, k int) bool { return rest[i].j.id < rest[k].j.id })
+		for _, e := range rest {
+			sj := snapJobOf(e.j)
+			sj.NotBefore = e.at
+			st.Jobs = append(st.Jobs, sj)
 		}
 		for _, j := range t.deadList() {
 			st.Dead = append(st.Dead, snapJobOf(j))
@@ -111,16 +113,12 @@ func (s *Service) checkpoint(path string) error {
 func snapJobOf(j *job) snapJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	sj := snapJob{
+	return snapJob{
 		ID:          j.id,
 		Payload:     j.payload,
 		Attempts:    j.attempts,
 		SubmittedAt: j.submitted,
 	}
-	if j.state == jsDelayed {
-		sj.NotBefore = j.notBefore
-	}
-	return sj
 }
 
 // restore loads a checkpoint written by a previous process's Shutdown.
@@ -159,11 +157,17 @@ func (s *Service) restore(path string) error {
 		return true
 	}
 	for _, st := range snap.Tenants {
-		t, err := s.newTenant(st.Name, s.cfg.Queue)
-		if err != nil {
-			return err
+		// A tenant listed twice (this service never writes one) collects
+		// the jobs of every entry: a fresh tenant per entry would drop the
+		// jobs already restored into the earlier one.
+		t := tenants[st.Name]
+		if t == nil {
+			var err error
+			if t, err = s.newTenant(st.Name, s.cfg.Queue); err != nil {
+				return err
+			}
+			tenants[st.Name] = t
 		}
-		tenants[st.Name] = t
 		for _, sj := range st.Jobs {
 			if !first(sj.ID) {
 				continue
@@ -179,11 +183,8 @@ func (s *Service) restore(path string) error {
 			}
 			t.depth.Add(1)
 			if sj.NotBefore.After(now) {
-				j.state = jsDelayed
-				j.notBefore = sj.NotBefore
 				s.delayed.push(jobAt{at: sj.NotBefore, j: j}) // pre-scanner: no lock needed
 			} else {
-				j.state = jsQueued
 				t.enqueue(j)
 			}
 		}
@@ -197,12 +198,11 @@ func (s *Service) restore(path string) error {
 				payload:   sj.Payload,
 				submitted: sj.SubmittedAt,
 				attempts:  sj.Attempts,
-				state:     jsDead,
 				delivered: sj.Attempts > 0,
 			})
 		}
 	}
 	s.tenants.Store(&tenants)
-	s.log.lifecycle("checkpoint restored", "path", path, "tenants", len(snap.Tenants), "jobs", restored)
+	s.log.lifecycle("checkpoint restored", "path", path, "tenants", len(tenants), "jobs", restored)
 	return nil
 }
