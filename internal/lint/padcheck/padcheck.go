@@ -29,6 +29,15 @@
 // an uninstantiated type parameter are reported as unverifiable: keep
 // type-parameter-sized fields (plain T cells) out of contended structs,
 // or suppress with //lint:ignore padcheck <reason>.
+//
+// Offsets within a struct say which line a field is on only if the
+// struct starts on a line. Go places an allocation whose size is a whole
+// number of lines on a line boundary, and so each element of an array of
+// such structs, but a struct of another size may start anywhere. So a
+// struct with an annotated field must also be a whole number of lines
+// long, or give each annotated field a full line of blank padding on both
+// sides (the struct's start and end do not count as padding), which
+// isolates it wherever the struct starts.
 package padcheck
 
 import (
@@ -113,6 +122,26 @@ func checkStruct(pass *analysis.Pass, sizes lintutil.SizeInfo, st *ast.StructTyp
 		sz, okSz := sizes.Sizeof(tst.Field(i).Type())
 		extents[i] = extent{off, off + sz, okOff && okSz}
 	}
+	structSize, sizeOK := sizes.Sizeof(tst)
+	wholeLines := sizeOK && structSize%lintutil.CacheLine == 0
+	// padAround returns the blank bytes between field i and its nearest
+	// non-padding, non-empty neighbours; the struct's ends are not padding.
+	padAround := func(i int) (before, after int64) {
+		before, after = extents[i].lo, structSize-extents[i].hi
+		for j := i - 1; j >= 0; j-- {
+			if g := extents[j]; !fields[j].padding && g.hi > g.lo {
+				before = extents[i].lo - g.hi
+				break
+			}
+		}
+		for j := i + 1; j < len(fields); j++ {
+			if g := extents[j]; !fields[j].padding && g.hi > g.lo {
+				after = g.lo - extents[i].hi
+				break
+			}
+		}
+		return before, after
+	}
 	for i, f := range fields {
 		if !f.contended || f.padding {
 			continue
@@ -127,6 +156,13 @@ func checkStruct(pass *analysis.Pass, sizes lintutil.SizeInfo, st *ast.StructTyp
 		if e.hi == e.lo {
 			pass.Reportf(f.node.Pos(), "%s field %s is zero-sized", directive, f.name)
 			continue
+		}
+		if sizeOK && !wholeLines {
+			if before, after := padAround(i); before < lintutil.CacheLine || after < lintutil.CacheLine {
+				pass.Reportf(f.node.Pos(),
+					"%s field %s: the struct is %d B, not a whole number of %d-byte lines, and the field has %d B of padding before it and %d B after; pad the struct to a multiple of %d B or the field with %d B on both sides",
+					directive, f.name, structSize, lintutil.CacheLine, before, after, lintutil.CacheLine, lintutil.CacheLine)
+			}
 		}
 		loLine, hiLine := e.lo/lintutil.CacheLine, (e.hi-1)/lintutil.CacheLine
 		for j, g := range fields {

@@ -87,6 +87,10 @@ type ring struct {
 
 	slots []slot
 	mask  uint64
+	// The tail pad makes ring 128 B on 64-bit targets, two whole lines, so
+	// an allocation of it starts on a line and head shares its line with
+	// nothing.
+	_ [32]byte
 }
 
 func newRing(size int) *ring {

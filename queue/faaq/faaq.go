@@ -33,9 +33,10 @@ type cell[T any] struct {
 }
 
 type segment[T any] struct {
-	// id is the index of cells[0] divided by SegSize, written while the
-	// segment is private.
-	id    atomic.Uint64
+	// id is the index of cells[0] divided by SegSize. It is written only
+	// while the segment is private, and the CAS that links the segment
+	// orders that write before every read, so it needs no atomic store.
+	id    uint64
 	next  atomic.Pointer[segment[T]]
 	cells [SegSize]cell[T]
 }
@@ -104,12 +105,11 @@ func (q *Queue[T]) findCell(cache *atomic.Pointer[segment[T]], start *segment[T]
 // over ascending indices can resume the walk where the last one ended.
 func (q *Queue[T]) findCellSeg(cache *atomic.Pointer[segment[T]], start *segment[T], idx uint64) (*cell[T], *segment[T]) {
 	seg := start
-	for seg.id.Load() != idx/SegSize {
+	for seg.id != idx/SegSize {
 		next := seg.next.Load()
 		if next == nil {
 			//lint:ignore allocfree one segment per SegSize claimed cells by design; the registry's GC-mode allocation pins fix the cost
-			n := &segment[T]{}
-			n.id.Store(seg.id.Load() + 1)
+			n := &segment[T]{id: seg.id + 1}
 			//lint:ignore casloop helping loop: a failed extend-CAS means another thread appended the segment we need
 			if seg.next.CompareAndSwap(nil, n) {
 				next = n
@@ -123,7 +123,7 @@ func (q *Queue[T]) findCellSeg(cache *atomic.Pointer[segment[T]], start *segment
 	// because idx was claimed from it.
 	for {
 		cur := cache.Load()
-		if cur.id.Load() >= seg.id.Load() {
+		if cur.id >= seg.id {
 			break
 		}
 		//lint:ignore casloop monotonic cache advance: a failed CAS means the cache moved forward, shrinking the remaining gap

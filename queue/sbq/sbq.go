@@ -46,9 +46,11 @@ import (
 type node[T any] struct {
 	basket basket.Basket[T]
 	next   atomic.Pointer[node[T]]
-	// index is the node's position in the list (predecessor's plus one),
-	// written while the node is private.
-	index atomic.Uint64
+	// index is the node's position in the list (predecessor's plus one).
+	// Like linker it is written only while the node is private, and the
+	// linking CAS that publishes the node orders those writes before every
+	// read, so it needs no atomic store.
+	index uint64
 	// linker is the id of the handle that prepared the node, written while
 	// the node is private, so a contender that loses the linking CAS to it
 	// can name the winner (see txcas.Node).
@@ -185,7 +187,7 @@ func (q *Queue[T]) advance(ptr *atomic.Pointer[node[T]], n *node[T]) {
 	r := q.rec
 	for {
 		old := ptr.Load()
-		if old.index.Load() >= n.index.Load() {
+		if old.index >= n.index {
 			return
 		}
 		if r != nil {
@@ -226,7 +228,7 @@ func (h *Handle[T]) Enqueue(v T) {
 				r.Inc(obs.EnqRetries)
 			}
 		}
-		n.index.Store(t.index.Load() + 1)
+		n.index = t.index + 1
 		switch q.tryAppend(t, n, lane) {
 		case appendSuccess:
 			q.tail.CompareAndSwap(t, n)
@@ -313,10 +315,10 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 				r.Inc(obs.EnqRetries)
 			}
 		}
-		idx := t.index.Load()
+		idx := t.index
 		for n := first; n != nil; n = n.next.Load() {
 			idx++
-			n.index.Store(idx)
+			n.index = idx
 		}
 		if q.tryAppend(t, first, lane) == appendSuccess {
 			q.advance(&q.tail, last)

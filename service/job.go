@@ -21,9 +21,10 @@ type Job struct {
 	SubmittedAt time.Time `json:"submitted_at"`
 }
 
-// Lease is one delivery of a job to a worker: the job plus the monotonic
-// token the worker must present to Ack or Nack it, and the deadline after
-// which the scanner reclaims the lease and redelivers the job.
+// Lease is one delivery of a job to a worker: the job plus the token the
+// worker must present to Ack or Nack it, which no other lease of the
+// service carries, before or after a restart, and the deadline after which
+// the scanner reclaims the lease and redelivers the job.
 type Lease struct {
 	Job
 	Token    uint64    `json:"token"`

@@ -7,7 +7,8 @@
 // the durability machinery around it:
 //
 //   - Lease-based at-least-once delivery. Lease hands a worker a job plus
-//     a monotonic token; the worker settles with Ack or Nack. A deadline
+//     a token that no other lease of this service, before or after a
+//     restart, carries; the worker settles with Ack or Nack. A deadline
 //     scanner reclaims leases whose TTL expired and redelivers the job, so
 //     a worker crash loses nothing. Settlement consumes the token
 //     atomically, so every job is acked at most once (the second settle
@@ -29,15 +30,20 @@
 //     Config.SnapshotPath as JSON; New restores the checkpoint, so a
 //     restart redelivers instead of losing.
 //
+// The calls write per-P state: Submit, Lease and SwapBackend borrow the
+// slot of the P they run on (see slot), and Ack and Nack go to the slot
+// their token names, so concurrent calls on different Ps share no fence,
+// token counter, lease table, in-flight count, lane or telemetry line.
+//
 // Telemetry flows through repro/internal/obs (SrvSubmits..SrvRejects
 // counters, LeaseLatency/AckLatency series) and, when the configured
 // recorder is a flight recorder, per-job timeline events
 // (EvSrvSubmit..EvSrvDLQ). Each event is recorded once, into the narrowest
 // scope that owns it: every tenant records into a child scope of the
-// service's root obs.Stats, and each queue shard into a child of its
-// tenant's. Wider scopes sum their children at read time, so merging every
-// tenant's snapshot reproduces the root's. MetricsCollection renders the
-// tenant and shard scopes as a Prometheus /metrics page with
+// service's root obs.Stats, and each of its lanes and queue shards into a
+// child of the tenant's. Wider scopes sum their children at read time, so
+// merging every tenant's snapshot reproduces the root's. MetricsCollection
+// renders the tenant and shard scopes as a Prometheus /metrics page with
 // tenant/queue/shard labels.
 // Structured request logs (log/slog, per-kind sampling) are enabled by
 // Config.Logger; GET /readyz reports drain state for orchestration.
@@ -71,10 +77,12 @@ type Config struct {
 	// Shards is passed through to registry.Config.Shards (0 = the entry's
 	// default).
 	Shards int
-	// Lanes is the number of producer lanes per tenant — concurrent
-	// Submits spread across lanes round-robin, each lane owning one
-	// registry producer view behind a mutex (HTTP handlers run on
-	// arbitrary goroutines; producer views are single-goroutine). 0 = 4.
+	// Lanes is the number of lanes per tenant. Lane i owns registry
+	// producer view i behind a mutex (HTTP handlers run on arbitrary
+	// goroutines; producer views are single-goroutine) and consumer view i,
+	// which on a sharded entry has the same home shard. A call uses the
+	// lane of its slot, slot index mod Lanes, so a P submits and leases on
+	// one home shard and steals only when that shard runs dry. 0 = 4.
 	Lanes int
 	// LeaseTTL is how long a lease lives before the scanner reclaims it
 	// (0 = 30s).
@@ -199,40 +207,42 @@ type Service struct {
 	cfg Config
 	// stats is the root telemetry scope (see Config.Recorder); sink is
 	// Config.Recorder when that is a recorder other than an *obs.Stats,
-	// which every tenant and shard scope is teed toward, else nil.
+	// which every tenant, lane and shard scope is teed toward, else nil.
 	stats *obs.Stats
 	sink  obs.Recorder
 	ev    obs.EventRecorder
 	log   *srvLogger // nil when Config.Logger is nil (methods are nil-safe)
 	now   func() time.Time
-	rng   lockedRNG
+	state atomic.Int32 // srvServing → srvDraining → srvStopped
+
+	// slots hold the write-hot state of the calls (see slot); slotPool
+	// hands each P its slot.
+	slots    *[numSlots]slot
+	slotPool *sync.Pool
 
 	metricsOnce sync.Once
 	metrics     *export.Collection // lazily built; windows persist across scrapes
 
 	_ [64]byte
-	//lf:contended every Submit, Lease and Ack writes these
-	srvHot
-	_ [64]byte
+	//lf:contended every Submit writes it
+	nextID atomic.Uint64
+	_      [64]byte
 
-	// Lock discipline: tmu, the lease table shards, dmu, tenant.dlqMu,
-	// the producer lanes, job.mu and the backoff RNG's mutex are leaves,
-	// each held alone, never with another service lock. Only two locks
-	// enclose others, by design: the fence's read side above, held across
-	// a whole call, and tenant.swapMu, which SwapBackend holds across its
-	// lane barrier and drain.
+	// Lock discipline: tmu, the slots' lease-table mutexes, dmu,
+	// tenant.dlqMu, the lanes, job.mu and the backoff RNG's mutex are
+	// leaves, each held alone, never with another service lock. Only two
+	// locks enclose others, by design: a slot's fence read side, held
+	// across a whole call, and tenant.swapMu, which SwapBackend holds
+	// across its lane barrier and drain.
 
 	// tenants is an immutable name → tenant map, read without a lock and
 	// replaced by a copy when a tenant is created; tmu serializes creation.
 	tenants atomic.Pointer[map[string]*tenant]
 	tmu     sync.Mutex
 
-	// leases maps each outstanding lease token to its job and deadline;
-	// taking a token out of it is the exactly-once settlement arbiter.
-	leases shardedMap[leaseEntry]
-
 	dmu     sync.Mutex // guards delayed
 	delayed jobHeap
+	rng     lockedRNG // backoff jitter for redeliveries
 
 	scanStop chan struct{}
 	scanDone chan struct{}
@@ -248,10 +258,11 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		now:      cfg.Now,
-		leases:   newShardedMap[leaseEntry](leaseShards),
+		slots:    newSlots(cfg.Lanes),
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
 	}
+	s.slotPool = newSlotPool(s.slots)
 	s.tenants.Store(&map[string]*tenant{})
 	s.rng.s = cfg.Seed
 	s.log = newSrvLogger(cfg.Logger, cfg.LogEvery)
@@ -270,22 +281,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	go s.scanLoop()
 	return s, nil
-}
-
-// srvHot holds the Service words that every Submit, Lease or Ack writes.
-// They share lines with each other only: the Service pads them off the
-// fields every call merely reads.
-type srvHot struct {
-	state atomic.Int32 // srvServing → srvDraining → srvStopped
-	// fence is the shutdown fence: Submit, Lease and SwapBackend hold a
-	// read lock for their whole call (see begin), and Shutdown, having
-	// flipped state, takes the write lock once to wait them out. No path
-	// may nest begin: a read lock requested while Shutdown waits blocks.
-	fence sync.RWMutex
-
-	nextID    atomic.Uint64
-	nextToken atomic.Uint64
-	inFlight  atomic.Int64 // outstanding lease tokens, settled post-state
 }
 
 // lockedRNG is an xorshift64* stream behind a mutex — backoff jitter is
@@ -308,26 +303,43 @@ func (r *lockedRNG) randN(n uint64) uint64 {
 	return v % n
 }
 
-// begin is the shutdown fence for Submit, Lease and SwapBackend: it takes
-// the fence's read lock before checking the state, so Shutdown's state flip
-// followed by one write-lock acquisition cannot miss an in-flight call. On
-// nil the caller must release the fence with end.
-func (s *Service) begin() error {
-	s.fence.RLock()
+// begin borrows the calling P's slot and enters the shutdown fence on it
+// (see enter). On nil the caller must release the fence and return the
+// slot with end.
+func (s *Service) begin() (*slot, error) {
+	sl := s.slotPool.Get().(*slot)
+	if err := s.enter(sl); err != nil {
+		s.slotPool.Put(sl)
+		return nil, err
+	}
+	return sl, nil
+}
+
+// enter is the shutdown fence for Submit, Lease and SwapBackend: it takes
+// sl's fence read lock before checking the state, so Shutdown's state flip
+// followed by one write-lock acquisition of every slot cannot miss an
+// in-flight call, whichever slot it holds. No path may nest it: a read
+// lock requested while Shutdown waits for that slot blocks.
+func (s *Service) enter(sl *slot) error {
+	sl.fence.RLock()
 	switch s.state.Load() {
 	case srvServing:
 		return nil
 	case srvDraining:
-		s.fence.RUnlock()
+		sl.fence.RUnlock()
 		return ErrDraining
 	default:
-		s.fence.RUnlock()
+		sl.fence.RUnlock()
 		return ErrStopped
 	}
 }
 
-// end releases the fence taken by a successful begin.
-func (s *Service) end() { s.fence.RUnlock() }
+// end releases the fence taken by a successful begin and returns the slot
+// to the pool.
+func (s *Service) end(sl *slot) {
+	sl.fence.RUnlock()
+	s.slotPool.Put(sl)
+}
 
 // tenantMap returns the current immutable tenant map.
 func (s *Service) tenantMap() map[string]*tenant { return *s.tenants.Load() }
@@ -361,18 +373,20 @@ func (s *Service) tenantFor(name string, create bool) (*tenant, error) {
 
 // Submit accepts a job for tenant, subject to the tenant's depth quota.
 func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error) {
-	if err := s.begin(); err != nil {
+	sl, err := s.begin()
+	if err != nil {
 		return Job{}, err
 	}
-	defer s.end()
+	defer s.end(sl)
 	t, err := s.tenantFor(tenantName, true)
 	if err != nil {
 		return Job{}, err
 	}
+	rec := t.laneRec[sl.lane]
 	if q := s.cfg.MaxInFlight; q > 0 {
 		if d := t.depth.Add(1); d > q {
 			t.depth.Add(-1)
-			t.rec.Inc(obs.SrvRejects)
+			rec.Inc(obs.SrvRejects)
 			s.log.reject(t.name, d-1, q)
 			return Job{}, &BackpressureError{
 				Tenant: tenantName, Depth: d - 1, Quota: q,
@@ -393,12 +407,12 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 	// can lease the instant the job is in the queue, and the submit event
 	// must carry the earlier timestamp or job-span reconstruction
 	// (trace.AnalyzeJobs) would see a lease-before-submit chain.
-	t.rec.Inc(obs.SrvSubmits)
+	rec.Inc(obs.SrvSubmits)
 	if s.ev != nil {
 		s.ev.Event(obs.EvSrvSubmit, obs.LaneDefault, j.id)
 	}
 	s.log.submit(t.name, j.id)
-	t.enqueue(j)
+	t.enqueue(j, sl.lane)
 	return out, nil
 }
 
@@ -406,31 +420,26 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 // queue is empty. The returned lease must be settled with Ack or Nack
 // before its deadline or the scanner reclaims and redelivers it.
 func (s *Service) Lease(tenantName string) (Lease, bool, error) {
-	if err := s.begin(); err != nil {
+	sl, err := s.begin()
+	if err != nil {
 		return Lease{}, false, err
 	}
-	defer s.end()
+	defer s.end(sl)
 	t, err := s.tenantFor(tenantName, false)
 	if err != nil || t == nil {
 		return Lease{}, false, err
 	}
-	j, ok := t.dequeue()
+	j, ok := t.dequeue(sl.lane)
 	if !ok {
 		return Lease{}, false, nil
 	}
-	return s.lease(j), true, nil
+	return s.lease(sl, j), true, nil
 }
 
-// leaseEntry is one outstanding lease in the lease table.
-type leaseEntry struct {
-	j        *job
-	deadline time.Time
-}
-
-// lease delivers j under a fresh token and publishes the token in the
-// lease table.
-func (s *Service) lease(j *job) Lease {
-	token := s.nextToken.Add(1)
+// lease delivers j under a fresh token of sl and publishes the token in
+// sl's lease table.
+func (s *Service) lease(sl *slot, j *job) Lease {
+	token := sl.mint()
 	now := s.now()
 	deadline := now.Add(s.cfg.LeaseTTL)
 
@@ -446,7 +455,7 @@ func (s *Service) lease(j *job) Lease {
 	// table, ForceExpire or the scanner can take it and the job can be
 	// leased again and acked, and this lease's event must precede all of
 	// that or job-span reconstruction sees a broken chain.
-	rec := j.tenant.rec
+	rec := j.tenant.laneRec[sl.lane]
 	rec.Inc(obs.SrvLeases)
 	if attempts > 1 {
 		rec.Inc(obs.SrvRedeliveries)
@@ -459,17 +468,9 @@ func (s *Service) lease(j *job) Lease {
 	}
 	s.log.lease(j.tenant.name, j.id, token, attempts)
 
-	s.inFlight.Add(1)
-	s.leases.put(token, leaseEntry{j: j, deadline: deadline})
+	sl.inFlight.Add(1)
+	sl.put(token, leaseEntry{j: j, deadline: deadline})
 	return out
-}
-
-// takeLease atomically consumes token: exactly one caller (Ack, Nack, or
-// the scanner) wins it. The winner owns the job's next transition and must
-// decrement inFlight when that transition is complete.
-func (s *Service) takeLease(token uint64) *job {
-	e, _ := s.leases.take(token)
-	return e.j
 }
 
 // Ack settles a lease successfully: the job is done and will never be
@@ -478,7 +479,11 @@ func (s *Service) Ack(token uint64) error {
 	if s.state.Load() == srvStopped {
 		return ErrStopped
 	}
-	j := s.takeLease(token)
+	// Taking the token is the exactly-once arbiter: the winner owns the
+	// job's next transition and must decrement its slot's in-flight count
+	// when that transition is complete.
+	sl := s.slotOf(token)
+	j := sl.take(token)
 	if j == nil {
 		return ErrNoSuchLease
 	}
@@ -486,13 +491,14 @@ func (s *Service) Ack(token uint64) error {
 	t := j.tenant
 	t.depth.Add(-1)
 	lat := uint64(now.Sub(j.submitted).Nanoseconds())
-	t.rec.Inc(obs.SrvAcks)
-	t.rec.Observe(obs.AckLatency, lat)
+	rec := t.laneRec[sl.lane]
+	rec.Inc(obs.SrvAcks)
+	rec.Observe(obs.AckLatency, lat)
 	if s.ev != nil {
 		s.ev.Event(obs.EvSrvAck, obs.LaneDefault, j.id)
 	}
 	s.log.ack(t.name, j.id, lat)
-	s.inFlight.Add(-1) // last: drain may proceed only once the job settled
+	sl.inFlight.Add(-1) // last: drain may proceed only once the job settled
 	return nil
 }
 
@@ -502,50 +508,48 @@ func (s *Service) Nack(token uint64) error {
 	if s.state.Load() == srvStopped {
 		return ErrStopped
 	}
-	j := s.takeLease(token)
+	sl := s.slotOf(token)
+	j := sl.take(token)
 	if j == nil {
 		return ErrNoSuchLease
 	}
-	j.tenant.rec.Inc(obs.SrvNacks)
+	j.tenant.laneRec[sl.lane].Inc(obs.SrvNacks)
 	if s.ev != nil {
 		s.ev.Event(obs.EvSrvNack, obs.LaneDefault, j.id)
 	}
 	s.log.nack(j.tenant.name, j.id)
-	s.redeliver(j, s.now())
+	s.redeliver(sl, j, s.now())
 	return nil
 }
 
-// redeliver routes a failed delivery (nack or expiry). The caller must
-// have consumed the job's lease token via takeLease; redeliver finishes
-// the transition and decrements inFlight.
-func (s *Service) redeliver(j *job, now time.Time) {
+// redeliver routes a failed delivery (nack or expiry) of a lease minted on
+// sl, through sl's lane. The caller must have taken the lease's token;
+// redeliver finishes the transition and decrements sl's in-flight count.
+func (s *Service) redeliver(sl *slot, j *job, now time.Time) {
 	j.mu.Lock()
 	attempts := j.attempts
 	j.mu.Unlock()
 
 	dec := s.cfg.Backoff.Decide(policy.Abort{Attempt: attempts, Requester: policy.NoRequester}, s.rng.randN)
-	if dec.Fallback {
-		s.deadLetter(j)
-		s.inFlight.Add(-1)
-		return
+	switch delay := time.Duration(dec.Delay) * s.cfg.BackoffUnit; {
+	case dec.Fallback:
+		s.deadLetter(j, sl.lane)
+	case delay <= 0:
+		j.tenant.enqueue(j, sl.lane)
+	default:
+		s.dmu.Lock()
+		s.delayed.push(jobAt{at: now.Add(delay), j: j})
+		s.dmu.Unlock()
 	}
-	delay := time.Duration(dec.Delay) * s.cfg.BackoffUnit
-	if delay <= 0 {
-		j.tenant.enqueue(j)
-		s.inFlight.Add(-1)
-		return
-	}
-	s.dmu.Lock()
-	s.delayed.push(jobAt{at: now.Add(delay), j: j})
-	s.dmu.Unlock()
-	s.inFlight.Add(-1)
+	sl.inFlight.Add(-1)
 }
 
-// deadLetter moves j to its tenant's dead-letter queue. The job enters the
-// dead-letter list before it leaves the tenant's depth, and Stats reads the
-// depth before it reads the list, so a concurrent Stats may count a dying
-// job twice (in depth and in the list) but never misses it.
-func (s *Service) deadLetter(j *job) {
+// deadLetter moves j to its tenant's dead-letter queue, recording the
+// event in lane ln's scope. The job enters the dead-letter list before it
+// leaves the tenant's depth, and Stats reads the depth before it reads the
+// list, so a concurrent Stats may count a dying job twice (in depth and in
+// the list) but never misses it.
+func (s *Service) deadLetter(j *job, ln int) {
 	t := j.tenant
 	t.dlqMu.Lock()
 	t.dead = append(t.dead, j)
@@ -554,7 +558,7 @@ func (s *Service) deadLetter(j *job) {
 	attempts := j.attempts
 	j.mu.Unlock()
 	t.depth.Add(-1)
-	t.rec.Inc(obs.SrvDLQ)
+	t.laneRec[ln].Inc(obs.SrvDLQ)
 	if s.ev != nil {
 		s.ev.Event(obs.EvSrvDLQ, obs.LaneDefault, j.id)
 	}
@@ -583,13 +587,20 @@ func (s *Service) ForceExpire() int {
 
 // scanOnce reclaims due timers. now is the redelivery pacing base and,
 // when force is false, also the expiry cutoff; force reclaims every timer
-// unconditionally. The lease walk visits every outstanding lease, one table
-// shard at a time, so settled leases cost the scanner nothing; the order in
+// unconditionally. The lease walk visits every outstanding lease, one slot
+// at a time, so settled leases cost the scanner nothing; the order in
 // which one pass redelivers the leases it reclaims is unspecified.
 func (s *Service) scanOnce(now time.Time, force bool) int {
-	expired := s.leases.sweep(func(e leaseEntry) bool {
-		return force || !e.deadline.After(now)
-	}, nil)
+	var expired []lapsed
+	for i := range s.slots {
+		sl := &s.slots[i]
+		sl.walk(func(token uint64, e leaseEntry) {
+			if force || !e.deadline.After(now) {
+				delete(sl.leases, token)
+				expired = append(expired, lapsed{sl, e.j})
+			}
+		})
+	}
 	var release []*job
 	s.dmu.Lock()
 	for s.delayed.len() > 0 && (force || !s.delayed.min().at.After(now)) {
@@ -597,19 +608,25 @@ func (s *Service) scanOnce(now time.Time, force bool) int {
 	}
 	s.dmu.Unlock()
 
-	for _, e := range expired {
-		j := e.j
-		j.tenant.rec.Inc(obs.SrvExpired)
+	for _, x := range expired {
+		j := x.j
+		j.tenant.laneRec[x.sl.lane].Inc(obs.SrvExpired)
 		if s.ev != nil {
 			s.ev.Event(obs.EvSrvExpire, obs.LaneDefault, j.id)
 		}
 		s.log.expire(j.tenant.name, j.id)
-		s.redeliver(j, now)
+		s.redeliver(x.sl, j, now)
 	}
 	for _, j := range release {
-		j.tenant.enqueue(j)
+		j.tenant.enqueue(j, j.tenant.laneOf(j.id))
 	}
 	return len(expired)
+}
+
+// lapsed is a lease the scanner reclaimed, with the slot that minted it.
+type lapsed struct {
+	sl *slot
+	j  *job
 }
 
 // scanLoop is the background deadline scanner.

@@ -387,6 +387,98 @@ func TestRestoreDuplicateTenant(t *testing.T) {
 	}
 }
 
+// TestPreRestartTokenRejected: a token leased before a forced shutdown is
+// dead after the restart. Its job comes back and is leased under a fresh
+// token; settling the old token gets ErrNoSuchLease and leaves the fresh
+// lease outstanding. The checkpoint's next_token bounds every token issued
+// before it, and restore makes every slot mint above it. That must also
+// hold for a checkpoint whose next_token is the last token of one
+// sequential counter, as services before per-slot tokens wrote it: a
+// worker may hold any token up to it.
+func TestPreRestartTokenRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sbqd.json")
+	cfg := service.Config{SnapshotPath: path, Backoff: immediateRetry(10)}
+	s1 := mustService(t, cfg)
+	const n = 3
+	for i := 0; i < n; i++ {
+		if _, err := s1.Submit("acme", json.RawMessage(`"x"`)); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	var old []uint64
+	for i := 0; i < n; i++ {
+		l, ok, err := s1.Lease("acme")
+		if err != nil || !ok {
+			t.Fatalf("Lease: ok=%v err=%v", ok, err)
+		}
+		old = append(old, l.Token)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // force-expire the leases: their jobs go into the checkpoint
+	if err := s1.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown = %v, want context.Canceled", err)
+	}
+
+	s2 := mustService(t, cfg)
+	defer s2.Shutdown(context.Background())
+	var fresh []service.Lease
+	for {
+		l, ok, err := s2.Lease("acme")
+		if err != nil {
+			t.Fatalf("Lease after restore: %v", err)
+		}
+		if !ok {
+			break
+		}
+		fresh = append(fresh, l)
+	}
+	if len(fresh) != n {
+		t.Fatalf("%d jobs leased after restore, want %d", len(fresh), n)
+	}
+	for _, tok := range old {
+		for _, settle := range []func(uint64) error{s2.Ack, s2.Nack} {
+			if err := settle(tok); !errors.Is(err, service.ErrNoSuchLease) {
+				t.Fatalf("settling pre-restart token %d = %v, want ErrNoSuchLease", tok, err)
+			}
+		}
+	}
+	if got := s2.Stats().InFlight; got != n {
+		t.Fatalf("%d leases outstanding after settling the pre-restart tokens, want %d", got, n)
+	}
+	for _, l := range fresh {
+		if err := s2.Ack(l.Token); err != nil {
+			t.Fatalf("Ack(fresh token %d): %v", l.Token, err)
+		}
+	}
+
+	// A checkpoint written with a sequential counter: tokens 1..200 were
+	// issued, and job 7 was leased once before the shutdown requeued it.
+	const lastToken = 200
+	seqPath := filepath.Join(t.TempDir(), "sbqd.json")
+	checkpoint := fmt.Sprintf(`{"version":1,"taken":"2026-01-01T00:00:00Z","next_id":7,"next_token":%d,"tenants":[
+		{"name":"acme","jobs":[{"id":7,"payload":"seventh","attempts":1,"submitted_at":"2026-01-01T00:00:00Z"}]}]}`, lastToken)
+	if err := os.WriteFile(seqPath, []byte(checkpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustService(t, service.Config{SnapshotPath: seqPath})
+	defer s3.Shutdown(context.Background())
+	l, ok, err := s3.Lease("acme")
+	if err != nil || !ok || l.ID != 7 {
+		t.Fatalf("Lease after restore = job %d, ok=%v, err=%v; want job 7", l.ID, ok, err)
+	}
+	if l.Token <= lastToken {
+		t.Fatalf("token %d issued after restoring next_token %d", l.Token, lastToken)
+	}
+	for tok := uint64(1); tok <= lastToken; tok++ {
+		if err := s3.Ack(tok); !errors.Is(err, service.ErrNoSuchLease) {
+			t.Fatalf("Ack(pre-restart token %d) = %v, want ErrNoSuchLease", tok, err)
+		}
+	}
+	if err := s3.Ack(l.Token); err != nil {
+		t.Fatalf("Ack(fresh token %d): %v", l.Token, err)
+	}
+}
+
 // TestForceExpireCheckpointPacing pins the force-expire clock discipline:
 // a shutdown that hits its drain deadline force-expires outstanding leases,
 // and the redelivery pacing written to the checkpoint must be computed from

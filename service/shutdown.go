@@ -33,9 +33,13 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 	s.log.lifecycle("shutdown: draining")
 	// Wait out every Submit/Lease/SwapBackend that passed begin before the
-	// flip; later ones see srvDraining and never touch the service.
-	s.fence.Lock()
-	s.fence.Unlock() //nolint:staticcheck // empty critical section: a barrier
+	// flip, whichever slot it holds; later ones see srvDraining and never
+	// touch the service.
+	for i := range s.slots {
+		fence := &s.slots[i].fence
+		fence.Lock()
+		fence.Unlock() //nolint:staticcheck // empty critical section: a barrier
+	}
 
 	close(s.scanStop)
 	<-s.scanDone
@@ -55,7 +59,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-// drainLeases waits for inFlight to reach zero, reclaiming
+// drainLeases waits for the in-flight sum to reach zero, reclaiming
 // naturally-expiring leases itself (the background scanner is stopped).
 // At the ctx deadline it force-expires everything still outstanding.
 func (s *Service) drainLeases(ctx context.Context) error {
@@ -66,17 +70,17 @@ func (s *Service) drainLeases(ctx context.Context) error {
 	if poll > 50*time.Millisecond {
 		poll = 50 * time.Millisecond
 	}
-	for s.inFlight.Load() > 0 {
+	for s.inFlight() > 0 {
 		select {
 		case <-ctx.Done():
 			// Force-expire: reclaim every outstanding lease regardless of
 			// deadline, then wait for the redeliver transitions (which run
-			// synchronously in ForceExpire) to settle inFlight to zero.
+			// synchronously in ForceExpire) to settle the sum to zero.
 			// ForceExpire paces redelivery from the real clock, so the
 			// checkpoint records NotBefore near now — not a fabricated
 			// future that would strand restored jobs in the delay heap.
 			s.ForceExpire()
-			for s.inFlight.Load() > 0 {
+			for s.inFlight() > 0 {
 				time.Sleep(time.Millisecond)
 			}
 			return ctx.Err()
@@ -129,7 +133,7 @@ type StatsSnapshot struct {
 // telemetry scope (see Config.Recorder): every tenant of this Service, and
 // of any earlier Service that shared the same *obs.Stats recorder.
 func (s *Service) Stats() StatsSnapshot {
-	out := StatsSnapshot{InFlight: s.inFlight.Load()}
+	out := StatsSnapshot{InFlight: s.inFlight()}
 	switch s.state.Load() {
 	case srvServing:
 		out.State = "serving"
@@ -155,11 +159,13 @@ func (s *Service) Stats() StatsSnapshot {
 		ack.Quantile(0.50), ack.Quantile(0.99), ack.Quantile(0.999)
 
 	// The per-state counts are derived off the hot path: leased jobs from
-	// one walk of the lease table, delayed ones from the delay heap, and
-	// queued ones as the rest of the depth. A tenant's depth is read before
-	// its dead-letter list: see deadLetter.
+	// one walk of the slots' lease tables, delayed ones from the delay
+	// heap, and queued ones as the rest of the depth. A tenant's depth is
+	// read before its dead-letter list: see deadLetter.
 	leased := map[*tenant]int{}
-	s.leases.each(func(e leaseEntry) { leased[e.j.tenant]++ })
+	for i := range s.slots {
+		s.slots[i].walk(func(_ uint64, e leaseEntry) { leased[e.j.tenant]++ })
+	}
 	delayed := s.delayedJobs()
 	for _, t := range s.tenantList() {
 		ts := TenantStats{

@@ -20,10 +20,12 @@ type snapshot struct {
 	Version int       `json:"version"`
 	Taken   time.Time `json:"taken"`
 	NextID  uint64    `json:"next_id"`
-	// NextToken persists so lease tokens stay monotonic across restarts:
-	// a worker holding a pre-restart token must get ErrNoSuchLease from
-	// the restarted service, never a collision with a fresh token (which
-	// would ack someone else's job).
+	// NextToken is an upper bound on every lease token issued before the
+	// checkpoint, and restore makes every slot mint above it: a worker
+	// holding a pre-restart token must get ErrNoSuchLease from the
+	// restarted service, never a collision with a fresh token (which would
+	// ack someone else's job). Tokens are unique, not monotonic: each slot
+	// mints its own increasing sequence (see slot).
 	NextToken uint64       `json:"next_token"`
 	Tenants   []snapTenant `json:"tenants"`
 }
@@ -46,14 +48,14 @@ type snapJob struct {
 
 // checkpoint writes every unsettled job to path (tmp + rename, so a crash
 // mid-write leaves the previous checkpoint intact). Caller guarantees
-// quiescence: state is srvStopped, the fence passed, scanner stopped,
-// inFlight zero.
+// quiescence: state is srvStopped, the fence passed, scanner stopped, the
+// in-flight sum zero.
 func (s *Service) checkpoint(path string) error {
 	snap := snapshot{
 		Version:   snapshotVersion,
 		Taken:     s.now(),
 		NextID:    s.nextID.Load(),
-		NextToken: s.nextToken.Load(),
+		NextToken: s.maxToken(),
 	}
 
 	delayed := s.delayedJobs()
@@ -62,9 +64,9 @@ func (s *Service) checkpoint(path string) error {
 
 		// Queue order first: drain the backend (quiescent, so two empty
 		// sweeps mean empty) and emit jobs in dequeue order.
-		be := t.be.Load()
+		cons := t.be.Load().lanes[0].cons
 		for empty := 0; empty < 2; {
-			j, ok := be.cons.Dequeue()
+			j, ok := cons.Dequeue()
 			if !ok {
 				empty++
 				continue
@@ -141,7 +143,7 @@ func (s *Service) restore(path string) error {
 		return fmt.Errorf("service: checkpoint %s has version %d, want %d", path, snap.Version, snapshotVersion)
 	}
 	s.nextID.Store(snap.NextID)
-	s.nextToken.Store(snap.NextToken)
+	startSlots(s.slots, snap.NextToken)
 	now := s.now()
 	restored := 0
 	tenants := map[string]*tenant{}
@@ -185,7 +187,7 @@ func (s *Service) restore(path string) error {
 			if sj.NotBefore.After(now) {
 				s.delayed.push(jobAt{at: sj.NotBefore, j: j}) // pre-scanner: no lock needed
 			} else {
-				t.enqueue(j)
+				t.enqueue(j, t.laneOf(j.id))
 			}
 		}
 		for _, sj := range st.Dead {

@@ -443,3 +443,80 @@ func BenchmarkCycle(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkSplitRoles runs the job cycle with the roles split, as a job
+// queue is usually driven: one goroutine only submits and another only
+// leases and acks, over a standing backlog, with an obs.Stats recorder.
+// Unlike BenchmarkCycle, no caller leases on the P it submitted on, so
+// no Lease finds its own submits on its home shard. One op is one job
+// submitted and one acked; the producer waits while it is more than two
+// backlogs ahead of the worker. It reports the queue's steals and empty
+// dequeues per dequeue attempt.
+func BenchmarkSplitRoles(b *testing.B) {
+	const backlog = 4096
+	rec := obs.New()
+	s, err := service.New(service.Config{Recorder: rec, MaxInFlight: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	payload := json.RawMessage(`{"n":1}`)
+	for i := 0; i < backlog; i++ {
+		if _, err := s.Submit("acme", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := rec.Snapshot().Counters
+	b.ResetTimer()
+	var acked atomic.Int64
+	var failed atomic.Bool // set by a role that stops early, so the other does not wait for it
+	fail := func(err error) {
+		failed.Store(true)
+		b.Error(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < b.N; i++ {
+			for int64(i)-acked.Load() > 2*backlog && !failed.Load() {
+				runtime.Gosched()
+			}
+			if _, err := s.Submit("acme", payload); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < b.N; {
+			l, ok, err := s.Lease("acme")
+			if err != nil {
+				fail(err)
+				return
+			}
+			if !ok {
+				if failed.Load() {
+					return
+				}
+				runtime.Gosched()
+				continue
+			}
+			if err := s.Ack(l.Token); err != nil {
+				fail(err)
+				return
+			}
+			if i++; i%64 == 0 {
+				acked.Store(int64(i))
+			}
+		}
+	}()
+	wg.Wait()
+	b.StopTimer()
+	c := rec.Snapshot().Counters
+	deq := float64(c[obs.DeqOps] - before[obs.DeqOps])
+	empty := float64(c[obs.DeqEmpty] - before[obs.DeqEmpty])
+	b.ReportMetric(float64(c[obs.DeqSteals]-before[obs.DeqSteals])/deq, "steals/deq")
+	b.ReportMetric(empty/(deq+empty), "empty/deq")
+}

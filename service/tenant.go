@@ -17,13 +17,17 @@ type tenant struct {
 	svc  *Service
 
 	// stats is this tenant's scope, a child of the service's root. The
-	// service lifecycle counters (SrvSubmits..SrvRejects, lease/ack latency
-	// series) and the sharded front-end's steal counters land in it; its
-	// queue shards record into child scopes of it (shardStats), which its
-	// Snapshot sums. rec is stats, teed toward the service's sink when
-	// there is one.
+	// sharded front-end's steal counters land in it; its lanes and queue
+	// shards record into child scopes of it, which its Snapshot sums. rec
+	// is stats, teed toward the service's sink when there is one.
 	stats *obs.Stats
 	rec   obs.Recorder
+	// laneRec holds one child scope of stats per lane, teed like rec. A
+	// call records its service lifecycle events (SrvSubmits..SrvRejects,
+	// lease/ack latency series) into its lane's scope, so calls on
+	// different lanes write different telemetry lines. Built once by
+	// newTenant, so like the shard scopes they persist across SwapBackend.
+	laneRec []obs.Recorder
 
 	// shardStats holds one child scope of stats per queue shard, created
 	// by the backend builder: an immutable slice, replaced by a longer copy
@@ -46,46 +50,41 @@ type tenant struct {
 	swapMu sync.Mutex
 
 	_ [64]byte
-	//lf:contended every Submit and Ack writes these
-	tenantHot
-	_ [64]byte
+	//lf:contended every Submit and Ack writes it
+	depth atomic.Int64 // queued + delayed + leased (quota accounting)
+	_     [64]byte
 
 	dlqMu sync.Mutex // guards dead
 	dead  []*job     // dead-letter queue, oldest first
 }
 
-// tenantHot holds the tenant words that every Submit or Ack writes.
-type tenantHot struct {
-	next  atomic.Uint32 // picks the producer lane round-robin
-	depth atomic.Int64  // queued + delayed + leased (quota accounting)
-}
-
-// backend is one built queue instance as the tenant drives it: producer
-// lanes for Submit (each a single-goroutine registry view behind a mutex)
-// and a shared consumer view for Lease. Its elements are the tenant's
-// queued jobs.
+// backend is one built queue instance as the tenant drives it, through
+// Config.Lanes lanes. Its elements are the tenant's queued jobs.
 type backend struct {
 	queueName string
 	lanes     []*lane
-	cons      queue.BatchQueue[*job]
 }
 
-// lane serializes one registry producer view. HTTP handlers run on
-// arbitrary goroutines; the registry documents producer views as
-// single-goroutine, so each lane owns its view behind a mutex and Submit
-// spreads across lanes round-robin. Lanes are allocated one by one; the
-// pads keep each lane's mutex off its neighbours' lines.
+// lane i is the tenant's path into the queue for the calls on the slots
+// whose index mod Config.Lanes is i: registry producer view i behind a mutex
+// (HTTP handlers run on arbitrary goroutines; the registry documents
+// producer views as single-goroutine) and consumer view i, which is safe
+// to share. On a sharded entry both views have home shard i mod Shards, so
+// a P's Submits fill the shard its Leases drain first. Lanes are allocated
+// one by one; the pads keep each lane's mutex off its neighbours' lines.
 type lane struct {
 	_ [64]byte
-	//lf:contended Submits through this lane lock mu and enqueue on q
+	//lf:contended Submits through this lane lock mu and enqueue on prod; Leases dequeue on cons
 	laneHot
 	_ [64]byte
 }
 
-// laneHot is a lane's mutex and the producer view it guards.
+// laneHot is a lane's mutex, the producer view it guards, and the lane's
+// consumer view.
 type laneHot struct {
-	mu sync.Mutex
-	q  queue.BatchQueue[*job]
+	mu   sync.Mutex
+	prod queue.BatchQueue[*job]
+	cons queue.BatchQueue[*job]
 }
 
 // newBackend builds queueName for this tenant's shape. The sharded
@@ -106,10 +105,9 @@ func (t *tenant) newBackend(queueName string) (*backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	be := &backend{queueName: queueName, cons: inst.ConsumerView(0)}
-	be.lanes = make([]*lane, s.cfg.Lanes)
+	be := &backend{queueName: queueName, lanes: make([]*lane, s.cfg.Lanes)}
 	for i := range be.lanes {
-		be.lanes[i] = &lane{laneHot: laneHot{q: inst.ProducerView(i)}}
+		be.lanes[i] = &lane{laneHot: laneHot{prod: inst.ProducerView(i), cons: inst.ConsumerView(i)}}
 	}
 	return be, nil
 }
@@ -153,6 +151,10 @@ func (t *tenant) deadList() []*job {
 func (s *Service) newTenant(name, queueName string) (*tenant, error) {
 	t := &tenant{name: name, svc: s, stats: s.stats.Scope()}
 	t.rec = obs.Tee(t.stats, s.sink)
+	t.laneRec = make([]obs.Recorder, s.cfg.Lanes)
+	for i := range t.laneRec {
+		t.laneRec[i] = obs.Tee(t.stats.Scope(), s.sink)
+	}
 	be, err := t.newBackend(queueName)
 	if err != nil {
 		return nil, err
@@ -161,28 +163,34 @@ func (s *Service) newTenant(name, queueName string) (*tenant, error) {
 	return t, nil
 }
 
-// enqueue pushes j through one producer lane. The pointer re-check under
-// the lane lock pairs with swap's lane barrier: an enqueue commits to a
-// backend only while that backend is still current, so the post-barrier
-// drain cannot miss it.
-func (t *tenant) enqueue(j *job) {
+// laneOf picks a lane from a job id, for the paths that run on no slot:
+// the scanner's delayed releases, restore and a swap's drain.
+func (t *tenant) laneOf(id uint64) int { return int(id % uint64(len(t.laneRec))) }
+
+// enqueue pushes j through lane ln. The pointer re-check under the lane
+// lock pairs with swap's lane barrier: an enqueue commits to a backend
+// only while that backend is still current, so the post-barrier drain
+// cannot miss it.
+func (t *tenant) enqueue(j *job, ln int) {
 	for {
 		be := t.be.Load()
-		ln := be.lanes[int(t.next.Add(1))%len(be.lanes)]
-		ln.mu.Lock()
+		l := be.lanes[ln]
+		l.mu.Lock()
 		if t.be.Load() != be {
-			ln.mu.Unlock()
+			l.mu.Unlock()
 			continue // swapped mid-pick; retry on the new backend
 		}
-		ln.q.Enqueue(j)
-		ln.mu.Unlock()
+		l.prod.Enqueue(j)
+		l.mu.Unlock()
 		return
 	}
 }
 
-// dequeue pops one queued job, or ok=false when the queue appears empty.
-func (t *tenant) dequeue() (*job, bool) {
-	return t.be.Load().cons.Dequeue()
+// dequeue pops one queued job through lane ln: from the lane's home shard
+// first, stealing from the others when it is dry. ok=false when the queue
+// appears empty.
+func (t *tenant) dequeue(ln int) (*job, bool) {
+	return t.be.Load().lanes[ln].cons.Dequeue()
 }
 
 // drainInto moves every element of old into the tenant's *current*
@@ -193,15 +201,16 @@ func (t *tenant) dequeue() (*job, bool) {
 // each job commits to a backend that is still current — never to one a
 // concurrent swap already replaced.
 func (t *tenant) drainInto(old *backend) {
+	cons := old.lanes[0].cons
 	empty := 0
 	for empty < 2 {
-		j, ok := old.cons.Dequeue()
+		j, ok := cons.Dequeue()
 		if !ok {
 			empty++
 			continue
 		}
 		empty = 0
-		t.enqueue(j)
+		t.enqueue(j, t.laneOf(j.id))
 	}
 }
 
@@ -223,10 +232,11 @@ func (t *tenant) drainInto(old *backend) {
 // flipped the state, SwapBackend returns ErrDraining/ErrStopped instead of
 // racing the drain and checkpoint.
 func (s *Service) SwapBackend(tenantName, queueName string) error {
-	if err := s.begin(); err != nil {
+	sl, err := s.begin()
+	if err != nil {
 		return err
 	}
-	defer s.end()
+	defer s.end(sl)
 	if _, ok := registry.OrderingOf(queueName); !ok {
 		return fmt.Errorf("service: unknown queue %q (have %v)", queueName, registry.Names())
 	}
