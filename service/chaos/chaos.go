@@ -434,15 +434,20 @@ func Run(p Profile) (*Report, error) {
 		}()
 	}
 
-	// Scenario: mid-run backend swap (HTM-disabled-mode analogue).
+	// Scenario: mid-run backend swap (HTM-disabled-mode analogue). This
+	// and the restart arm their timers from start, not in their
+	// goroutines: a goroutine scheduled late would otherwise fire late, or
+	// be cancelled first.
 	if p.SwapTo != "" {
+		swapAt := time.NewTimer(time.Until(start.Add(p.Duration / 2)))
 		swg.Add(1)
 		go func() {
 			defer swg.Done()
+			defer swapAt.Stop()
 			select {
 			case <-scenarioCtx.Done():
 				return
-			case <-time.After(p.Duration / 2):
+			case <-swapAt.C:
 			}
 			for t := 0; t < p.Tenants; t++ {
 				if err := w.get().SwapBackend(tenantName(t), p.SwapTo); err == nil {
@@ -457,13 +462,15 @@ func Run(p Profile) (*Report, error) {
 	var restartErr error
 	var readyViol []Violation
 	if p.Restart {
+		restartAt := time.NewTimer(time.Until(start.Add(p.Duration * 3 / 4)))
 		swg.Add(1)
 		go func() {
 			defer swg.Done()
+			defer restartAt.Stop()
 			select {
 			case <-scenarioCtx.Done():
 				return
-			case <-time.After(p.Duration * 3 / 4):
+			case <-restartAt.C:
 			}
 			w.mu.Lock()
 			defer w.mu.Unlock()

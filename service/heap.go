@@ -11,7 +11,7 @@ import "time"
 // scanner pops it back into its queue.
 //
 // Lease deadlines need no heap: they live beside their tokens in the
-// sharded lease table, which the scanner walks (see Service.scanOnce).
+// slots' lease tables, which the scanner walks (see Service.scanOnce).
 
 // jobAt is a delayed job: when at passes, j moves back to its queue.
 type jobAt struct {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -66,26 +65,35 @@ func (e *BackpressureError) Error() string {
 }
 
 // job is the internal record. A job's place says where it is in its
-// lifecycle: its tenant's queue, the lease table, the delay heap (whose
-// entry holds the redelivery time) or the dead-letter list; a settled job
-// is in none of them. Stats derives its per-state counts from those
-// structures and the tenant's depth. mu guards the delivery count;
+// lifecycle: its tenant's queue, a slot's lease table, the delay heap
+// (whose entry holds the redelivery time) or the dead-letter list; a
+// settled job is in none of them. Stats derives its per-state counts from
+// those structures and the tenant's depth. A job is in one place at a
+// time, and it moves only through a synchronizing handoff (an enqueue and
+// its dequeue, a token's put and its take, a push and pop under dmu), so
+// the goroutine that took it owns the delivery count without a lock. The
 // identity fields (id, tenant, payload, submitted) are immutable after
-// construction. Lock ordering: job.mu is a leaf — never acquire any other
-// service lock while holding it.
+// construction, and the only readers of a job outside its place, the
+// checkpoint after the drain and DeadLetters after dlqMu, see it quiescent.
 type job struct {
 	id        uint64
 	tenant    *tenant
 	payload   json.RawMessage
 	submitted time.Time
 
-	mu        sync.Mutex
 	attempts  int
 	delivered bool // first delivery observed (lease-latency series)
+
+	// The fields take 80 B; the pad keeps the record in the 96 B size
+	// class. The HTTP handlers allocate about ten short-lived 80 B objects
+	// per job cycle and none of 96 B, and with an 80 B record, whose
+	// queued jobs then share spans with that garbage, perfbench's
+	// jobs-http p99 read 17% higher (DESIGN §12, *Jobs*).
+	_ [8]byte
 }
 
-// external renders the job in its public shape. Callers must hold j.mu or
-// otherwise have the job quiescent.
+// external renders the job in its public shape. Callers must own the job
+// or otherwise have it quiescent.
 func (j *job) external() Job {
 	return Job{
 		ID:          j.id,

@@ -32,8 +32,11 @@
 //
 // The calls write per-P state: Submit, Lease and SwapBackend borrow the
 // slot of the P they run on (see slot), and Ack and Nack go to the slot
-// their token names, so concurrent calls on different Ps share no fence,
-// token counter, lease table, in-flight count, lane or telemetry line.
+// their token names, so concurrent calls on different Ps share no token or
+// job-id counter, lease table, in-flight count (which is also the shutdown
+// fence), lane or telemetry line. A plain cycle takes no lock but its
+// slot's lease-table mutex and its lane's, and shares only the tenant's
+// depth word and, when a Lease steals, a queue shard.
 //
 // Telemetry flows through repro/internal/obs (SrvSubmits..SrvRejects
 // counters, LeaseLatency/AckLatency series) and, when the configured
@@ -89,9 +92,9 @@ type Config struct {
 	LeaseTTL time.Duration
 	// ScanInterval is the deadline-scanner period (0 = LeaseTTL/4,
 	// clamped to [1ms, 1s]). A pass walks every outstanding lease, about
-	// 50ns each (BenchmarkScanOnce: ~3.3ms at 65,536 outstanding leases on
-	// a 2-vCPU Xeon, ~0.3% of one core at the 1s default); settled leases
-	// cost it nothing.
+	// 19-49ns each (BenchmarkScanOnce: 1.2-3.2ms at 65,536 outstanding
+	// leases on a 2-vCPU Xeon, about 0.3% of one core at the 1s default);
+	// settled leases cost it nothing.
 	ScanInterval time.Duration
 	// RetryBudget is the delivery budget before a job dead-letters when
 	// Backoff is nil (0 = 5). Ignored when Backoff is set.
@@ -142,7 +145,9 @@ type Config struct {
 	// records are never sampled — they are rare and always interesting.
 	LogEvery int
 	// Now is the clock (nil = time.Now). Tests and the chaos harness
-	// inject it to force expiries deterministically.
+	// inject it to force expiries deterministically. Under the default
+	// clock Ack times its latency with time.Since, one read of the
+	// monotonic clock; an injected clock times it as Now().Sub.
 	Now func() time.Time
 	// Seed seeds backoff jitter (0 = 1).
 	Seed uint64
@@ -220,20 +225,19 @@ type Service struct {
 	slots    *[numSlots]slot
 	slotPool *sync.Pool
 
+	// since returns the time elapsed since a reading of now: one read of
+	// the monotonic clock under the default clock, now().Sub under an
+	// injected one.
+	since func(time.Time) time.Duration
+
 	metricsOnce sync.Once
 	metrics     *export.Collection // lazily built; windows persist across scrapes
 
-	_ [64]byte
-	//lf:contended every Submit writes it
-	nextID atomic.Uint64
-	_      [64]byte
-
 	// Lock discipline: tmu, the slots' lease-table mutexes, dmu,
-	// tenant.dlqMu, the lanes, job.mu and the backoff RNG's mutex are
-	// leaves, each held alone, never with another service lock. Only two
-	// locks enclose others, by design: a slot's fence read side, held
-	// across a whole call, and tenant.swapMu, which SwapBackend holds
-	// across its lane barrier and drain.
+	// tenant.dlqMu, the lanes and the backoff RNG's mutex are leaves, each
+	// held alone, never with another service lock. Only tenant.swapMu
+	// encloses others, by design: SwapBackend holds it across its lane
+	// barrier and drain.
 
 	// tenants is an immutable name → tenant map, read without a lock and
 	// replaced by a copy when a tenant is created; tmu serializes creation.
@@ -251,6 +255,10 @@ type Service struct {
 // New builds a Service, restores Config.SnapshotPath if a checkpoint is
 // present, and starts the deadline scanner.
 func New(cfg Config) (*Service, error) {
+	since := time.Since
+	if now := cfg.Now; now != nil {
+		since = func(t time.Time) time.Duration { return now().Sub(t) }
+	}
 	cfg = cfg.withDefaults()
 	if _, ok := registry.OrderingOf(cfg.Queue); !ok {
 		return nil, fmt.Errorf("service: unknown queue %q (have %v)", cfg.Queue, registry.Names())
@@ -258,6 +266,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		now:      cfg.Now,
+		since:    since,
 		slots:    newSlots(cfg.Lanes),
 		scanStop: make(chan struct{}),
 		scanDone: make(chan struct{}),
@@ -304,8 +313,8 @@ func (r *lockedRNG) randN(n uint64) uint64 {
 }
 
 // begin borrows the calling P's slot and enters the shutdown fence on it
-// (see enter). On nil the caller must release the fence and return the
-// slot with end.
+// (see enter). On nil the caller must release the slot's count and return
+// the slot with end, unless a Lease hands the count to its token.
 func (s *Service) begin() (*slot, error) {
 	sl := s.slotPool.Get().(*slot)
 	if err := s.enter(sl); err != nil {
@@ -315,29 +324,29 @@ func (s *Service) begin() (*slot, error) {
 	return sl, nil
 }
 
-// enter is the shutdown fence for Submit, Lease and SwapBackend: it takes
-// sl's fence read lock before checking the state, so Shutdown's state flip
-// followed by one write-lock acquisition of every slot cannot miss an
-// in-flight call, whichever slot it holds. No path may nest it: a read
-// lock requested while Shutdown waits for that slot blocks.
+// enter is the shutdown fence for Submit, Lease and SwapBackend: it adds
+// one to sl's in-flight count before it loads the state, so a call that
+// loads "serving" counted itself before Shutdown flipped the state, and
+// the drain, which waits for the slots' counts to sum to zero after the
+// flip, cannot miss it, whichever slot it holds.
 func (s *Service) enter(sl *slot) error {
-	sl.fence.RLock()
+	sl.inFlight.Add(1)
 	switch s.state.Load() {
 	case srvServing:
 		return nil
 	case srvDraining:
-		sl.fence.RUnlock()
+		sl.inFlight.Add(-1)
 		return ErrDraining
 	default:
-		sl.fence.RUnlock()
+		sl.inFlight.Add(-1)
 		return ErrStopped
 	}
 }
 
-// end releases the fence taken by a successful begin and returns the slot
+// end releases the count taken by a successful begin and returns the slot
 // to the pool.
 func (s *Service) end(sl *slot) {
-	sl.fence.RUnlock()
+	sl.inFlight.Add(-1)
 	s.slotPool.Put(sl)
 }
 
@@ -397,7 +406,7 @@ func (s *Service) Submit(tenantName string, payload json.RawMessage) (Job, error
 		t.depth.Add(1)
 	}
 	j := &job{
-		id:        s.nextID.Add(1),
+		id:        sl.newID(),
 		tenant:    t,
 		payload:   payload,
 		submitted: s.now(),
@@ -424,32 +433,32 @@ func (s *Service) Lease(tenantName string) (Lease, bool, error) {
 	if err != nil {
 		return Lease{}, false, err
 	}
-	defer s.end(sl)
+	defer s.slotPool.Put(sl)
 	t, err := s.tenantFor(tenantName, false)
-	if err != nil || t == nil {
-		return Lease{}, false, err
+	if err == nil && t != nil {
+		if j, ok := t.dequeue(sl.lane); ok {
+			return s.lease(sl, j), true, nil
+		}
 	}
-	j, ok := t.dequeue(sl.lane)
-	if !ok {
-		return Lease{}, false, nil
-	}
-	return s.lease(sl, j), true, nil
+	sl.inFlight.Add(-1) // nothing delivered: the call ends here
+	return Lease{}, false, err
 }
 
 // lease delivers j under a fresh token of sl and publishes the token in
-// sl's lease table.
+// sl's lease table. The caller has entered sl; its in-flight count passes
+// to the token, and whoever takes the token releases it.
 func (s *Service) lease(sl *slot, j *job) Lease {
 	token := sl.mint()
 	now := s.now()
 	deadline := now.Add(s.cfg.LeaseTTL)
 
-	j.mu.Lock()
+	// The dequeue handed j to this call alone: no other goroutine reaches
+	// it until the token is published.
 	j.attempts++
 	first := !j.delivered
 	j.delivered = true
 	attempts := j.attempts
 	out := Lease{Job: j.external(), Token: token, Deadline: deadline}
-	j.mu.Unlock()
 
 	// Record the lease before publishing the token: once it is in the
 	// table, ForceExpire or the scanner can take it and the job can be
@@ -461,17 +470,21 @@ func (s *Service) lease(sl *slot, j *job) Lease {
 		rec.Inc(obs.SrvRedeliveries)
 	}
 	if first {
-		rec.Observe(obs.LeaseLatency, uint64(now.Sub(j.submitted).Nanoseconds()))
+		rec.Observe(obs.LeaseLatency, nanos(now.Sub(j.submitted)))
 	}
 	if s.ev != nil {
 		s.ev.Event(obs.EvSrvLease, obs.LaneDefault, j.id)
 	}
 	s.log.lease(j.tenant.name, j.id, token, attempts)
 
-	sl.inFlight.Add(1)
 	sl.put(token, leaseEntry{j: j, deadline: deadline})
 	return out
 }
+
+// nanos renders an elapsed time for a latency series. A clock that stepped
+// back, an injected one or the wall clock behind a restored job's
+// submission time, reads as 0.
+func nanos(d time.Duration) uint64 { return uint64(max(d, 0)) }
 
 // Ack settles a lease successfully: the job is done and will never be
 // redelivered. A second Ack (or an Ack after expiry) gets ErrNoSuchLease.
@@ -487,10 +500,9 @@ func (s *Service) Ack(token uint64) error {
 	if j == nil {
 		return ErrNoSuchLease
 	}
-	now := s.now()
 	t := j.tenant
 	t.depth.Add(-1)
-	lat := uint64(now.Sub(j.submitted).Nanoseconds())
+	lat := nanos(s.since(j.submitted))
 	rec := t.laneRec[sl.lane]
 	rec.Inc(obs.SrvAcks)
 	rec.Observe(obs.AckLatency, lat)
@@ -526,11 +538,7 @@ func (s *Service) Nack(token uint64) error {
 // sl, through sl's lane. The caller must have taken the lease's token;
 // redeliver finishes the transition and decrements sl's in-flight count.
 func (s *Service) redeliver(sl *slot, j *job, now time.Time) {
-	j.mu.Lock()
-	attempts := j.attempts
-	j.mu.Unlock()
-
-	dec := s.cfg.Backoff.Decide(policy.Abort{Attempt: attempts, Requester: policy.NoRequester}, s.rng.randN)
+	dec := s.cfg.Backoff.Decide(policy.Abort{Attempt: j.attempts, Requester: policy.NoRequester}, s.rng.randN)
 	switch delay := time.Duration(dec.Delay) * s.cfg.BackoffUnit; {
 	case dec.Fallback:
 		s.deadLetter(j, sl.lane)
@@ -551,12 +559,10 @@ func (s *Service) redeliver(sl *slot, j *job, now time.Time) {
 // the list) but never misses it.
 func (s *Service) deadLetter(j *job, ln int) {
 	t := j.tenant
+	attempts := j.attempts
 	t.dlqMu.Lock()
 	t.dead = append(t.dead, j)
 	t.dlqMu.Unlock()
-	j.mu.Lock()
-	attempts := j.attempts
-	j.mu.Unlock()
 	t.depth.Add(-1)
 	t.laneRec[ln].Inc(obs.SrvDLQ)
 	if s.ev != nil {
@@ -594,11 +600,12 @@ func (s *Service) scanOnce(now time.Time, force bool) int {
 	var expired []lapsed
 	for i := range s.slots {
 		sl := &s.slots[i]
-		sl.walk(func(token uint64, e leaseEntry) {
+		sl.walk(func(_ uint64, e leaseEntry) bool {
 			if force || !e.deadline.After(now) {
-				delete(sl.leases, token)
 				expired = append(expired, lapsed{sl, e.j})
+				return true
 			}
+			return false
 		})
 	}
 	var release []*job

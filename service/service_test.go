@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/machine/policy"
+	"repro/internal/obs"
 	"repro/service"
 )
 
@@ -147,6 +148,43 @@ func TestLeaseExpiryRedelivery(t *testing.T) {
 	if st.Expired != 1 || st.Redeliveries != 1 {
 		t.Fatalf("stats = %+v, want expired=1 redeliveries=1", st)
 	}
+}
+
+// TestAckLatencyFollowsInjectedClock: under an injected clock the ack
+// latency is that clock's elapsed time, not the process's monotonic time,
+// including when the clock steps backward between Submit and Ack, which
+// reads as 0 rather than wrapping around. The lease TTL outlasts the 90 s
+// step, so a background scanner pass cannot reclaim the lease before Ack.
+func TestAckLatencyFollowsInjectedClock(t *testing.T) {
+	clk := newFakeClock()
+	rec := obs.New()
+	s := mustService(t, service.Config{Now: clk.Now, Recorder: rec, LeaseTTL: time.Hour})
+	defer s.Shutdown(context.Background())
+	cycle := func(step time.Duration) {
+		t.Helper()
+		if _, err := s.Submit("acme", nil); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		l, ok, err := s.Lease("acme")
+		if err != nil || !ok {
+			t.Fatalf("Lease: ok=%v err=%v", ok, err)
+		}
+		clk.Advance(step)
+		if err := s.Ack(l.Token); err != nil {
+			t.Fatalf("Ack: %v", err)
+		}
+	}
+	want := func(count, sum uint64) {
+		t.Helper()
+		if h := rec.Snapshot().Series[obs.AckLatency]; h.Count != count || h.Sum != sum {
+			t.Fatalf("ack latency series: %d samples summing to %d ns, want %d summing to %d",
+				h.Count, h.Sum, count, sum)
+		}
+	}
+	cycle(90 * time.Second)
+	want(1, uint64(90*time.Second))
+	cycle(-time.Hour)
+	want(2, uint64(90*time.Second))
 }
 
 func TestNackDeadLettersAfterBudget(t *testing.T) {

@@ -14,11 +14,11 @@ var ErrAlreadyDraining = errors.New("service: shutdown already in progress")
 
 // Shutdown drains the service gracefully:
 //
-//  1. Fence: Submit and Lease start returning ErrDraining (in-flight
-//     calls are waited out first, so the fence is exact).
-//  2. Drain: wait for every outstanding lease to settle, running scanner
-//     passes so naturally-expiring leases are reclaimed meanwhile. If ctx
-//     expires first, force-expire the stragglers (their jobs go back to
+//  1. Fence: Submit, Lease and SwapBackend start returning ErrDraining.
+//  2. Drain: wait for the calls that entered before the fence to end and
+//     for every outstanding lease to settle, running scanner passes so
+//     naturally-expiring leases are reclaimed meanwhile. If ctx expires
+//     first, force-expire the stragglers (their jobs go back to
 //     queued/delayed/dead by the usual redelivery rules — nothing is
 //     lost, the work just outlives this process).
 //  3. Stop: Ack/Nack start returning ErrStopped, then every unsettled
@@ -32,15 +32,10 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		return ErrAlreadyDraining
 	}
 	s.log.lifecycle("shutdown: draining")
-	// Wait out every Submit/Lease/SwapBackend that passed begin before the
-	// flip, whichever slot it holds; later ones see srvDraining and never
-	// touch the service.
-	for i := range s.slots {
-		fence := &s.slots[i].fence
-		fence.Lock()
-		fence.Unlock() //nolint:staticcheck // empty critical section: a barrier
-	}
-
+	// Every Submit, Lease and SwapBackend that entered before the flip
+	// counted itself first (see enter), so the drain waits it out,
+	// whichever slot it holds; later ones see srvDraining and never touch
+	// the service.
 	close(s.scanStop)
 	<-s.scanDone
 
@@ -74,16 +69,20 @@ func (s *Service) drainLeases(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			// Force-expire: reclaim every outstanding lease regardless of
-			// deadline, then wait for the redeliver transitions (which run
-			// synchronously in ForceExpire) to settle the sum to zero.
+			// deadline (ForceExpire redelivers synchronously), until the
+			// sum reads zero. A Lease that entered before the fence may
+			// still run during a pass and publish its token after it, so
+			// the passes repeat until every such call has ended.
 			// ForceExpire paces redelivery from the real clock, so the
 			// checkpoint records NotBefore near now — not a fabricated
 			// future that would strand restored jobs in the delay heap.
-			s.ForceExpire()
-			for s.inFlight() > 0 {
+			for {
+				s.ForceExpire()
+				if s.inFlight() == 0 {
+					return ctx.Err()
+				}
 				time.Sleep(time.Millisecond)
 			}
-			return ctx.Err()
 		case <-time.After(poll):
 			s.ScanOnce(s.now())
 		}
@@ -105,7 +104,7 @@ type TenantStats struct {
 // StatsSnapshot is the service-wide view GET /v1/stats renders.
 type StatsSnapshot struct {
 	State    string `json:"state"`
-	InFlight int64  `json:"in_flight"` // outstanding lease tokens
+	InFlight int64  `json:"in_flight"` // outstanding lease tokens, from the lease-table walk
 
 	Submits      uint64 `json:"submits"`
 	Leases       uint64 `json:"leases"`
@@ -133,7 +132,7 @@ type StatsSnapshot struct {
 // telemetry scope (see Config.Recorder): every tenant of this Service, and
 // of any earlier Service that shared the same *obs.Stats recorder.
 func (s *Service) Stats() StatsSnapshot {
-	out := StatsSnapshot{InFlight: s.inFlight()}
+	var out StatsSnapshot
 	switch s.state.Load() {
 	case srvServing:
 		out.State = "serving"
@@ -158,13 +157,18 @@ func (s *Service) Stats() StatsSnapshot {
 	out.AckP50, out.AckP99, out.AckP999 =
 		ack.Quantile(0.50), ack.Quantile(0.99), ack.Quantile(0.999)
 
-	// The per-state counts are derived off the hot path: leased jobs from
-	// one walk of the slots' lease tables, delayed ones from the delay
-	// heap, and queued ones as the rest of the depth. A tenant's depth is
-	// read before its dead-letter list: see deadLetter.
+	// The per-state counts are derived off the hot path: leased jobs, and
+	// the outstanding tokens, from one walk of the slots' lease tables,
+	// delayed ones from the delay heap, and queued ones as the rest of the
+	// depth. A tenant's depth is read before its dead-letter list: see
+	// deadLetter.
 	leased := map[*tenant]int{}
 	for i := range s.slots {
-		s.slots[i].walk(func(_ uint64, e leaseEntry) { leased[e.j.tenant]++ })
+		s.slots[i].walk(func(_ uint64, e leaseEntry) bool {
+			leased[e.j.tenant]++
+			out.InFlight++
+			return false
+		})
 	}
 	delayed := s.delayedJobs()
 	for _, t := range s.tenantList() {

@@ -2,12 +2,17 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/machine/policy"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 )
@@ -21,48 +26,48 @@ func mustNew(t *testing.T, cfg Config) *Service {
 	return s
 }
 
-// TestShutdownWaitsForEverySlot holds one slot's fence read lock, as a
-// call that borrowed that slot does, and starts Shutdown. Shutdown must
-// flip the state and then wait on that slot's write lock: it may not
+// TestShutdownWaitsForEverySlot enters one slot, as a call that borrowed
+// that slot does, and starts Shutdown. Shutdown must flip the state and
+// then wait for the slots' in-flight counts to sum to zero: it may not
 // return while the call runs, whichever slot the call holds, and a call
-// that enters on another slot meanwhile must see ErrDraining. The test
-// waits for Shutdown's pending write lock (TryRLock fails once a writer
-// waits), so it needs no sleep; a Shutdown that skips the slot returns
-// instead and fails the test.
+// that enters on another slot meanwhile must see ErrDraining. Once the
+// scanner has stopped, only the drain reads the injected clock, once per
+// poll, and it polls only after its sum read above zero; so the test waits
+// for two polls instead of sleeping, and a Shutdown whose sum skips the
+// slot returns before its first poll and fails the test.
 func TestShutdownWaitsForEverySlot(t *testing.T) {
 	for _, k := range []int{0, 37, numSlots - 1} {
-		s := mustNew(t, Config{})
+		var reads atomic.Int64
+		s := mustNew(t, Config{ScanInterval: time.Millisecond, Now: func() time.Time {
+			reads.Add(1)
+			return time.Now()
+		}})
 		held := &s.slots[k]
 		if err := s.enter(held); err != nil {
 			t.Fatalf("slot %d: enter: %v", k, err)
 		}
 		done := make(chan error, 1)
 		go func() { done <- s.Shutdown(context.Background()) }()
-	wait:
-		for {
+		<-s.scanDone // Shutdown has flipped the state and stopped the scanner
+		for polls := reads.Load() + 2; reads.Load() < polls; runtime.Gosched() {
 			select {
 			case err := <-done:
-				t.Fatalf("slot %d: Shutdown returned (%v) while a call held the slot's fence", k, err)
+				t.Fatalf("slot %d: Shutdown returned (%v) while a call held the slot", k, err)
 			default:
 			}
-			if !held.fence.TryRLock() {
-				break wait // Shutdown waits for the slot's write lock
-			}
-			held.fence.RUnlock()
-			runtime.Gosched()
 		}
 		if st := s.state.Load(); st != srvDraining {
-			t.Fatalf("slot %d: state %d while Shutdown waits at the fence, want draining", k, st)
+			t.Fatalf("slot %d: state %d while Shutdown drains, want draining", k, st)
 		}
 		if err := s.enter(&s.slots[(k+1)%numSlots]); !errors.Is(err, ErrDraining) {
 			t.Fatalf("slot %d: a call entering on slot %d got %v, want ErrDraining", k, (k+1)%numSlots, err)
 		}
 		select {
 		case err := <-done:
-			t.Fatalf("slot %d: Shutdown returned (%v) while a call held the slot's fence", k, err)
+			t.Fatalf("slot %d: Shutdown returned (%v) while a call held the slot", k, err)
 		default:
 		}
-		held.fence.RUnlock() // the call ends
+		s.end(held) // the call ends
 		select {
 		case err := <-done:
 			if err != nil {
@@ -70,6 +75,120 @@ func TestShutdownWaitsForEverySlot(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("slot %d: Shutdown did not return after the call ended", k)
+		}
+	}
+}
+
+// TestRingOverflowLeases holds one lease on a slot across more than
+// ringSize mints, so the lease minted ringSize after it finds its home
+// cell held and goes to the slot's overflow map, while the next one takes
+// a ring cell. Stats, settlement from other goroutines, the scanner and a
+// forced shutdown's checkpoint must each see both kinds of lease, and a
+// second settlement of any of them gets ErrNoSuchLease.
+func TestRingOverflowLeases(t *testing.T) {
+	const k = 37
+	path := filepath.Join(t.TempDir(), "snap.json")
+	s := mustNew(t, Config{SnapshotPath: path, Backoff: policy.AbortBudget{Budget: 100, Inner: policy.ExponentialBackoff{}}})
+	sl := &s.slots[k]
+	leaseOn := func() Lease {
+		t.Helper()
+		if _, err := s.Submit("acme", nil); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		tn, _ := s.tenantFor("acme", false)
+		if err := s.enter(sl); err != nil {
+			t.Fatalf("enter: %v", err)
+		}
+		j, ok := tn.dequeue(sl.lane)
+		if !ok {
+			t.Fatal("dequeue came back empty")
+		}
+		return s.lease(sl, j)
+	}
+	// build leaves three leases of slot k outstanding: held and ring in
+	// ring cells, over in the overflow map.
+	build := func() (held, ring, over Lease) {
+		t.Helper()
+		held = leaseOn()
+		for range ringSize - 1 {
+			if err := s.Ack(leaseOn().Token); err != nil {
+				t.Fatalf("Ack: %v", err)
+			}
+		}
+		over, ring = leaseOn(), leaseOn()
+		sl.mu.Lock()
+		_, inMap := sl.leases[over.Token]
+		cell := sl.cell(ring.Token).token
+		sl.mu.Unlock()
+		if !inMap || len(sl.leases) != 1 || cell != ring.Token {
+			t.Fatalf("tokens %d, %d, %d: want the second in the overflow map (%v, %d entries), the third in its cell (holds %d)",
+				held.Token, over.Token, ring.Token, inMap, len(sl.leases), cell)
+		}
+		st := s.Stats()
+		if st.InFlight != 3 || len(st.Tenants) != 1 || st.Tenants[0].Leased != 3 {
+			t.Fatalf("Stats: %d in flight, tenants %+v; want 3 leased", st.InFlight, st.Tenants)
+		}
+		return held, ring, over
+	}
+	settle := func(l Lease, nack bool) error {
+		done := make(chan error)
+		go func() {
+			if nack {
+				done <- s.Nack(l.Token)
+			} else {
+				done <- s.Ack(l.Token)
+			}
+		}()
+		return <-done
+	}
+	settleAll := func(want error, ls ...Lease) {
+		t.Helper()
+		for i, l := range ls {
+			if err := settle(l, i == 1); !errors.Is(err, want) {
+				t.Fatalf("settling token %d: %v, want %v", l.Token, err, want)
+			}
+		}
+	}
+
+	held, ring, over := build()
+	settleAll(nil, held, ring, over)
+	settleAll(ErrNoSuchLease, held, ring, over)
+	if n, st := s.inFlight(), s.Stats(); n != 0 || st.InFlight != 0 {
+		t.Fatalf("after settling: in-flight sum %d, Stats().InFlight %d", n, st.InFlight)
+	}
+
+	held, ring, over = build()
+	if n := s.ScanOnce(time.Now()); n != 0 {
+		t.Fatalf("scanner reclaimed %d unexpired leases", n)
+	}
+	if n := s.ScanOnce(time.Now().Add(time.Hour)); n != 3 {
+		t.Fatalf("scanner reclaimed %d expired leases, want 3", n)
+	}
+	settleAll(ErrNoSuchLease, held, ring, over)
+
+	held, ring, over = build()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("forced Shutdown: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	saved := map[uint64]bool{}
+	for _, st := range snap.Tenants {
+		for _, sj := range st.Jobs {
+			saved[sj.ID] = true
+		}
+	}
+	for _, l := range []Lease{held, ring, over} {
+		if !saved[l.ID] {
+			t.Fatalf("job %d, leased under token %d, missing from the checkpoint", l.ID, l.Token)
 		}
 	}
 }
@@ -117,8 +236,9 @@ func TestLeaseTakesFromItsLanesHomeShard(t *testing.T) {
 // TestCrossSlotSettleLeavesNoInFlight mints leases on one slot and settles
 // them from other goroutines, which run on whatever slot their P holds:
 // the settlement must decrement the count of the slot that minted the
-// token, so no slot's count goes negative and Stats().InFlight and
-// sbq_inflight_leases read 0 once everything is settled.
+// token, so no slot's count goes negative, and the in-flight sum,
+// Stats().InFlight and sbq_inflight_leases read 0 once everything is
+// settled.
 func TestCrossSlotSettleLeavesNoInFlight(t *testing.T) {
 	s := mustNew(t, Config{})
 	defer s.Shutdown(context.Background())
@@ -143,6 +263,9 @@ func TestCrossSlotSettleLeavesNoInFlight(t *testing.T) {
 				t.Fatalf("slot %d in-flight count %d", i, n)
 			}
 		}
+		if got := s.inFlight(); got != want {
+			t.Fatalf("in-flight sum = %d, want %d", got, want)
+		}
 		if got := s.Stats().InFlight; got != want {
 			t.Fatalf("Stats().InFlight = %d, want %d", got, want)
 		}
@@ -157,11 +280,14 @@ func TestCrossSlotSettleLeavesNoInFlight(t *testing.T) {
 			}
 			tn, _ := s.tenantFor("acme", false)
 			sl := &s.slots[k]
+			if err := s.enter(sl); err != nil {
+				t.Fatalf("enter: %v", err)
+			}
 			j, ok := tn.dequeue(sl.lane)
 			if !ok {
 				t.Fatal("dequeue came back empty")
 			}
-			l := s.lease(sl, j)
+			l := s.lease(sl, j) // the call's count passes to the token
 			if int(l.Token&slotMask) != k {
 				t.Fatalf("token %d minted on slot %d names slot %d", l.Token, k, l.Token&slotMask)
 			}
@@ -191,16 +317,19 @@ func TestCrossSlotSettleLeavesNoInFlight(t *testing.T) {
 	}
 }
 
-// TestSlotsMintAboveBase: after startSlots(base), as restore calls it with
-// the checkpoint's next_token, every slot's next token exceeds base and
-// names its slot.
+// TestSlotsMintAboveBase: after startSlots, as restore calls it with the
+// checkpoint's next_token and next_id, every slot's next token and next
+// job id exceed their bases and name the slot.
 func TestSlotsMintAboveBase(t *testing.T) {
 	for _, base := range []uint64{0, 1, 63, 64, 200, 1<<40 + 63} {
 		sl := new([numSlots]slot)
-		startSlots(sl, base)
+		startSlots(sl, base, base+7)
 		for i := range sl {
 			if tok := sl[i].mint(); tok <= base || tok&slotMask != uint64(i) {
 				t.Fatalf("base %d: slot %d minted token %d", base, i, tok)
+			}
+			if id := sl[i].newID(); id <= base+7 || id&slotMask != uint64(i) {
+				t.Fatalf("base %d: slot %d minted job id %d", base+7, i, id)
 			}
 		}
 	}
@@ -239,10 +368,11 @@ func TestWalkVisitsStableLeasesOnce(t *testing.T) {
 		for tok := range stable {
 			stable[tok] = 0
 		}
-		sl.walk(func(tok uint64, _ leaseEntry) {
+		sl.walk(func(tok uint64, _ leaseEntry) bool {
 			if _, ok := stable[tok]; ok {
 				stable[tok]++
 			}
+			return false
 		})
 		for tok, n := range stable {
 			if n != 1 {

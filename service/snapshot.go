@@ -19,7 +19,10 @@ const snapshotVersion = 1
 type snapshot struct {
 	Version int       `json:"version"`
 	Taken   time.Time `json:"taken"`
-	NextID  uint64    `json:"next_id"`
+	// NextID is an upper bound on every job id issued before the
+	// checkpoint, and restore makes every slot mint ids above it, so a
+	// fresh job never reuses a restored job's id.
+	NextID uint64 `json:"next_id"`
 	// NextToken is an upper bound on every lease token issued before the
 	// checkpoint, and restore makes every slot mint above it: a worker
 	// holding a pre-restart token must get ErrNoSuchLease from the
@@ -48,15 +51,11 @@ type snapJob struct {
 
 // checkpoint writes every unsettled job to path (tmp + rename, so a crash
 // mid-write leaves the previous checkpoint intact). Caller guarantees
-// quiescence: state is srvStopped, the fence passed, scanner stopped, the
-// in-flight sum zero.
+// quiescence: state is srvStopped, the scanner stopped, and the in-flight
+// sum zero, so every call that entered has ended and every lease settled.
 func (s *Service) checkpoint(path string) error {
-	snap := snapshot{
-		Version:   snapshotVersion,
-		Taken:     s.now(),
-		NextID:    s.nextID.Load(),
-		NextToken: s.maxToken(),
-	}
+	snap := snapshot{Version: snapshotVersion, Taken: s.now()}
+	snap.NextToken, snap.NextID = s.lastMinted()
 
 	delayed := s.delayedJobs()
 	for _, t := range s.tenantList() {
@@ -113,8 +112,6 @@ func (s *Service) checkpoint(path string) error {
 }
 
 func snapJobOf(j *job) snapJob {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return snapJob{
 		ID:          j.id,
 		Payload:     j.payload,
@@ -142,8 +139,7 @@ func (s *Service) restore(path string) error {
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("service: checkpoint %s has version %d, want %d", path, snap.Version, snapshotVersion)
 	}
-	s.nextID.Store(snap.NextID)
-	startSlots(s.slots, snap.NextToken)
+	startSlots(s.slots, snap.NextToken, snap.NextID)
 	now := s.now()
 	restored := 0
 	tenants := map[string]*tenant{}

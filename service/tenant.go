@@ -164,7 +164,9 @@ func (s *Service) newTenant(name, queueName string) (*tenant, error) {
 }
 
 // laneOf picks a lane from a job id, for the paths that run on no slot:
-// the scanner's delayed releases, restore and a swap's drain.
+// the scanner's delayed releases, restore and a swap's drain. A job id's
+// low bits name the slot that minted it, so when Lanes divides numSlots
+// this is the lane the job was submitted through.
 func (t *tenant) laneOf(id uint64) int { return int(id % uint64(len(t.laneRec))) }
 
 // enqueue pushes j through lane ln. The pointer re-check under the lane
