@@ -8,9 +8,9 @@
 // coherence protocol with an Intel-RTM-style HTM layer — because Go has
 // no HTM intrinsics; TxCAS and every evaluated queue run on it and all
 // figures of the paper regenerate from the same protocol dynamics the
-// paper argues from. The native track (queue, basket) is the adoptable Go
+// paper argues from. The native track (queue) is the adoptable Go
 // library: generic MPMC queues on sync/atomic, including the modular
-// baskets queue with pluggable baskets.
+// baskets queue whose nodes embed the paper's scalable basket.
 //
 // This package itself holds only the repository-level benchmarks: one
 // testing.B family per paper figure (see bench_test.go).

@@ -1,7 +1,7 @@
 // Package obs is the repository's observability layer: near-zero-overhead
 // telemetry counters and coarse latency histograms shared by the native
-// queues (repro/queue/*), the baskets (repro/basket), and the simulated
-// track (repro/internal/machine, repro/internal/simqueue).
+// queues and their baskets (repro/queue/*) and the simulated track
+// (repro/internal/machine, repro/internal/simqueue).
 //
 // The paper's whole argument is about which atomic operations fail and what
 // that failure costs (§3, §6.1): CAS failure rates, basket occupancy, and
@@ -50,8 +50,7 @@ const (
 	CASAttempts
 	CASFailures
 	CASFallbacks
-	// Basket insert/extract outcomes, recorded by the basket
-	// implementations themselves.
+	// Basket insert/extract outcomes, recorded by the baskets themselves.
 	BasketInserts
 	BasketInsertFails
 	BasketExtracts

@@ -10,9 +10,8 @@ import (
 
 // BatchFactory builds one queue instance and hands out batch-capable
 // per-goroutine views of it, mirroring Factory for the queue.BatchQueue
-// surface. Registry entries always satisfy it (their views are upgraded
-// through queue.AsBatch when the implementation has no native batch path),
-// so batch conformance is table-driven over the whole registry.
+// surface. Every registry entry's views implement the batch methods
+// natively, so batch conformance is table-driven over the whole registry.
 type BatchFactory func(producers int) (producerView func(i int) queue.BatchQueue[uint64], consumerView func(i int) queue.BatchQueue[uint64])
 
 // CheckBatchSequential drives the batch surface on one goroutine through

@@ -47,7 +47,7 @@ func newSharded[T any](cfg Config, linking func(Config) []sbq.Option) Instance[T
 		shards = runtime.GOMAXPROCS(0)
 	}
 	build := func(shard, _ int) sharded.Shard[T] {
-		q := queue.AsBatch(faaq.New[T](faaq.WithRecorder(shardRec(cfg, shard))))
+		q := faaq.New[T](faaq.WithRecorder(shardRec(cfg, shard)))
 		shared := func(int) queue.BatchQueue[T] { return q }
 		return sharded.Shard[T]{Producer: shared, Consumer: shared}
 	}

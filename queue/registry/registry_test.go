@@ -196,9 +196,9 @@ func TestBatchConformance(t *testing.T) {
 // uint64 elements:
 //
 //   - An SBQ node embeds its scalable basket: appending one is two
-//     allocations, the 96 B node and the basket's cell slice of 16 B
-//     cells, one cell per producer of the queue. A pair appends one node
-//     and a k=8 round eight; dequeues allocate nothing.
+//     allocations, the 72 B node (80 B size class) and the basket's cell
+//     slice of 16 B cells, one cell per producer of the queue. A pair
+//     appends one node and a k=8 round eight; dequeues allocate nothing.
 //   - A faaq shard allocates one segment per SegSize (1024) claimed
 //     cells: 1024 16 B cells plus its id and link, 16400 B in the
 //     18432 B size class, 18 B per cell. A pair claims one cell and a
@@ -213,15 +213,15 @@ func TestAllocPins(t *testing.T) {
 		t.Skip("race instrumentation distorts allocation counts")
 	}
 	pins := map[string]struct{ pair, batch, pairBytes float64 }{
-		// 96 B node + two 16 B cells (the 32 B class) = 128 B at 2 producers.
-		"SBQ-CAS":   {2, 16, 136},
-		"SBQ-DCAS":  {2, 16, 136},
-		"SBQ-TxCAS": {2, 16, 136},
+		// 80 B node + two 16 B cells (the 32 B class) = 112 B at 2 producers.
+		"SBQ-CAS":   {2, 16, 120},
+		"SBQ-DCAS":  {2, 16, 120},
+		"SBQ-TxCAS": {2, 16, 120},
 		// 18 B of segment per claimed cell.
 		"Sharded-FAA": {0, 0, 26},
-		// Two producers on two shards leave one producer per shard: a
-		// 96 B node + one 16 B cell = 112 B.
-		"Sharded-SBQ": {2, 16, 120},
+		// Two producers on two shards leave one producer per shard: an
+		// 80 B node + one 16 B cell = 96 B.
+		"Sharded-SBQ": {2, 16, 104},
 	}
 	for _, name := range registry.Names() {
 		pin, ok := pins[name]
@@ -363,6 +363,27 @@ func TestRecorderThreading(t *testing.T) {
 			}
 			if snap.Counter(obs.DeqEmpty) == 0 {
 				t.Error("DeqEmpty never incremented on the draining dequeue")
+			}
+		})
+	}
+}
+
+// TestNewQueueRecordsNothing: building an entry is not an operation, so a
+// fresh queue reads 0 in every counter, at four shards for the sharded
+// entries. SBQ must build its sentinel's basket exhausted: draining it
+// with an extraction counts a basket extract failure per queue or shard.
+func TestNewQueueRecordsNothing(t *testing.T) {
+	for _, name := range registry.Names() {
+		t.Run(name, func(t *testing.T) {
+			st := obs.New()
+			if _, err := registry.Build(name, registry.Config{Producers: 4, Shards: 4, Recorder: st}); err != nil {
+				t.Fatal(err)
+			}
+			snap := st.Snapshot()
+			for c := obs.Counter(0); c < obs.NumCounters; c++ {
+				if n := snap.Counter(c); n != 0 {
+					t.Errorf("%s = %d on a fresh queue, want 0", c, n)
+				}
 			}
 		})
 	}

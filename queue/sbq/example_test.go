@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/basket"
 	"repro/queue/sbq"
 )
 
@@ -39,23 +38,4 @@ func Example() {
 	sort.Ints(got)
 	fmt.Println(got)
 	// Output: [10 11 12 20 21 22]
-}
-
-// Plugging a custom basket: the partitioned basket trades strict
-// single-counter extraction for lower dequeue contention.
-func ExampleWithBasket() {
-	q := sbq.New[string](
-		sbq.WithEnqueuers(4),
-		sbq.WithBasket(func() basket.Basket[string] {
-			return basket.New[string](basket.WithCapacity(4), basket.WithPartitions(2))
-		}),
-	)
-	h := q.NewHandle()
-	h.Enqueue("a")
-	h.Enqueue("b")
-	v1, _ := q.Dequeue()
-	v2, _ := q.Dequeue()
-	_, ok := q.Dequeue()
-	fmt.Println(v1, v2, ok)
-	// Output: a b false
 }

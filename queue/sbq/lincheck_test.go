@@ -1,4 +1,4 @@
-package basket
+package sbq
 
 // This file empirically validates the paper's Theorem 5.3 — that the
 // scalable basket is a linearizable implementation of the basket
@@ -153,7 +153,7 @@ func TestLinCheckerSane(t *testing.T) {
 
 // runBasketHistory executes a small randomized concurrent workload on b
 // and returns the collected history (timestamps from one atomic clock).
-func runBasketHistory(b Basket[uint64], seed int) []bOp {
+func runBasketHistory(b *basket[uint64], seed int) []bOp {
 	var clock atomic.Uint64
 	tick := func() uint64 { return clock.Add(1) }
 	const threads = 3
@@ -178,13 +178,13 @@ func runBasketHistory(b Basket[uint64], seed int) []bOp {
 					v := uint64(tid+1)*100 + uint64(i)
 					op.kind = bInsert
 					op.arg = v
-					op.ok = b.Insert(tid, v)
+					op.ok = b.insert(tid, v, nil)
 				case 1:
 					op.kind = bExtract
-					op.val, op.ok = b.Extract()
+					op.val, op.ok = b.extract(nil, nil)
 				case 2:
 					op.kind = bEmpty
-					op.ok = b.Empty()
+					op.ok = b.empty()
 				}
 				op.end = tick()
 				histories[tid] = append(histories[tid], op)
@@ -207,35 +207,7 @@ func TestScalableBasketLinearizable(t *testing.T) {
 		trials = 60
 	}
 	for seed := 0; seed < trials; seed++ {
-		b := scalable[uint64](3, 3)
-		h := runBasketHistory(b, seed)
-		if !linearizableBasket(h) {
-			t.Fatalf("seed %d: non-linearizable history: %+v", seed, h)
-		}
-	}
-}
-
-func TestPartitionedBasketLinearizableHistories(t *testing.T) {
-	trials := 400
-	if testing.Short() {
-		trials = 60
-	}
-	for seed := 0; seed < trials; seed++ {
-		b := partitioned[uint64](3, 3, 2)
-		h := runBasketHistory(b, seed)
-		if !linearizableBasket(h) {
-			t.Fatalf("seed %d: non-linearizable history: %+v", seed, h)
-		}
-	}
-}
-
-func TestClosingStackLinearizableHistories(t *testing.T) {
-	trials := 400
-	if testing.Short() {
-		trials = 60
-	}
-	for seed := 0; seed < trials; seed++ {
-		b := NewClosingStack[uint64]()
+		b := newBasket[uint64](3)
 		h := runBasketHistory(b, seed)
 		if !linearizableBasket(h) {
 			t.Fatalf("seed %d: non-linearizable history: %+v", seed, h)

@@ -3,13 +3,12 @@ package sbq
 import (
 	"runtime"
 
-	"repro/basket"
 	"repro/internal/obs"
 	"repro/internal/txcas"
 )
 
-// Option configures a Queue built with New. The element type appears only
-// in WithBasket; every other option is type-free, so call sites read:
+// Option configures a Queue built with New. Options are free of the
+// element type, so call sites read:
 //
 //	q := sbq.New[string](
 //		sbq.WithEnqueuers(8),
@@ -25,11 +24,6 @@ type options struct {
 	txcas     bool
 	txcasOpts []txcas.Option
 	rec       obs.Recorder
-	// newBasket holds a func() basket.Basket[T]; it is typed any because
-	// Option is not generic (Go cannot infer a generic option's type
-	// parameter from a value-free call like WithEnqueuers(8)). New[T]
-	// checks the element type and panics on mismatch.
-	newBasket any
 }
 
 // WithEnqueuers sets the number of producer handles the queue will issue
@@ -59,23 +53,9 @@ func WithTxCAS(opts ...txcas.Option) Option {
 	}
 }
 
-// WithBasket overrides the basket constructor (the default is the scalable
-// basket sized to the enqueuer count, wired to the queue's recorder). The
-// basket must satisfy the §5.3.2 property: once indicated empty, every
-// future Extract fails. A nil constructor keeps the default.
-func WithBasket[T any](mk func() basket.Basket[T]) Option {
-	return func(o *options) {
-		if mk == nil {
-			o.newBasket = nil
-			return
-		}
-		o.newBasket = mk
-	}
-}
-
 // WithRecorder attaches a telemetry recorder (see repro/internal/obs): the
 // queue reports operation counts, try_append CAS attempts and failures, and
-// retries; the default basket reports insert/extract outcomes into the same
+// retries, and its baskets report insert/extract outcomes into the same
 // recorder. A nil or obs.Nop recorder disables telemetry — the disabled
 // path costs one nil check per event site.
 func WithRecorder(r obs.Recorder) Option {
@@ -83,7 +63,7 @@ func WithRecorder(r obs.Recorder) Option {
 }
 
 // buildOptions applies opts and resolves the enqueuer count.
-func buildOptions[T any](opts []Option) (options, int) {
+func buildOptions(opts []Option) (options, int) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
@@ -94,11 +74,6 @@ func buildOptions[T any](opts []Option) (options, int) {
 	}
 	if enqueuers <= 0 {
 		panic("sbq: enqueuers must be positive")
-	}
-	if o.newBasket != nil {
-		if _, ok := o.newBasket.(func() basket.Basket[T]); !ok {
-			panic("sbq: WithBasket element type does not match the queue's")
-		}
 	}
 	return o, enqueuers
 }

@@ -1,6 +1,6 @@
 // Package sbq implements the paper's scalable baskets queue natively in
-// Go: the modular baskets queue of §5.2 (Algorithms 2-6) with a pluggable
-// basket (§5.2.1).
+// Go: the modular baskets queue of §5.2 (Algorithms 2-6) whose every node
+// embeds the scalable basket (Algorithms 8-9).
 //
 // Go exposes no hardware transactional memory and its runtime would abort
 // transactional sections, so the native SBQ cannot use the HTM TxCAS.
@@ -14,9 +14,10 @@
 // profit-from-failure effect approximated on real cores. The HTM-backed
 // SBQ runs on the repository's simulated machine (repro/internal/simqueue).
 //
-// The basket must guarantee the property of §5.3.2: once the basket is
-// indicated empty, every future Extract fails. Both baskets in
-// repro/basket satisfy it.
+// The queue relies on the basket property of §5.3.2: once a basket is
+// indicated empty, every later extraction from it fails. The scalable
+// basket has it (basket.go); the paper's other baskets, the original
+// baskets queue's and the §8 partitioned one, run on the simulated track.
 //
 // Threads interact with the queue through handles: each producer goroutine
 // needs its own Handle (carrying its basket cell index and its reusable
@@ -37,15 +38,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/basket"
 	"repro/internal/obs"
 	"repro/internal/txcas"
 )
 
-// node is a queue node: a basket plus a link and a position index.
+// node is a queue node: a link, a position index and a basket. The basket
+// is embedded, so a node and its basket are one allocation, plus the
+// basket's cell slice.
 type node[T any] struct {
-	basket basket.Basket[T]
-	next   atomic.Pointer[node[T]]
+	// next is the linking CAS's target, and it leads the node: a node is
+	// 72 B in the 80 B size class, so its last line is shared with the
+	// next node its P allocates, which the enqueuer writes while
+	// contenders may still CAS this link (DESIGN §5.3).
+	next atomic.Pointer[node[T]]
 	// index is the node's position in the list (predecessor's plus one).
 	// Like linker it is written only while the node is private, and the
 	// linking CAS that publishes the node orders those writes before every
@@ -55,10 +60,7 @@ type node[T any] struct {
 	// the node is private, so a contender that loses the linking CAS to it
 	// can name the winner (see txcas.Node).
 	linker int
-	// own is the storage of the default scalable basket, which basket
-	// then points at, so a node and its basket are one allocation. It is
-	// unused when a WithBasket constructor builds the basket.
-	own basket.Scalable[T]
+	basket basket[T]
 }
 
 // Linker implements txcas.Node.
@@ -73,35 +75,27 @@ type Queue[T any] struct {
 	tail atomic.Pointer[node[T]]
 	_    [56]byte
 
-	enqueuers int
+	enqueuers int // cells per basket, one per producer handle
 	// eng runs every linking CAS (txcas.GuardedCAS) and owns its
 	// telemetry, so soft aborts genuinely reduce measured attempts and
 	// failures.
 	eng *txcas.Engine
-	// newBasket builds a node's basket: the default builds the scalable
-	// basket in the node's own storage; a WithBasket constructor ignores
-	// it.
-	newBasket func(own *basket.Scalable[T]) basket.Basket[T]
-	rec       obs.Recorder // nil unless WithRecorder attached telemetry
+	rec obs.Recorder // nil unless WithRecorder attached telemetry
 	// ev is the timeline extension of rec (nil unless the recorder is a
 	// flight-recorder collector). Producer events land on lane=handle id;
 	// dequeues use the collector handle's own lane (obs.LaneDefault).
 	ev obs.EventRecorder
 
 	producers atomic.Int64 // handles issued
+	_         [8]byte      // whole cache lines (padcheck)
 }
 
 // New returns a queue configured by opts. With no options it sizes itself
-// for GOMAXPROCS producer handles, uses the scalable basket, a plain-CAS
-// try_append, and no telemetry.
+// for GOMAXPROCS producer handles, uses a plain-CAS try_append, and records
+// no telemetry.
 func New[T any](opts ...Option) *Queue[T] {
-	o, enqueuers := buildOptions[T](opts)
+	o, enqueuers := buildOptions(opts)
 	q := &Queue[T]{enqueuers: enqueuers, rec: o.rec, ev: obs.Events(o.rec)}
-	if mk, ok := o.newBasket.(func() basket.Basket[T]); ok {
-		q.newBasket = func(*basket.Scalable[T]) basket.Basket[T] { return mk() }
-	} else {
-		q.newBasket = basket.Maker[T](basket.WithCapacity(enqueuers), basket.WithBound(enqueuers), basket.WithRecorder(o.rec))
-	}
 	// The queue's recorder and window come first so WithTxCAS options
 	// override them. Without WithTxCAS the window is 0: a plain CAS.
 	window := time.Duration(0)
@@ -109,30 +103,29 @@ func New[T any](opts ...Option) *Queue[T] {
 		window = txcas.DefaultWindow
 	}
 	q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithWindow(window), txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
+	// The sentinel's basket is built exhausted: its counter at the bound
+	// and its empty bit set, with no extraction recorded. No enqueuer joins
+	// it, because only a node that won a linking CAS is joined.
 	sentinel := q.newNode(0)
-	// The sentinel's basket must read as exhausted.
-	for {
-		if _, ok := sentinel.basket.Extract(); !ok {
-			break
-		}
-	}
+	sentinel.basket.counter.Store(uint64(enqueuers))
+	sentinel.basket.close(q.ev)
 	q.head.Store(sentinel)
 	q.tail.Store(sentinel)
 	return q
 }
 
-// newNode allocates a node prepared by handle linker and builds its
-// basket, open and empty.
+// newNode allocates a node prepared by handle linker, with its basket
+// open and empty.
 func (q *Queue[T]) newNode(linker int) *node[T] {
-	//lint:ignore allocfree each appended node is one allocation (plus its basket's cell slice) by design; the registry's GC-mode allocation pins fix the count
-	n := &node[T]{linker: linker}
-	n.basket = q.newBasket(&n.own)
+	//lint:ignore allocfree each appended node is two allocations, the node and its basket's cell slice, by design; the registry's GC-mode allocation pins fix the count
+	n := &node[T]{basket: basket[T]{cells: make([]cell[T], q.enqueuers)}, linker: linker}
+	n.basket.open(q.ev)
 	return n
 }
 
-// Handle is a per-goroutine view of the queue. Producer handles own a
-// basket cell index and the node-reuse slot of §5.2.2. A Handle must not
-// be shared between goroutines.
+// Handle is a per-goroutine view of the queue. A producer handle owns one
+// cell of every node's basket (its id) and the node-reuse slot of §5.2.2.
+// A Handle must not be shared between goroutines.
 type Handle[T any] struct {
 	q        *Queue[T]
 	id       int // basket cell index for this producer
@@ -219,9 +212,9 @@ func (h *Handle[T]) Enqueue(v T) {
 	if n == nil {
 		n = q.newNode(h.id)
 	} else {
-		n.basket.ResetOwn(h.id) // undo the previous insertion (§5.2.2)
+		n.basket.reset(h.id) // undo the previous insertion (§5.2.2)
 	}
-	n.basket.Insert(h.id, v)
+	n.basket.insert(h.id, v, q.rec)
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if r := q.rec; r != nil {
@@ -237,7 +230,7 @@ func (h *Handle[T]) Enqueue(v T) {
 			return
 		case appendFailure:
 			t = t.next.Load()
-			if t.basket.Insert(h.id, v) {
+			if t.basket.insert(h.id, v, q.rec) {
 				h.reserved = n // keep the unappended node for reuse
 				q.event(obs.EvEnqEnd, lane, 1)
 				return
@@ -295,12 +288,12 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		n := h.reserved
 		if n != nil {
 			h.reserved = nil
-			n.basket.ResetOwn(h.id) // undo the previous insertion (§5.2.2)
+			n.basket.reset(h.id) // undo the previous insertion (§5.2.2)
 			n.next.Store(nil)
 		} else {
 			n = q.newNode(h.id)
 		}
-		n.basket.Insert(h.id, v)
+		n.basket.insert(h.id, v, q.rec)
 		if first == nil {
 			first = n
 		} else {
@@ -362,14 +355,14 @@ func (q *Queue[T]) Dequeue() (T, bool) {
 	rounds := 0
 	for {
 		rounds++
-		for h.basket.Empty() {
+		for h.basket.empty() {
 			nx := h.next.Load()
 			if nx == nil {
 				break
 			}
 			h = nx
 		}
-		v, ok = h.basket.Extract()
+		v, ok = h.basket.extract(q.rec, q.ev)
 		if ok || h.next.Load() == nil {
 			break
 		}
@@ -413,14 +406,14 @@ func (q *Queue[T]) DequeueBatch(dst []T) int {
 	rounds := 0
 	for got < len(dst) {
 		rounds++
-		for h.basket.Empty() {
+		for h.basket.empty() {
 			nx := h.next.Load()
 			if nx == nil {
 				goto drained
 			}
 			h = nx
 		}
-		if v, ok := h.basket.Extract(); ok {
+		if v, ok := h.basket.extract(q.rec, q.ev); ok {
 			dst[got] = v
 			got++
 		} else if h.next.Load() == nil {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/basket"
 	"repro/internal/machine/policy"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -73,24 +72,6 @@ func TestConformanceDelayedCAS(t *testing.T) {
 	}))
 }
 
-func TestConformanceClosingStackBasket(t *testing.T) {
-	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithBasket(func() basket.Basket[uint64] {
-			return basket.NewClosingStack[uint64]()
-		}))
-	}))
-}
-
-func TestConformancePartitionedBasket(t *testing.T) {
-	// The §8 future-work extension: partitioned extraction must preserve
-	// queue linearizability.
-	queuetest.RunAll(t, factory(func(e int) *sbq.Queue[uint64] {
-		return sbq.New[uint64](sbq.WithEnqueuers(e), sbq.WithBasket(func() basket.Basket[uint64] {
-			return basket.New[uint64](basket.WithCapacity(e), basket.WithBound(e), basket.WithPartitions(2))
-		}))
-	}))
-}
-
 func TestSequentialFIFO(t *testing.T) {
 	q := sbq.New[int](sbq.WithEnqueuers(1))
 	h := q.NewHandle()
@@ -134,38 +115,6 @@ func TestBadEnqueuersPanics(t *testing.T) {
 	}
 }
 
-// TestCustomBasket checks that WithBasket's constructor builds the
-// queue's baskets.
-func TestCustomBasket(t *testing.T) {
-	built := 0
-	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithBasket(func() basket.Basket[uint64] {
-		built++
-		return basket.NewClosingStack[uint64]()
-	}))
-	if built == 0 {
-		t.Fatal("custom basket constructor never invoked")
-	}
-	h := q.NewHandle()
-	for i := 0; i < 20; i++ {
-		h.Enqueue(uint64(i))
-	}
-	drain(t, q, 20)
-}
-
-// TestNewBuildsOneBasket: New builds the sentinel's basket and no other,
-// so a WithBasket constructor runs once and opens no basket that never
-// closes.
-func TestNewBuildsOneBasket(t *testing.T) {
-	built := 0
-	sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithBasket(func() basket.Basket[uint64] {
-		built++
-		return basket.NewClosingStack[uint64]()
-	}))
-	if built != 1 {
-		t.Fatalf("New built %d baskets, want 1", built)
-	}
-}
-
 // TestBasketLifecycleBalanced: every basket a queue opens on the flight
 // recorder closes once the queue is drained, so sbqtrace sees no basket
 // that never closes. The baskets are the sentinel's and the ten appended
@@ -190,17 +139,6 @@ func TestBasketLifecycleBalanced(t *testing.T) {
 	if opens != 11 || closes != 11 {
 		t.Fatalf("queue recorded %d basket opens and %d closes, want 11 and 11", opens, closes)
 	}
-}
-
-func TestBadBasketTypePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched WithBasket element type did not panic")
-		}
-	}()
-	sbq.New[int](sbq.WithBasket(func() basket.Basket[string] {
-		return basket.NewClosingStack[string]()
-	}))
 }
 
 func TestNodeReuseKeepsElements(t *testing.T) {

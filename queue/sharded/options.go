@@ -76,7 +76,7 @@ func buildOptions[T any](opts []Option[T]) options[T] {
 	if o.build == nil {
 		rec := o.rec
 		o.build = func(int, int) Shard[T] {
-			q := queue.AsBatch[T](faaq.New[T](faaq.WithRecorder(rec)))
+			q := faaq.New[T](faaq.WithRecorder(rec))
 			shared := func(int) queue.BatchQueue[T] { return q }
 			return Shard[T]{Producer: shared, Consumer: shared}
 		}

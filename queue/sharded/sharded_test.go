@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/queue"
+	"repro/queue/faaq"
 	"repro/queue/sharded"
 )
 
@@ -254,8 +255,8 @@ func TestDefaultsAndPanics(t *testing.T) {
 	}
 }
 
-// TestCustomShardBuilder wires a custom sub-queue and checks the
-// builder sees correct per-shard producer counts.
+// TestCustomShardBuilder builds the shards through WithShardBuilder and
+// checks the builder sees correct per-shard producer counts.
 func TestCustomShardBuilder(t *testing.T) {
 	var mu sync.Mutex
 	perShardSeen := map[int]int{}
@@ -266,9 +267,8 @@ func TestCustomShardBuilder(t *testing.T) {
 			mu.Lock()
 			perShardSeen[shard] = perShard
 			mu.Unlock()
-			var inner sliceQueue
-			b := queue.AsBatch[uint64](&inner)
-			view := func(int) queue.BatchQueue[uint64] { return b }
+			inner := faaq.New[uint64]()
+			view := func(int) queue.BatchQueue[uint64] { return inner }
 			return sharded.Shard[uint64]{Producer: view, Consumer: view}
 		}),
 	)
@@ -281,30 +281,6 @@ func TestCustomShardBuilder(t *testing.T) {
 	if v, ok := q.Consumer(0).Dequeue(); !ok || v != 42 {
 		t.Fatalf("got %d,%v, want 42,true", v, ok)
 	}
-}
-
-// sliceQueue is a trivial queue for the custom-builder test; the test
-// uses it single-threaded.
-type sliceQueue struct {
-	mu sync.Mutex
-	vs []uint64
-}
-
-func (q *sliceQueue) Enqueue(v uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.vs = append(q.vs, v)
-}
-
-func (q *sliceQueue) Dequeue() (uint64, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.vs) == 0 {
-		return 0, false
-	}
-	v := q.vs[0]
-	q.vs = q.vs[1:]
-	return v, true
 }
 
 // TestStealBackoffMisses drives a consumer against a drained queue: every
