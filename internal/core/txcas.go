@@ -13,7 +13,6 @@ package core
 import (
 	"repro/internal/machine"
 	"repro/internal/machine/policy"
-	"repro/internal/txcas"
 )
 
 // DefaultDelay is the intra-transaction delay (paper §4.1), in cycles.
@@ -32,8 +31,11 @@ const DefaultPostAbortDelay = 150
 // reports the fallback never fires in practice; ours exists and is counted.
 const DefaultMaxRetries = 64
 
-// DefaultRetryJitter is the randomized pre-retry delay bound (see
-// Options.RetryJitter).
+// DefaultRetryJitter bounds the randomized delay DefaultOptions' policy
+// waits before a transactional retry (policy.ImmediateRetry.Jitter). Real
+// hardware gets this symmetry-breaking for free from timing noise; the
+// simulator is perfectly symmetric, so without jitter simultaneous writers
+// can re-abort each other in lockstep indefinitely.
 const DefaultRetryJitter = 32
 
 // DefaultDelayJitter is the randomized intra-transaction delay spread (see
@@ -55,25 +57,18 @@ type Options struct {
 	// MaxRetries bounds transactional attempts before the standard-CAS
 	// fallback. Zero means DefaultMaxRetries.
 	MaxRetries int
-	// RetryJitter adds up to this many cycles of randomized delay before
-	// a transactional retry. Real hardware gets this symmetry-breaking
-	// for free from timing noise; the simulator is perfectly symmetric,
-	// so without jitter simultaneous writers can re-abort each other in
-	// lockstep indefinitely.
-	RetryJitter uint64
 	// DelayJitter randomizes the intra-transaction delay by up to this
 	// many cycles. It models the timing noise of a real delay loop
 	// (cache effects, frequency scaling); with none, contending TxCASs
 	// that were aborted by the same invalidation wave re-issue their
 	// writes in the same cycle forever.
 	DelayJitter uint64
-	// Policy, if non-nil, replaces the built-in retry pacing: it is
-	// consulted before every transactional attempt (including the first)
-	// and decides retry-now / backoff / software-fallback per abort (see
+	// Policy paces the retry loop: it is consulted before every
+	// transactional attempt (including the first) and decides retry-now,
+	// backoff or software fallback per abort (see
 	// repro/internal/machine/policy). MaxRetries remains a hard cap for
-	// wait-freedom regardless of what the policy answers. When Policy is
-	// nil the loop behaves exactly as before this field existed, with
-	// RetryJitter pacing and the MaxRetries-then-fallback progression.
+	// wait-freedom regardless of what the policy answers. Nil means
+	// policy.ImmediateRetry{}, an immediate retry with no jitter.
 	Policy policy.RetryPolicy
 }
 
@@ -83,13 +78,15 @@ func DefaultOptions() Options {
 		Delay:          DefaultDelay,
 		PostAbortDelay: DefaultPostAbortDelay,
 		MaxRetries:     DefaultMaxRetries,
-		RetryJitter:    DefaultRetryJitter,
 		DelayJitter:    DefaultDelayJitter,
+		Policy:         policy.ImmediateRetry{Jitter: DefaultRetryJitter},
 	}
 }
 
-// CAS is a TxCAS executor bound to tuning options. The zero value uses
-// no delays; use New(DefaultOptions()) for the evaluated configuration.
+// CAS is a TxCAS executor bound to tuning options; build one with New.
+// New(DefaultOptions()) is the evaluated configuration. It draws
+// randomness only from the calling proc's stream, so one executor can
+// serve every thread of a simulated machine.
 type CAS struct {
 	opt Options
 	// Fallbacks counts operations resolved by the standard-CAS fallback.
@@ -105,111 +102,29 @@ func New(opt Options) *CAS {
 	if opt.MaxRetries == 0 {
 		opt.MaxRetries = DefaultMaxRetries
 	}
+	if opt.Policy == nil {
+		opt.Policy = policy.ImmediateRetry{}
+	}
 	return &CAS{opt: opt}
 }
 
 // Do performs TxCAS(ptr, old, new) on proc p: if the word at ptr equals
-// old, store new and return true; otherwise return false. Fails only if
-// the location's value actually changed (CAS semantics), per paper §4.2.
+// old, store new and return true; otherwise return false. This is the
+// paper's Algorithm 1. It fails only if the location's value actually
+// changed (CAS semantics, §4.2).
 //
-// Do is DoTx reduced to the legacy boolean; callers that can act on the
-// failure report (retry policies, the baskets queue) should use DoTx.
+// Options.Policy is consulted before every transactional attempt and can
+// retry, delay, or divert to the software fallback; the transaction body
+// (nested read step, intra-transaction delay, write step) and the
+// CAS-semantics checks after an abort are the executor's under every
+// policy. MaxRetries caps attempts, so a policy that never answers
+// Fallback cannot cost wait-freedom. Each consult's Abort carries the
+// conflicting requester from the HTM abort status, the sharer signal
+// contention-aware policies act on.
 //
 //lf:hotpath
 func (c *CAS) Do(p *machine.Proc, ptr machine.Addr, old, new uint64) bool {
-	return c.DoTx(p, ptr, old, new).OK
-}
-
-// DoTx performs TxCAS(ptr, old, new) on proc p and returns the structured
-// failure report (see repro/internal/txcas.Outcome): spin depth, soft
-// aborts (attempts that died before the write step issued), and — when the
-// HTM abort status attributed the conflict — the conflicting requester
-// core as the sharer hint. This is Algorithm 1 of the paper with its
-// byproduct information surfaced instead of discarded (§3).
-//
-//lf:hotpath
-func (c *CAS) DoTx(p *machine.Proc, ptr machine.Addr, old, new uint64) txcas.Outcome {
 	c.Ops++
-	if c.opt.Policy != nil {
-		return c.doPolicy(p, ptr, old, new)
-	}
-	out := txcas.Outcome{LastWriter: txcas.NoWriter}
-	for attempt := 0; attempt < c.opt.MaxRetries; attempt++ {
-		c.Attempts++
-		out.Attempts++
-		delay := c.opt.Delay
-		if c.opt.DelayJitter > 0 {
-			delay += p.RandN(c.opt.DelayJitter)
-		}
-		//lint:ignore allocfree the transaction body closure is the machine API's shape; the simulated track prices operations in simulated cycles, so Go-allocator cost is outside its measurement (the native queues are the zero-alloc surface)
-		committed, st := p.Transaction(func(tx *machine.Tx) {
-			//lint:ignore allocfree nested read-step closure, same machine-API shape as the transaction body above
-			tx.Nested(func(tx *machine.Tx) {
-				value := tx.Read(ptr) // CAS read step
-				if value != old {
-					tx.Abort(abortCodeValueMismatch)
-				}
-				tx.Delay(delay) // intra-transaction delay (§4.1)
-			})
-			tx.Write(ptr, new) // CAS write step
-		})
-		if committed {
-			out.OK = true
-			return out
-		}
-		if st.Requester >= 0 {
-			out.LastWriter = st.Requester
-		}
-		if st.Explicit && st.Code == abortCodeValueMismatch {
-			// Read step saw a different value: the cheap failure — the
-			// write step never issued its GetM.
-			out.SoftAborts++
-			out.VersionDelta = 1
-			return out
-		}
-		if st.Disabled {
-			break // HTM is off for good; retrying cannot succeed
-		}
-		if !(st.Conflict && st.Nested) {
-			// Conflict at/after the write step (we may be the tripped
-			// writer), or a non-conflict abort: retry immediately, with
-			// a touch of jitter to break simulator lockstep.
-			if c.opt.RetryJitter > 0 {
-				p.Delay(p.RandN(c.opt.RetryJitter))
-			}
-			continue
-		}
-		// Conflict during the read step: another TxCAS's write is in
-		// flight — this attempt died before issuing its own write. Wait
-		// for the winner's GetM to complete — so our check does not trip
-		// it — then fail if the location indeed changed.
-		out.SoftAborts++
-		p.Delay(c.opt.PostAbortDelay)
-		if p.Read(ptr) != old {
-			out.VersionDelta = 1
-			return out
-		}
-	}
-	// Fallback to a standard CAS for wait-freedom.
-	c.Fallbacks++
-	out.Fallback = true
-	out.OK = p.FallbackCAS(ptr, old, new)
-	if !out.OK {
-		out.VersionDelta = 1
-	}
-	return out
-}
-
-// doPolicy is the policy-paced variant of DoTx: Options.Policy is consulted
-// before every transactional attempt and can retry, delay, or divert to the
-// software fallback; the transactional body itself (nested read step,
-// intra-transaction delay, write step) and the CAS-semantics checks are
-// identical to the legacy loop. MaxRetries still caps attempts so a policy
-// that never answers Fallback cannot cost wait-freedom. Each consult's
-// Abort carries the conflicting requester from the HTM abort status, so
-// contention-aware policies get the same sharer signal the Outcome does.
-func (c *CAS) doPolicy(p *machine.Proc, ptr machine.Addr, old, new uint64) txcas.Outcome {
-	out := txcas.Outcome{LastWriter: txcas.NoWriter}
 	a := policy.Abort{Requester: policy.NoRequester}
 	for attempt := 0; ; attempt++ {
 		a.Attempt = attempt
@@ -218,16 +133,11 @@ func (c *CAS) doPolicy(p *machine.Proc, ptr machine.Addr, old, new uint64) txcas
 			p.Delay(d.Delay)
 		}
 		if d.Fallback || attempt >= c.opt.MaxRetries {
+			// The standard CAS of the wait-free fallback path.
 			c.Fallbacks++
-			out.Fallback = true
-			out.OK = p.FallbackCAS(ptr, old, new)
-			if !out.OK {
-				out.VersionDelta = 1
-			}
-			return out
+			return p.FallbackCAS(ptr, old, new)
 		}
 		c.Attempts++
-		out.Attempts++
 		delay := c.opt.Delay
 		if c.opt.DelayJitter > 0 {
 			delay += p.RandN(c.opt.DelayJitter)
@@ -245,18 +155,12 @@ func (c *CAS) doPolicy(p *machine.Proc, ptr machine.Addr, old, new uint64) txcas
 			tx.Write(ptr, new) // CAS write step
 		})
 		if committed {
-			out.OK = true
-			return out
-		}
-		if st.Requester >= 0 {
-			out.LastWriter = st.Requester
+			return true
 		}
 		if st.Explicit && st.Code == abortCodeValueMismatch {
 			// Read step saw a different value: fail without ever having
 			// issued the write step's GetM.
-			out.SoftAborts++
-			out.VersionDelta = 1
-			return out
+			return false
 		}
 		a = policy.Abort{
 			Conflict:  st.Conflict,
@@ -274,17 +178,10 @@ func (c *CAS) doPolicy(p *machine.Proc, ptr machine.Addr, old, new uint64) txcas
 			// trip it — then fail if the location indeed changed (§4.2).
 			// This check is CAS semantics, not pacing, so it stays in the
 			// executor under every policy.
-			out.SoftAborts++
 			p.Delay(c.opt.PostAbortDelay)
 			if p.Read(ptr) != old {
-				out.VersionDelta = 1
-				return out
+				return false
 			}
 		}
 	}
-}
-
-// TxCAS performs a one-shot TxCAS with the default options.
-func TxCAS(p *machine.Proc, ptr machine.Addr, old, new uint64) bool {
-	return New(DefaultOptions()).Do(p, ptr, old, new)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/machine/policy"
 )
 
 func newMachine() *machine.Machine {
@@ -212,7 +213,7 @@ func TestFigure1Shape(t *testing.T) {
 func TestDelayImprovesHighContention(t *testing.T) {
 	mk := func(delay uint64) func(p *machine.Proc, a machine.Addr) {
 		return func(p *machine.Proc, a machine.Addr) {
-			c := New(Options{Delay: delay, PostAbortDelay: DefaultPostAbortDelay, RetryJitter: DefaultRetryJitter})
+			c := New(Options{Delay: delay, PostAbortDelay: DefaultPostAbortDelay, Policy: policy.ImmediateRetry{Jitter: DefaultRetryJitter}})
 			old := p.Read(a)
 			c.Do(p, a, old, old+1)
 		}

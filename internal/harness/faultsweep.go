@@ -17,20 +17,19 @@ import (
 // transactions abort spuriously, and does it degrade gracefully (bounded
 // slowdown, software fallback) when a microcode update turns HTM off?
 
-// PolicySpec names one retry/fallback policy for the sweep. A nil Policy
-// selects TxCAS's legacy tuned loop (jittered immediate retry with the
-// MaxRetries-then-fallback progression).
+// PolicySpec names one retry/fallback policy for the sweep. Policy paces
+// every TxCAS of the run (core.Options.Policy).
 type PolicySpec struct {
 	Name   string
 	Policy policy.RetryPolicy
 }
 
-// DefaultPolicies is the sweep's standard lineup: the legacy loop, the
-// policy-engine equivalents of its regimes, Brown's bounded-attempts
-// template, and the paper's §4.1 software delayed-CAS.
+// DefaultPolicies is the sweep's standard lineup: TxCAS's default policy
+// (jittered immediate retry, the tuned loop every figure runs), randomized
+// exponential backoff, Brown's bounded-attempts template, and the paper's
+// §4.1 software delayed-CAS.
 func DefaultPolicies() []PolicySpec {
 	return []PolicySpec{
-		{Name: "legacy", Policy: nil},
 		{Name: "immediate", Policy: policy.ImmediateRetry{Jitter: core.DefaultRetryJitter}},
 		{Name: "backoff", Policy: policy.ExponentialBackoff{Base: 64, Max: 4096}},
 		{Name: "budget8", Policy: policy.AbortBudget{
@@ -148,7 +147,7 @@ func (w FaultSweep) measure(ps PolicySpec, prob float64, disabled bool, o Option
 		if n > m.Config().CoresPerSocket {
 			n = m.Config().CoresPerSocket
 		}
-		copt := o.coreOptions()
+		copt := core.DefaultOptions()
 		copt.Policy = ps.Policy
 		q := buildQueue(m, w.Variant, n, n, o.BasketSize, nil, copt)
 		var cycles uint64

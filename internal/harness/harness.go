@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/machine/policy"
 	"repro/internal/obs"
 	"repro/internal/simqueue"
 	"repro/internal/stats"
@@ -42,10 +41,6 @@ type Options struct {
 	// builds (see machine.FaultPlan): spurious aborts, capacity squeeze,
 	// HTM disablement, cross-socket jitter. The zero value injects nothing.
 	Faults machine.FaultPlan
-	// Policy, if non-nil, paces the retry/fallback loop of every TxCAS the
-	// workload builds (see repro/internal/machine/policy). Nil keeps the
-	// legacy tuned loop.
-	Policy policy.RetryPolicy
 }
 
 func (o Options) withDefaults() Options {
@@ -93,23 +88,11 @@ const (
 // AllVariants is the figure 5-7 lineup.
 var AllVariants = []Variant{BQOriginal, CCQueue, SBQCAS, SBQHTM, WFQueue}
 
-// BuildQueue constructs the named variant for a machine with the given
-// producer and total thread counts.
-func BuildQueue(m *machine.Machine, v Variant, producers, threads, basketSize int) simqueue.Queue {
-	return BuildQueueRec(m, v, producers, threads, basketSize, nil)
-}
-
-// BuildQueueRec is BuildQueue with a queue-level telemetry recorder
-// attached where the variant supports one (the SBQ variants; the baseline
-// queues predate the telemetry layer and report only machine-level
-// counters). Machine-level telemetry is orthogonal: attach it with
-// machine.SetRecorder.
-func BuildQueueRec(m *machine.Machine, v Variant, producers, threads, basketSize int, rec obs.Recorder) simqueue.Queue {
-	return buildQueue(m, v, producers, threads, basketSize, rec, core.DefaultOptions())
-}
-
-// buildQueue is BuildQueueRec with explicit TxCAS tuning; workloads route
-// their Options.Policy through it (see Options.coreOptions).
+// buildQueue constructs the named variant for a machine with the given
+// producer and total thread counts. rec receives queue-level telemetry
+// where the variant supports it (the SBQ variants; the baseline queues
+// predate the telemetry layer and report only machine-level counters).
+// copt tunes the TxCAS of the SBQ-HTM variants.
 func buildQueue(m *machine.Machine, v Variant, producers, threads, basketSize int, rec obs.Recorder, copt core.Options) simqueue.Queue {
 	if producers < 1 {
 		producers = 1
@@ -121,12 +104,12 @@ func buildQueue(m *machine.Machine, v Variant, producers, threads, basketSize in
 	case SBQHTM:
 		return simqueue.NewSBQ(m, simqueue.SBQOptions{
 			BasketSize: basketSize, Enqueuers: producers, Threads: threads,
-			Primitive: core.Bind(threads, copt), Name: string(SBQHTM), Rec: rec,
+			Append: core.New(copt).Do, Name: string(SBQHTM), Rec: rec,
 		})
 	case SBQHTMPart:
 		return simqueue.NewSBQ(m, simqueue.SBQOptions{
 			BasketSize: basketSize, Enqueuers: producers, Threads: threads,
-			Primitive: core.Bind(threads, copt), Name: string(SBQHTMPart), Partitions: 2, Rec: rec,
+			Append: core.New(copt).Do, Name: string(SBQHTMPart), Partitions: 2, Rec: rec,
 		})
 	case SBQCAS:
 		return simqueue.NewSBQ(m, simqueue.SBQOptions{
@@ -154,14 +137,6 @@ func (o Options) newMachine(seed uint64) *machine.Machine {
 	return machine.New(cfg)
 }
 
-// coreOptions returns the TxCAS tuning for this experiment: the evaluated
-// defaults, paced by o.Policy when one is set.
-func (o Options) coreOptions() core.Options {
-	opt := core.DefaultOptions()
-	opt.Policy = o.Policy
-	return opt
-}
-
 // element returns the unique value thread tid enqueues as its i-th element.
 func element(tid, i int) uint64 { return uint64(tid+1)<<32 | uint64(i+1) }
 
@@ -186,7 +161,7 @@ func runFig1(o Options) []Result {
 				for t := 0; t < n; t++ {
 					m.Go(t, func(p *machine.Proc) {
 						p.Delay(p.RandN(200))
-						txc := core.New(o.coreOptions())
+						txc := core.New(core.DefaultOptions())
 						start := p.Now()
 						for i := 0; i < o.OpsPerThread; i++ {
 							if series == "FAA" {
@@ -231,7 +206,7 @@ func runEnqueueOnly(variants []Variant, o Options) []Result {
 				if n > m.Config().CoresPerSocket {
 					continue
 				}
-				q := buildQueue(m, v, n, n, o.BasketSize, nil, o.coreOptions())
+				q := buildQueue(m, v, n, n, o.BasketSize, nil, core.DefaultOptions())
 				var cycles uint64
 				for t := 0; t < n; t++ {
 					t := t
@@ -276,7 +251,7 @@ func runDequeueOnly(variants []Variant, o Options) []Result {
 				}
 				// Pre-fill with n producer threads (ids 0..n-1), per §6.1.
 				fill := o.OpsPerThread + o.OpsPerThread/4 + 8
-				q := buildQueue(m, v, n, 2*n, o.BasketSize, nil, o.coreOptions())
+				q := buildQueue(m, v, n, 2*n, o.BasketSize, nil, core.DefaultOptions())
 				for t := 0; t < n; t++ {
 					t := t
 					m.Go(t, func(p *machine.Proc) {
@@ -334,7 +309,7 @@ func runMixed(variants []Variant, o Options) []Result {
 					continue
 				}
 				cps := m.Config().CoresPerSocket
-				q := buildQueue(m, v, n, 2*n, o.BasketSize, nil, o.coreOptions())
+				q := buildQueue(m, v, n, 2*n, o.BasketSize, nil, core.DefaultOptions())
 				prefill := o.OpsPerThread / 2
 				for t := 0; t < n; t++ {
 					t := t
@@ -409,7 +384,7 @@ func runDelaySweep(delaysNS []float64, threadCounts []int, o Options) []Result {
 				for t := 0; t < n; t++ {
 					m.Go(t, func(p *machine.Proc) {
 						p.Delay(p.RandN(200))
-						opt := o.coreOptions()
+						opt := core.DefaultOptions()
 						opt.Delay = delay
 						txc := core.New(opt)
 						start := p.Now()
@@ -503,7 +478,7 @@ func runFixAblation(o Options) []FixResult {
 		a := m.AllocLine(8, 0)
 		perSocket := 6
 		var cycles uint64
-		opt := o.coreOptions()
+		opt := core.DefaultOptions()
 		opt.PostAbortDelay = cf.pad
 		for s := 0; s < 2; s++ {
 			for t := 0; t < perSocket; t++ {

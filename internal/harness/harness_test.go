@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func fast() Options {
@@ -181,7 +183,7 @@ func TestSpeedup(t *testing.T) {
 func TestBuildQueueAllVariants(t *testing.T) {
 	for _, v := range append(AllVariants, MSQueue, SBQHTMPart, LCRQV) {
 		m := Options{}.newMachine(0)
-		q := BuildQueue(m, v, 4, 8, 44)
+		q := buildQueue(m, v, 4, 8, 44, nil, core.DefaultOptions())
 		if q.Name() == "" {
 			t.Errorf("variant %s has empty name", v)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -52,7 +53,7 @@ func runTelemetry(variants []Variant, o Options) []TelemetrySnapshot {
 		machineStats := obs.New()
 		m.SetRecorder(machineStats)
 		queueStats := obs.New()
-		q := buildQueue(m, v, n, 2*n, o.BasketSize, queueStats, o.coreOptions())
+		q := buildQueue(m, v, n, 2*n, o.BasketSize, queueStats, core.DefaultOptions())
 
 		toNS := func(cycles uint64) uint64 { return uint64(cfg.NSPerOp(float64(cycles))) }
 		for t := 0; t < n; t++ {

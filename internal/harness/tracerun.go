@@ -51,7 +51,7 @@ func runTrace(v Variant, o Options) *trace.Trace {
 		trace.WithStats(stats),
 	)
 	m.SetRecorder(col)
-	q := buildQueue(m, v, n, 2*n, o.BasketSize, col, o.coreOptions())
+	q := buildQueue(m, v, n, 2*n, o.BasketSize, col, core.DefaultOptions())
 
 	// Producers on socket 0 (cores 0..n-1, tids 0..n-1); consumers on
 	// socket 1 (cores cps..cps+n-1, tids n..2n-1), as in the paper's mixed
@@ -136,7 +136,7 @@ func runTraceTxCAS(o Options) *trace.Trace {
 	col.SetMeta("workload", "txcas")
 
 	a := m.AllocLine(8, 0)
-	opt := o.coreOptions()
+	opt := core.DefaultOptions()
 	opt.PostAbortDelay = 0
 	for s := 0; s < 2; s++ {
 		for t := 0; t < perSocket; t++ {

@@ -46,18 +46,10 @@ type Config struct {
 	// flag, exercising callers' retry paths. Zero disables injection.
 	SpuriousAbortEvery int
 
-	// TxCapacityLines, if nonzero, bounds a transaction's footprint: a
-	// transactional access that would grow the combined read/write set
-	// beyond this many cache lines aborts, as real HTM does when its
-	// speculative state overflows the L1. Zero means unbounded. TxCAS
-	// touches one line, so the paper's workloads never hit this; the
-	// limit exists for fidelity and for studying larger transactions.
-	TxCapacityLines int
-
 	// Faults configures the seeded fault injector (see inject.go): random
-	// spurious aborts, a tightened capacity bound, persistent or mid-run
-	// HTM disablement, and cross-socket latency jitter. The zero value
-	// injects nothing.
+	// spurious aborts, a bound on transactional footprints, persistent or
+	// mid-run HTM disablement, and cross-socket latency jitter. The zero
+	// value injects nothing.
 	Faults FaultPlan
 
 	// CyclesPerNS converts simulated cycles to reported nanoseconds.

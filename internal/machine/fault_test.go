@@ -37,7 +37,7 @@ func TestSpuriousAbortStatus(t *testing.T) {
 // with the Capacity flag and leaks nothing.
 func TestCapacityAbortOnRead(t *testing.T) {
 	cfg := small()
-	cfg.TxCapacityLines = 4
+	cfg.Faults.CapacityLines = 4
 	m := New(cfg)
 	addrs := make([]Addr, 8)
 	for i := range addrs {
@@ -66,7 +66,7 @@ func TestCapacityAbortOnRead(t *testing.T) {
 
 func TestCapacityAbortOnWrite(t *testing.T) {
 	cfg := small()
-	cfg.TxCapacityLines = 2
+	cfg.Faults.CapacityLines = 2
 	m := New(cfg)
 	addrs := make([]Addr, 4)
 	for i := range addrs {
@@ -94,7 +94,7 @@ func TestCapacityAbortOnWrite(t *testing.T) {
 
 func TestWithinCapacityCommits(t *testing.T) {
 	cfg := small()
-	cfg.TxCapacityLines = 8
+	cfg.Faults.CapacityLines = 8
 	m := New(cfg)
 	addrs := make([]Addr, 4)
 	for i := range addrs {

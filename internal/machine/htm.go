@@ -20,8 +20,7 @@ type AbortStatus struct {
 	// Conflict is set when a conflicting coherence message caused the abort.
 	Conflict bool
 	// Capacity is set when the transaction's footprint overflowed the
-	// configured speculative-state capacity (Config.TxCapacityLines or
-	// FaultPlan.CapacityLines).
+	// configured speculative-state capacity (FaultPlan.CapacityLines).
 	Capacity bool
 	// Disabled is set when _xbegin refused to start the transaction
 	// because HTM is disabled (FaultPlan.DisableHTM / DisableHTMAfter —
@@ -122,17 +121,14 @@ func (c *cache) txnID() uint64 {
 // txOverCapacity reports whether adding line would overflow the
 // transaction's speculative-state capacity.
 func (c *cache) txOverCapacity(t *txn, line uint64) bool {
-	capLines := c.m.cfg.TxCapacityLines
-	if j := c.m.inj; j != nil {
-		capLines = j.capacityLines()
-	}
-	if capLines <= 0 {
+	j := c.m.inj
+	if j == nil || j.plan.CapacityLines <= 0 {
 		return false
 	}
 	if t.reads(line) || t.writes(line) {
 		return false
 	}
-	return len(t.readSet)+len(t.writeSet) >= capLines
+	return len(t.readSet)+len(t.writeSet) >= j.plan.CapacityLines
 }
 
 // txStore buffers a transactional write and issues the GetM for the line

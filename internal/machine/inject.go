@@ -19,8 +19,8 @@ import "repro/internal/obs"
 // identical fault schedule — the property the seeded-replay tests assert.
 
 // FaultPlan configures the fault injector. The zero value injects nothing;
-// every field composes with the others and with the legacy deterministic
-// knobs (Config.SpuriousAbortEvery, Config.TxCapacityLines).
+// every field composes with the others and with the machine's fixed
+// every-Nth spurious-abort schedule (Config.SpuriousAbortEvery).
 type FaultPlan struct {
 	// Seed perturbs the injector's random stream independently of
 	// Config.Seed, so fault schedules can vary while thread timing stays
@@ -34,9 +34,14 @@ type FaultPlan struct {
 	// clamped to [0, 1].
 	SpuriousAbortProb float64
 
-	// CapacityLines, if nonzero, overrides Config.TxCapacityLines: the
-	// injector's way of shrinking speculative capacity mid-experiment
-	// (e.g. modeling a hyperthread sibling halving the L1 share).
+	// CapacityLines, if nonzero, bounds a transaction's footprint: a
+	// transactional access that would grow the combined read/write set
+	// beyond this many cache lines aborts with AbortStatus.Capacity, as
+	// real HTM does when its speculative state overflows the L1 (or a
+	// hyperthread sibling halves its share). Zero means unbounded. TxCAS
+	// touches one line, so the paper's workloads never hit it. A plan
+	// holding only this bound draws no random numbers and counts no
+	// injected faults.
 	CapacityLines int
 
 	// DisableHTM makes every transaction abort immediately at _xbegin
@@ -130,14 +135,6 @@ func (j *injector) htmDisabled() bool {
 		j.disabled = true
 	}
 	return j.disabled
-}
-
-// capacityLines returns the effective speculative-state bound.
-func (j *injector) capacityLines() int {
-	if j.plan.CapacityLines > 0 {
-		return j.plan.CapacityLines
-	}
-	return j.m.cfg.TxCapacityLines
 }
 
 // onTxBegin is called from beginTx after a transaction started; it draws

@@ -133,9 +133,13 @@ func TestSpuriousAbortProbKillsTransactions(t *testing.T) {
 	}
 }
 
-// CapacityLines overrides the config's speculative bound.
+// CapacityLines is the machine's one capacity bound. A plan holding only
+// it aborts an over-capacity transaction without drawing from the
+// injector's stream or counting an injected fault, so it perturbs nothing
+// but the transactions it bounds.
 func TestCapacityLinesOverride(t *testing.T) {
 	m := New(faulty(FaultPlan{CapacityLines: 2}))
+	rng := m.inj.rng
 	lines := []Addr{m.AllocLine(8, 0), m.AllocLine(8, 0), m.AllocLine(8, 0)}
 	var ok bool
 	var st AbortStatus
@@ -149,6 +153,10 @@ func TestCapacityLinesOverride(t *testing.T) {
 	m.Run()
 	if ok || !st.Capacity {
 		t.Fatalf("3-line tx under a 2-line injected cap: ok=%v st=%+v, want capacity abort", ok, st)
+	}
+	if m.inj.rng != rng || m.Stats.FaultsInjected != 0 {
+		t.Fatalf("capacity-only plan drew randomness (%v) or counted %d injected faults",
+			m.inj.rng != rng, m.Stats.FaultsInjected)
 	}
 }
 

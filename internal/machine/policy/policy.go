@@ -19,7 +19,8 @@
 // The built-ins cover the design space the literature names:
 //
 //   - ImmediateRetry — retry instantly while the hardware says retrying can
-//     help; fall back once it says it cannot (Disabled).
+//     help; fall back once it says it cannot (Disabled). With a jitter
+//     bound it is simulated TxCAS's default loop (core.DefaultOptions).
 //   - ExponentialBackoff — randomized exponential delay between attempts,
 //     the classic contention-control middle ground.
 //   - AbortBudget — Brown's template: bounded attempts on the fast path,
@@ -48,21 +49,20 @@ type Abort struct {
 	// Code is the explicit-abort code when Explicit is set.
 	Code uint8
 
-	// Requester is the identity of the conflicting thread/core the failure
-	// report attributed the abort to, or -1 (txcas.NoWriter) when unknown.
-	// On the simulated track it is the requester core from the HTM abort
-	// status. The native engine consults a policy only before its single
-	// attempt on a one-shot link, so it always passes NoRequester. It is
-	// the sharer hint contention-aware policies can act on — the paper's
-	// profit-from-failure signal (§3). Executors that have no hint must set
-	// NoRequester explicitly: thread 0 is a valid identity, so the zero
-	// value is not a safe "unknown".
+	// Requester is the identity of the conflicting thread/core the abort
+	// was attributed to, or NoRequester when unknown. On the simulated
+	// track it is the requester core from the HTM abort status. The
+	// native engine consults a policy only before its single attempt on
+	// a one-shot link, so it always passes NoRequester. It is the sharer
+	// hint contention-aware policies can act on — the paper's
+	// profit-from-failure signal (§3). Executors that have no hint must
+	// set NoRequester explicitly: thread 0 is a valid identity, so the
+	// zero value is not a safe "unknown".
 	Requester int
 }
 
 // NoRequester is the Requester value of an Abort carrying no sharer
-// identity. It equals txcas.NoWriter (this package cannot import
-// repro/internal/txcas without a cycle).
+// identity.
 const NoRequester = -1
 
 // Spurious reports whether the last abort carried no cause flag — the
@@ -95,10 +95,12 @@ type RetryPolicy interface {
 
 // ImmediateRetry retries instantly after every abort for which retrying can
 // help, and falls back only when the hardware reports HTM disabled. Jitter
-// adds up to that many cycles of randomized delay before each retry; the
+// adds up to that many cycles of randomized delay before a retry; the
 // simulated machine is perfectly symmetric, so some jitter is needed to
-// break retry lockstep (the role Options.RetryJitter plays in the legacy
-// loop).
+// break retry lockstep. A read-step conflict (Conflict && Nested) gets no
+// jitter: the executor has already waited its post-abort delay and
+// re-read the word before it consults the policy. With Jitter set to
+// core.DefaultRetryJitter this is simulated TxCAS's default policy.
 type ImmediateRetry struct {
 	Jitter uint64
 }
@@ -108,10 +110,10 @@ func (p ImmediateRetry) Decide(a Abort, randN func(uint64) uint64) Decision {
 	if a.Disabled {
 		return Decision{Fallback: true}
 	}
-	if a.Attempt > 0 && p.Jitter > 0 {
-		return Decision{Delay: randN(p.Jitter)}
+	if a.Attempt == 0 || p.Jitter == 0 || (a.Conflict && a.Nested) {
+		return Decision{}
 	}
-	return Decision{}
+	return Decision{Delay: randN(p.Jitter)}
 }
 
 // ExponentialBackoff waits a randomized, exponentially growing delay before

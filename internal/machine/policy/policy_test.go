@@ -50,6 +50,15 @@ func TestImmediateRetry(t *testing.T) {
 	if d := p.Decide(Abort{Attempt: 1, Disabled: true}, rand); !d.Fallback {
 		t.Errorf("disabled: %+v, want fallback", d)
 	}
+	// A read-step conflict: the executor has already waited and re-read
+	// the word, so the retry goes at once and draws nothing.
+	drawn := *calls
+	if d := p.Decide(Abort{Attempt: 3, Conflict: true, Nested: true}, rand); d != (Decision{}) {
+		t.Errorf("read-step conflict: %+v, want immediate retry", d)
+	}
+	if *calls != drawn {
+		t.Error("read-step conflict drew randomness")
+	}
 	// No jitter configured: pure immediate retry, no randomness drawn.
 	rand2, calls2 := fixedRand(3)
 	if d := (ImmediateRetry{}).Decide(Abort{Attempt: 5}, rand2); d != (Decision{}) {

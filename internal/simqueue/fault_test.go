@@ -18,7 +18,7 @@ func TestSBQHTMLinearizableUnderSpuriousAborts(t *testing.T) {
 	m := machine.New(cfg)
 	q := NewSBQ(m, SBQOptions{
 		BasketSize: producers, Enqueuers: producers, Threads: threads,
-		Primitive: core.Bind(threads, core.DefaultOptions()),
+		Append: core.New(core.DefaultOptions()).Do,
 	})
 	histories := make([][]linearize.Op, threads)
 	left := producers

@@ -28,7 +28,7 @@ func runSBQFaulty(t *testing.T, plan machine.FaultPlan, pol policy.RetryPolicy) 
 	opt.Policy = pol
 	q := NewSBQ(m, SBQOptions{
 		BasketSize: producers, Enqueuers: producers, Threads: threads,
-		Primitive: core.Bind(threads, opt),
+		Append: core.New(opt).Do,
 	})
 	histories := make([][]linearize.Op, threads)
 	left := producers
@@ -91,15 +91,6 @@ func TestSBQHTMLinearizableWithHTMDisabled(t *testing.T) {
 	}
 	if m.Stats.TxAbortDisabled == 0 {
 		t.Fatal("no disabled aborts recorded")
-	}
-}
-
-// The legacy loop (nil policy) also survives disablement: its MaxRetries
-// progression breaks on the first Disabled abort and falls back.
-func TestSBQHTMLegacyLoopWithHTMDisabled(t *testing.T) {
-	m := runSBQFaulty(t, machine.FaultPlan{DisableHTM: true}, nil)
-	if m.Stats.CASFallbacks == 0 {
-		t.Fatal("legacy loop recorded no software fallbacks under disablement")
 	}
 }
 

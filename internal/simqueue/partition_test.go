@@ -13,8 +13,8 @@ import (
 func mkPart(m *Machine, enq, threads, parts int) *SBQ {
 	return NewSBQ(m, SBQOptions{
 		BasketSize: enq, Enqueuers: enq, Threads: threads,
-		Primitive: core.Bind(threads, core.DefaultOptions()),
-		Name:      "SBQ-HTM-PB", Partitions: parts,
+		Append: core.New(core.DefaultOptions()).Do,
+		Name:   "SBQ-HTM-PB", Partitions: parts,
 	})
 }
 

@@ -3,7 +3,6 @@ package simqueue
 import (
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/txcas"
 )
 
 // SBQ is the scalable baskets queue (paper §5): a modular baskets queue
@@ -55,9 +54,10 @@ type enqState struct {
 	reserved uint64 // node kept from a previous enqueue that did not append it
 }
 
-// AppendFunc attempts CAS(addr, old, new) on behalf of thread tid and
-// reports success. SBQ uses it for the single contended CAS of try_append.
-type AppendFunc func(p *machine.Proc, tid int, addr machine.Addr, old, new uint64) bool
+// AppendFunc attempts CAS(addr, old, new) on proc p and reports success.
+// SBQ uses it for the single contended CAS of try_append. A TxCAS
+// executor's method value, core.New(opt).Do, is one.
+type AppendFunc func(p *machine.Proc, addr machine.Addr, old, new uint64) bool
 
 // Node field offsets (bytes). With K extraction partitions (an extension
 // implementing the paper's §8 future work; K=1 is the paper's basket),
@@ -97,14 +97,8 @@ type SBQOptions struct {
 	Enqueuers int
 	// Threads is the total number of threads (protector slots).
 	Threads int
-	// Append is the try_append CAS. Defaults to plain CAS (or to
-	// PrimitiveAppend(Primitive) when Primitive is set).
+	// Append is the try_append CAS. Defaults to PlainCAS.
 	Append AppendFunc
-	// Primitive, when non-nil and Append is nil, drives try_append through
-	// the unified CAS-primitive interface (repro/internal/txcas) — e.g. a
-	// core.Bound of per-thread TxCAS executors. Equivalent to setting
-	// Append to PrimitiveAppend(Primitive).
-	Primitive txcas.Primitive
 	// Socket homes the queue's memory.
 	Socket int
 	// Name labels the variant in output.
@@ -133,9 +127,6 @@ func NewSBQ(m *Machine, opt SBQOptions) *SBQ {
 	}
 	if opt.Threads <= 0 {
 		opt.Threads = opt.Enqueuers
-	}
-	if opt.Append == nil && opt.Primitive != nil {
-		opt.Append = PrimitiveAppend(opt.Primitive)
 	}
 	if opt.Append == nil {
 		opt.Append = PlainCAS
@@ -337,7 +328,7 @@ func (q *SBQ) tryAppendNode(p *machine.Proc, tid int, tail, newNode uint64) appe
 		r.Inc(obs.CASAttempts)
 	}
 	q.event(obs.EvCASAttempt, tid, machine.LineOf(tail+offNext))
-	if q.tryAppend(p, tid, tail+offNext, 0, newNode) {
+	if q.tryAppend(p, tail+offNext, 0, newNode) {
 		return appendSuccess
 	}
 	if r := q.rec; r != nil {
@@ -509,7 +500,7 @@ func (q *SBQ) freeNodes(p *machine.Proc, tid int) {
 // try_append CAS flavors.
 
 // PlainCAS is the standard atomic CAS (SBQ-CAS without delay).
-func PlainCAS(p *machine.Proc, _ int, addr machine.Addr, old, new uint64) bool {
+func PlainCAS(p *machine.Proc, addr machine.Addr, old, new uint64) bool {
 	return p.CAS(addr, old, new)
 }
 
@@ -517,31 +508,8 @@ func PlainCAS(p *machine.Proc, _ int, addr machine.Addr, old, new uint64) bool {
 // the SBQ-CAS variant of the paper's evaluation (§6.1), which isolates the
 // contribution of TxCAS from that of the scalable basket.
 func DelayedCAS(delay uint64) AppendFunc {
-	return func(p *machine.Proc, _ int, addr machine.Addr, old, new uint64) bool {
+	return func(p *machine.Proc, addr machine.Addr, old, new uint64) bool {
 		p.Delay(delay)
 		return p.CAS(addr, old, new)
-	}
-}
-
-// procAttacher is implemented by primitives that need the simulated
-// thread's *machine.Proc registered before use (core.Bound). The proc only
-// exists once the machine has started the thread body, so PrimitiveAppend
-// attaches it at call time rather than construction time.
-type procAttacher interface {
-	Attach(tid int, p *machine.Proc)
-}
-
-// PrimitiveAppend returns an AppendFunc that drives try_append through the
-// unified CAS-primitive interface (repro/internal/txcas.Primitive). The
-// structured Outcome is reduced to the boolean try_append needs; callers
-// wanting the full failure reports keep their own handle on the primitive
-// (e.g. core.Bound's executors).
-func PrimitiveAppend(prim txcas.Primitive) AppendFunc {
-	at, _ := prim.(procAttacher)
-	return func(p *machine.Proc, tid int, addr machine.Addr, old, new uint64) bool {
-		if at != nil {
-			at.Attach(tid, p)
-		}
-		return prim.TxCAS(tid, txcas.Loc(addr), old, new).OK
 	}
 }

@@ -14,7 +14,7 @@ import (
 func mk(m *Machine, flavor string, enq, threads int) Queue {
 	switch flavor {
 	case "sbq-htm":
-		return NewSBQ(m, SBQOptions{BasketSize: max(enq, 1), Enqueuers: max(enq, 1), Threads: threads, Primitive: core.Bind(threads, core.DefaultOptions()), Name: "SBQ-HTM"})
+		return NewSBQ(m, SBQOptions{BasketSize: max(enq, 1), Enqueuers: max(enq, 1), Threads: threads, Append: core.New(core.DefaultOptions()).Do, Name: "SBQ-HTM"})
 	case "sbq-cas":
 		return NewSBQ(m, SBQOptions{BasketSize: max(enq, 1), Enqueuers: max(enq, 1), Threads: threads, Append: PlainCAS, Name: "SBQ-CAS"})
 	case "sbq-dcas":

@@ -342,23 +342,6 @@ func TestRecorderAccounting(t *testing.T) {
 	}
 }
 
-// TestOutcomeMethods pins the Outcome helper semantics.
-func TestOutcomeMethods(t *testing.T) {
-	var o txcas.Outcome
-	o.LastWriter = txcas.NoWriter
-	if o.Contended() || o.SharerKnown() {
-		t.Error("zero-ish Outcome reports contention or a sharer")
-	}
-	o.SoftAborts = 1
-	if !o.Contended() {
-		t.Error("SoftAborts>0 must imply Contended")
-	}
-	o = txcas.Outcome{VersionDelta: 2, LastWriter: 4}
-	if !o.Contended() || !o.SharerKnown() {
-		t.Error("delta>0 with writer must imply Contended and SharerKnown")
-	}
-}
-
 // TestAllocFreeHotPaths gates GuardedCAS at zero heap allocations per
 // operation in every configuration, success and failure alike.
 func TestAllocFreeHotPaths(t *testing.T) {
