@@ -1,16 +1,13 @@
 // Lfcheck is the repository's lock-free-code lint suite: a multichecker
-// over the analyzers in repro/internal/lint, runnable standalone
-//
-//	go run ./cmd/lfcheck ./...
-//
-// or as a go vet tool (the mode CI uses, which also covers _test.go
-// files):
+// over the analyzers in repro/internal/lint that runs as a go vet tool
+// (so it also covers _test.go files):
 //
 //	go build -o /tmp/lfcheck ./cmd/lfcheck
 //	go vet -vettool=/tmp/lfcheck ./...
 //
-// See README.md "Static analysis" and DESIGN.md appendix C for what each
-// analyzer enforces and how to suppress a finding.
+// Given anything else, such as package patterns, it prints its usage and
+// exits non-zero. See README.md "Static analysis" and DESIGN.md §7 for
+// what each analyzer enforces and how to suppress a finding.
 package main
 
 import (

@@ -119,13 +119,12 @@ func New(opt Options) *CAS {
 // CAS-semantics checks after an abort are the executor's under every
 // policy. MaxRetries caps attempts, so a policy that never answers
 // Fallback cannot cost wait-freedom. Each consult's Abort carries the
-// conflicting requester from the HTM abort status, the sharer signal
-// contention-aware policies act on.
+// attempt count and the last abort's Conflict, Disabled and Nested flags.
 //
 //lf:hotpath
 func (c *CAS) Do(p *machine.Proc, ptr machine.Addr, old, new uint64) bool {
 	c.Ops++
-	a := policy.Abort{Requester: policy.NoRequester}
+	var a policy.Abort
 	for attempt := 0; ; attempt++ {
 		a.Attempt = attempt
 		d := c.opt.Policy.Decide(a, p.RandN)
@@ -162,15 +161,7 @@ func (c *CAS) Do(p *machine.Proc, ptr machine.Addr, old, new uint64) bool {
 			// issued the write step's GetM.
 			return false
 		}
-		a = policy.Abort{
-			Conflict:  st.Conflict,
-			Explicit:  st.Explicit,
-			Capacity:  st.Capacity,
-			Disabled:  st.Disabled,
-			Nested:    st.Nested,
-			Code:      st.Code,
-			Requester: st.Requester,
-		}
+		a = policy.Abort{Conflict: st.Conflict, Disabled: st.Disabled, Nested: st.Nested}
 		if st.Conflict && st.Nested {
 			// Conflict during the read step: another TxCAS's write is in
 			// flight and this attempt died before issuing its own. Wait

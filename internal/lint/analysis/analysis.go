@@ -11,8 +11,8 @@
 // An Analyzer names one invariant and provides a Run function over a
 // Pass. A Pass presents one type-checked package; Run reports findings
 // through Pass.Report/Reportf. Drivers (repro/internal/lint/driver for
-// the command line and go vet, repro/internal/lint/linttest for tests)
-// construct passes and collect diagnostics.
+// go vet, repro/internal/lint/linttest for tests) construct passes and
+// collect diagnostics.
 package analysis
 
 import (

@@ -1,27 +1,20 @@
-// Package driver runs repro/internal/lint analyzers over type-checked
-// packages. It provides the two entry points cmd/lfcheck needs:
+// Package driver runs repro/internal/lint analyzers as a go vet tool.
+// The go command hands the tool one package per invocation: a vet
+// config file (see unit.go) naming the package's files and the compiler
+// export data of its dependencies. go vet -vettool therefore caches
+// results per package and covers _test.go files.
 //
-//   - a standalone mode that loads packages itself via `go list` and
-//     type-checks them from source (no export data, no network), and
-//   - the `go vet -vettool` unit-checker protocol (see unit.go), in which
-//     the go command supplies one package per invocation together with
-//     compiler export data for its dependencies.
-//
-// Both modes share Analyze, which applies the analyzers to one package
-// and filters findings through //lint:ignore directives.
+// Analyze applies the analyzers to one type-checked package and filters
+// findings through //lint:ignore directives; repro/internal/lint/linttest
+// shares it.
 package driver
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -45,8 +38,8 @@ type Package struct {
 // Analyzers named in a Requires graph run before their requirers and
 // feed them through Pass.ResultOf; requirements pulled in implicitly
 // (not in the analyzers argument) contribute results only — their
-// diagnostics are dropped, so a test or a trimmed command line can run
-// one analyzer without also surfacing its dependencies' findings.
+// diagnostics are dropped, so a test can run one analyzer without also
+// surfacing its dependencies' findings.
 func Analyze(pkg *Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	ignores := analysis.NewIgnoreSet(pkg.Fset, pkg.Files)
 	requested := make(map[*analysis.Analyzer]bool, len(analyzers))
@@ -148,127 +141,6 @@ func TargetSizes() types.Sizes {
 	return types.SizesFor("gc", "amd64")
 }
 
-// listPackage is the subset of `go list -json` output the loader uses.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	Standard   bool
-	GoFiles    []string
-	Imports    []string
-	Error      *struct{ Err string }
-}
-
-// loader type-checks a `go list -deps` package graph from source, in
-// dependency order, caching type-checked packages by import path.
-type loader struct {
-	fset  *token.FileSet
-	sizes types.Sizes
-	list  map[string]*listPackage
-	pkgs  map[string]*Package
-	stack []string // cycle detection (should never trigger: go list rejects cycles)
-}
-
-// Load lists patterns with the go command and type-checks every listed
-// package plus its dependencies from source. It returns the in-module
-// (non-standard-library) packages, sorted by import path.
-func Load(patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
-	}
-	ld := &loader{
-		fset:  token.NewFileSet(),
-		sizes: TargetSizes(),
-		list:  make(map[string]*listPackage),
-		pkgs:  make(map[string]*Package),
-	}
-	var order []string
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var lp listPackage
-		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("go list output: %v", err)
-		}
-		if lp.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		ld.list[lp.ImportPath] = &lp
-		order = append(order, lp.ImportPath)
-	}
-	var targets []*Package
-	for _, path := range order {
-		pkg, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		if !ld.list[path].Standard {
-			targets = append(targets, pkg)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool {
-		return targets[i].Types.Path() < targets[j].Types.Path()
-	})
-	return targets, nil
-}
-
-func (ld *loader) load(path string) (*Package, error) {
-	if pkg, ok := ld.pkgs[path]; ok {
-		return pkg, nil
-	}
-	lp, ok := ld.list[path]
-	if !ok {
-		return nil, fmt.Errorf("import %q: not in go list graph", path)
-	}
-	for _, p := range ld.stack {
-		if p == path {
-			return nil, fmt.Errorf("import cycle through %q", path)
-		}
-	}
-	ld.stack = append(ld.stack, path)
-	defer func() { ld.stack = ld.stack[:len(ld.stack)-1] }()
-
-	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := newInfo()
-	conf := types.Config{
-		Importer: importerFunc(func(p string) (*types.Package, error) {
-			if p == "unsafe" {
-				return types.Unsafe, nil
-			}
-			dep, err := ld.load(p)
-			if err != nil {
-				return nil, err
-			}
-			return dep.Types, nil
-		}),
-		Sizes: ld.sizes,
-	}
-	if lp.Standard {
-		// Tolerate soft errors in the standard library: we only need its
-		// exported type information, and source-checking std across Go
-		// releases can hit benign version skew.
-		conf.Error = func(error) {}
-	}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
-	if err != nil && !lp.Standard {
-		return nil, fmt.Errorf("typecheck %s: %v", path, err)
-	}
-	pkg := &Package{Fset: ld.fset, Files: files, Types: tpkg, Info: info, Sizes: ld.sizes}
-	ld.pkgs[path] = pkg
-	return pkg, nil
-}
-
 func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -281,19 +153,12 @@ func newInfo() *types.Info {
 	}
 }
 
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// Main is cmd/lfcheck's entry point: it dispatches between the version
-// and flag handshakes the go command performs on vet tools, the
-// unit-checker protocol (a single *.cfg argument), and the standalone
-// pattern mode. It returns the process exit code.
+// Main is cmd/lfcheck's entry point. It answers the version and flag
+// handshakes the go command performs on a vet tool and runs the
+// unit-checker protocol on a single *.cfg argument; anything else, such
+// as package patterns, gets the usage text. It returns the process exit
+// code.
 func Main(analyzers []*analysis.Analyzer, args []string) int {
-	if len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help") {
-		usage(analyzers)
-		return 0
-	}
 	for _, arg := range args {
 		switch arg {
 		case "-V=full", "--V=full":
@@ -309,42 +174,24 @@ func Main(analyzers []*analysis.Analyzer, args []string) int {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		return unitCheck(analyzers, args[0])
 	}
-	if len(args) == 0 {
-		usage(analyzers)
-		return 2
+	usage(analyzers)
+	if len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help") {
+		return 0
 	}
-	pkgs, err := Load(args)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lfcheck:", err)
-		return 1
-	}
-	exit := 0
-	for _, pkg := range pkgs {
-		diags, err := Analyze(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lfcheck: %s: %v\n", pkg.Types.Path(), err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Category)
-			exit = 2
-		}
-	}
-	return exit
+	return 2
 }
 
 func usage(analyzers []*analysis.Analyzer) {
-	fmt.Fprintln(os.Stderr, "lfcheck is this repository's lock-free-code lint suite.")
-	fmt.Fprintln(os.Stderr, "\nusage:")
-	fmt.Fprintln(os.Stderr, "  lfcheck ./...                      # standalone")
-	fmt.Fprintln(os.Stderr, "  go vet -vettool=$(which lfcheck) ./...  # as a vet tool")
+	fmt.Fprintln(os.Stderr, "lfcheck is this repository's lock-free-code lint suite; it runs as a go vet tool:")
+	fmt.Fprintln(os.Stderr, "\n  go build -o lfcheck ./cmd/lfcheck")
+	fmt.Fprintln(os.Stderr, "  go vet -vettool=$(pwd)/lfcheck ./...")
 	fmt.Fprintln(os.Stderr, "\nanalyzers:")
 	for _, a := range analyzers {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
 			doc = doc[:i]
 		}
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, doc)
+		fmt.Fprintf(os.Stderr, "  %-11s %s\n", a.Name, doc)
 	}
 	fmt.Fprintln(os.Stderr, "\nsuppress a finding with: //lint:ignore <analyzer> <reason>")
 }

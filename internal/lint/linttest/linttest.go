@@ -6,7 +6,7 @@
 //
 // Expectations annotate the offending line:
 //
-//	x.count = 1 // want `plain access of field count`
+//	atomic.AddUint64(&x.n, 1) // want `package-level atomic.AddUint64`
 //
 // Each backquoted or double-quoted string after // want is a regular
 // expression; the line must produce exactly one diagnostic per

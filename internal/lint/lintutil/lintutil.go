@@ -1,13 +1,12 @@
 // Package lintutil holds the type- and AST-query helpers shared by the
 // repro/internal/lint analyzers: resolving call targets, classifying
-// sync/atomic operations, mapping selector expressions to struct fields,
-// finding //lf:* field annotations, and computing struct layouts without
-// tripping over generic type parameters.
+// package-level sync/atomic calls, finding //lf:* field annotations, and
+// computing struct layouts without tripping over generic type
+// parameters.
 package lintutil
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -41,89 +40,28 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // LegacyAtomic reports whether fn is one of the package-level sync/atomic
-// functions, returning the operation ("Load", "Store", "Add", "Swap",
-// "CompareAndSwap") and the operand bit width (32, 64, or 0 for
-// word-sized Uintptr/Pointer).
-func LegacyAtomic(fn *types.Func) (op string, width int, ok bool) {
+// functions, returning the operation ("CompareAndSwap", "Load", "Store",
+// "Swap", "Add", "And" or "Or") and the operand type ("Int32", "Uint32",
+// "Int64", "Uint64", "Uintptr" or "Pointer"), which is also the name of
+// the typed atomic whose method replaces the call.
+func LegacyAtomic(fn *types.Func) (op, typ string, ok bool) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return "", 0, false
+		return "", "", false
 	}
 	if fn.Type().(*types.Signature).Recv() != nil {
-		return "", 0, false // method on a typed atomic, not a legacy call
+		return "", "", false // method on a typed atomic, not a legacy call
 	}
 	name := fn.Name()
 	for _, p := range []string{"CompareAndSwap", "Load", "Store", "Swap", "Add", "And", "Or"} {
 		if strings.HasPrefix(name, p) {
-			suffix := strings.TrimPrefix(name, p)
-			switch suffix {
-			case "Int32", "Uint32":
-				return p, 32, true
-			case "Int64", "Uint64":
-				return p, 64, true
-			case "Uintptr", "Pointer":
-				return p, 0, true
+			switch suffix := strings.TrimPrefix(name, p); suffix {
+			case "Int32", "Uint32", "Int64", "Uint64", "Uintptr", "Pointer":
+				return p, suffix, true
 			}
-			return "", 0, false
+			return "", "", false
 		}
 	}
-	return "", 0, false
-}
-
-// IsTypedAtomic reports whether t (after unwrapping aliases) is one of
-// the typed atomics of sync/atomic: Bool, Int32, Int64, Uint32, Uint64,
-// Uintptr, Pointer[T], or Value. These carry their own alignment and
-// no-copy guarantees.
-func IsTypedAtomic(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	switch obj.Name() {
-	case "Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value":
-		return true
-	}
-	return false
-}
-
-// FieldAddrArg interprets expr (a call argument) as &x.f and returns the
-// struct field f denotes, the selector, and the type of x (pointers
-// removed), or ok=false.
-func FieldAddrArg(info *types.Info, expr ast.Expr) (field *types.Var, sel *ast.SelectorExpr, recv types.Type, ok bool) {
-	un, isUnary := ast.Unparen(expr).(*ast.UnaryExpr)
-	if !isUnary || un.Op != token.AND {
-		return nil, nil, nil, false
-	}
-	return FieldSel(info, un.X)
-}
-
-// FieldSel interprets expr as a selection x.f of a struct field and
-// returns the field, the selector, and x's type (pointers removed).
-func FieldSel(info *types.Info, expr ast.Expr) (field *types.Var, sel *ast.SelectorExpr, recv types.Type, ok bool) {
-	s, isSel := ast.Unparen(expr).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, nil, nil, false
-	}
-	selection, found := info.Selections[s]
-	if !found || selection.Kind() != types.FieldVal {
-		return nil, nil, nil, false
-	}
-	f, isVar := selection.Obj().(*types.Var)
-	if !isVar || !f.IsField() {
-		return nil, nil, nil, false
-	}
-	return f, s, Deref(selection.Recv()), true
-}
-
-// Deref removes one level of pointer.
-func Deref(t types.Type) types.Type {
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
+	return "", "", false
 }
 
 // HasDirective reports whether any comment in the groups is the given

@@ -30,8 +30,8 @@
 package policy
 
 // Abort describes the state of one TxCAS operation when a retry decision is
-// needed. It deliberately mirrors machine.AbortStatus with plain fields
-// instead of importing it, so policies compile for the native track too.
+// needed: what the built-in policies read of machine.AbortStatus, as plain
+// fields instead of an import, so policies compile for the native track too.
 type Abort struct {
 	// Attempt is the number of transactional attempts completed so far.
 	// Policies are consulted before every attempt, so the first call of an
@@ -42,33 +42,8 @@ type Abort struct {
 	// Reason flags of the most recent abort (all false when Attempt == 0).
 	// They carry the same meaning as machine.AbortStatus.
 	Conflict bool
-	Explicit bool
-	Capacity bool
 	Disabled bool
 	Nested   bool
-	// Code is the explicit-abort code when Explicit is set.
-	Code uint8
-
-	// Requester is the identity of the conflicting thread/core the abort
-	// was attributed to, or NoRequester when unknown. On the simulated
-	// track it is the requester core from the HTM abort status. The
-	// native engine consults a policy only before its single attempt on
-	// a one-shot link, so it always passes NoRequester. It is the sharer
-	// hint contention-aware policies can act on — the paper's
-	// profit-from-failure signal (§3). Executors that have no hint must
-	// set NoRequester explicitly: thread 0 is a valid identity, so the
-	// zero value is not a safe "unknown".
-	Requester int
-}
-
-// NoRequester is the Requester value of an Abort carrying no sharer
-// identity.
-const NoRequester = -1
-
-// Spurious reports whether the last abort carried no cause flag — the
-// zero-status abort an interrupt produces through _xbegin.
-func (a Abort) Spurious() bool {
-	return a.Attempt > 0 && !a.Conflict && !a.Explicit && !a.Capacity && !a.Disabled
 }
 
 // Decision is a policy's verdict for the upcoming attempt.

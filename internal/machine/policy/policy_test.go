@@ -15,25 +15,6 @@ func fixedRand(v uint64) (func(uint64) uint64, *int) {
 	}, calls
 }
 
-func TestAbortSpurious(t *testing.T) {
-	cases := []struct {
-		a    Abort
-		want bool
-	}{
-		{Abort{}, false}, // attempt 0: nothing aborted yet
-		{Abort{Attempt: 1}, true},
-		{Abort{Attempt: 1, Conflict: true}, false},
-		{Abort{Attempt: 1, Explicit: true, Code: 1}, false},
-		{Abort{Attempt: 1, Capacity: true}, false},
-		{Abort{Attempt: 1, Disabled: true}, false},
-	}
-	for _, c := range cases {
-		if got := c.a.Spurious(); got != c.want {
-			t.Errorf("Spurious(%+v) = %v, want %v", c.a, got, c.want)
-		}
-	}
-}
-
 func TestImmediateRetry(t *testing.T) {
 	rand, calls := fixedRand(3)
 	p := ImmediateRetry{Jitter: 10}

@@ -216,7 +216,7 @@ func watch[T any](link *atomic.Pointer[T], iters uint64) bool {
 func GuardedCAS[T any, P Node[T]](e *Engine, thread int, link *atomic.Pointer[T], n P) bool {
 	window, fallback := e.window, false
 	if e.pol != nil {
-		d := e.pol.Decide(policy.Abort{Requester: policy.NoRequester}, e.randN)
+		d := e.pol.Decide(policy.Abort{}, e.randN)
 		if d.Fallback {
 			window, fallback = 0, true
 			if d.Delay > 0 {

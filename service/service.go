@@ -538,7 +538,7 @@ func (s *Service) Nack(token uint64) error {
 // sl, through sl's lane. The caller must have taken the lease's token;
 // redeliver finishes the transition and decrements sl's in-flight count.
 func (s *Service) redeliver(sl *slot, j *job, now time.Time) {
-	dec := s.cfg.Backoff.Decide(policy.Abort{Attempt: j.attempts, Requester: policy.NoRequester}, s.rng.randN)
+	dec := s.cfg.Backoff.Decide(policy.Abort{Attempt: j.attempts}, s.rng.randN)
 	switch delay := time.Duration(dec.Delay) * s.cfg.BackoffUnit; {
 	case dec.Fallback:
 		s.deadLetter(j, sl.lane)

@@ -49,8 +49,9 @@ type snapJob struct {
 	NotBefore time.Time `json:"not_before,omitempty"`
 }
 
-// checkpoint writes every unsettled job to path (tmp + rename, so a crash
-// mid-write leaves the previous checkpoint intact). Caller guarantees
+// checkpoint writes every unsettled job to path (tmp, sync, rename, sync
+// the directory, so a crash at any point leaves the previous checkpoint or
+// the new one, complete). Caller guarantees
 // quiescence: state is srvStopped, the scanner stopped, and the in-flight
 // sum zero, so every call that entered has ended and every lease settled.
 func (s *Service) checkpoint(path string) error {
@@ -98,17 +99,54 @@ func (s *Service) checkpoint(path string) error {
 	if err != nil {
 		return fmt.Errorf("service: encoding checkpoint: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	tmp, dir := path+".tmp", filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("service: checkpoint dir: %w", err)
 	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// Sync the data before the rename and the directory after it. A
+	// filesystem may persist the rename without the data, and a host
+	// crash would then leave a partial file where the previous
+	// checkpoint was.
+	if err := writeSynced(tmp, data); err != nil {
 		return fmt.Errorf("service: writing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("service: committing checkpoint: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("service: syncing checkpoint dir: %w", err)
+	}
 	return nil
+}
+
+// writeSynced writes data to the file at path, creating or truncating
+// it, and syncs it to disk before closing it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir syncs the directory at dir, persisting renames into it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func snapJobOf(j *job) snapJob {
