@@ -350,18 +350,16 @@ func BenchmarkNative_SBQAppendStrategies(b *testing.B) {
 }
 
 // BenchmarkSBQ measures the telemetry layer's overhead on the SBQ hot path
-// under parallel mixed load. recorder=off (no WithRecorder) and
-// recorder=nop (obs.Nop, normalized away at construction) must be within
-// noise of each other — the disabled path is a single nil check per event
-// site — while recorder=stats shows the cost of live counters.
+// under parallel mixed load. recorder=off (a nil recorder) pays a single
+// nil check per event site, while recorder=stats shows the cost of live
+// counters.
 func BenchmarkSBQ(b *testing.B) {
 	recorders := []struct {
 		name string
-		rec  func() obs.Recorder
+		rec  func() *obs.Stats
 	}{
-		{"recorder=off", func() obs.Recorder { return nil }},
-		{"recorder=nop", func() obs.Recorder { return obs.Nop{} }},
-		{"recorder=stats", func() obs.Recorder { return obs.New() }},
+		{"recorder=off", func() *obs.Stats { return nil }},
+		{"recorder=stats", obs.New},
 	}
 	for _, rc := range recorders {
 		rc := rc

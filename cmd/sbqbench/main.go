@@ -140,16 +140,11 @@ func main() {
 				}
 				fmt.Printf("%-20s", label)
 				for _, n := range threadCounts {
-					// The interface must stay untyped-nil when stats are off: a
-					// typed-nil *obs.Stats would pass the queues' nil checks and
-					// crash on the first Inc.
-					var rec obs.Recorder
 					var snap *obs.Stats
 					if *stats {
 						snap = obs.New()
-						rec = snap
 					}
-					ns := runOne(name, rec, *workload, n, *ops, k, *shards, w)
+					ns := runOne(name, snap, *workload, n, *ops, k, *shards, w)
 					fmt.Printf(" %10.1f", ns)
 					res := benchjson.Result{
 						Impl: name, Workload: *workload, Threads: n, Batch: k, Shards: *shards,
@@ -229,7 +224,7 @@ func runDiff(oldPath, newPath string, threshold float64, enforce bool) {
 // that k (ops still counts elements, so numbers across batch sizes
 // compare per element). txWindow overrides the TxCAS speculation window (0 = entry default; non-TxCAS
 // entries ignore it).
-func runOne(name string, rec obs.Recorder, workload string, threads, ops, batch, shards int, txWindow time.Duration) float64 {
+func runOne(name string, rec *obs.Stats, workload string, threads, ops, batch, shards int, txWindow time.Duration) float64 {
 	producers, consumers := threads, threads
 	switch workload {
 	case "enqueue":

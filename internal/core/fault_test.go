@@ -11,7 +11,7 @@ import (
 // location actually changed).
 func TestTxCASUnderSpuriousAborts(t *testing.T) {
 	cfg := machine.Default()
-	cfg.SpuriousAbortEvery = 4
+	cfg.Faults.SpuriousAbortProb = 1.0 / 4
 	m := machine.New(cfg)
 	a := m.AllocLine(8, 0)
 	const threads, rounds = 12, 25
@@ -43,7 +43,7 @@ func TestTxCASUnderSpuriousAborts(t *testing.T) {
 // the wait-free standard-CAS fallback completes the operation.
 func TestTxCASFallbackUnderTotalAborts(t *testing.T) {
 	cfg := machine.Default()
-	cfg.SpuriousAbortEvery = 1
+	cfg.Faults.SpuriousAbortProb = 1
 	m := machine.New(cfg)
 	a := m.AllocLine(8, 0)
 	var ok bool

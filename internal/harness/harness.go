@@ -93,7 +93,7 @@ var AllVariants = []Variant{BQOriginal, CCQueue, SBQCAS, SBQHTM, WFQueue}
 // where the variant supports it (the SBQ variants; the baseline queues
 // predate the telemetry layer and report only machine-level counters).
 // copt tunes the TxCAS of the SBQ-HTM variants.
-func buildQueue(m *machine.Machine, v Variant, producers, threads, basketSize int, rec obs.Recorder, copt core.Options) simqueue.Queue {
+func buildQueue(m *machine.Machine, v Variant, producers, threads, basketSize int, rec *obs.Stats, copt core.Options) simqueue.Queue {
 	if producers < 1 {
 		producers = 1
 	}

@@ -43,15 +43,14 @@ func runTrace(v Variant, o Options) *trace.Trace {
 		ringSize = 1 << 21
 	}
 
-	stats := obs.New()
 	col := trace.New(
 		trace.WithClock(func() uint64 { return uint64(cfg.NSPerOp(float64(m.Now()))) }),
 		trace.WithClockName("sim-ns"),
 		trace.WithRingSize(ringSize),
-		trace.WithStats(stats),
 	)
-	m.SetRecorder(col)
-	q := buildQueue(m, v, n, 2*n, o.BasketSize, col, core.DefaultOptions())
+	rec := obs.NewWithEvents(col)
+	m.SetRecorder(rec)
+	q := buildQueue(m, v, n, 2*n, o.BasketSize, rec, core.DefaultOptions())
 
 	// Producers on socket 0 (cores 0..n-1, tids 0..n-1); consumers on
 	// socket 1 (cores cps..cps+n-1, tids n..2n-1), as in the paper's mixed
@@ -122,14 +121,12 @@ func runTraceTxCAS(o Options) *trace.Trace {
 	if ringSize > 1<<22 {
 		ringSize = 1 << 22
 	}
-	stats := obs.New()
 	col := trace.New(
 		trace.WithClock(func() uint64 { return uint64(cfg.NSPerOp(float64(m.Now()))) }),
 		trace.WithClockName("sim-ns"),
 		trace.WithRingSize(ringSize),
-		trace.WithStats(stats),
 	)
-	m.SetRecorder(col)
+	m.SetRecorder(obs.NewWithEvents(col))
 	col.SetMeta("sockets", strconv.Itoa(cfg.Sockets))
 	col.SetMeta("cores_per_socket", strconv.Itoa(cfg.CoresPerSocket))
 	col.SetMeta("variant", "TxCAS")

@@ -17,7 +17,7 @@
 //   - back off between attempts (runtime.Gosched, time.Sleep, or any
 //     callee whose name mentions spin/backoff/yield/pause/sleep), or
 //   - record the retry in telemetry (a call to Inc/Add/Observe on a
-//     repro/internal/obs recorder inside the loop).
+//     repro/internal/obs *Stats inside the loop).
 //
 // Genuinely convergent helping loops — monotonic advance CASes where a
 // failure proves another thread made progress — may be suppressed with
@@ -74,7 +74,7 @@ func checkLoop(pass *analysis.Pass, loop *ast.ForStmt) {
 		return
 	}
 	pass.Reportf(casPos,
-		"unbounded CAS retry loop with no bound, backoff, or telemetry: bound the retries, back off, or count the failure through an obs.Recorder (the paper's §3 failed-CAS accounting)")
+		"unbounded CAS retry loop with no bound, backoff, or telemetry: bound the retries, back off, or count the failure on an *obs.Stats (the paper's §3 failed-CAS accounting)")
 }
 
 // findCAS returns the position of a CompareAndSwap call whose innermost
@@ -151,7 +151,7 @@ func isBackoff(fn *types.Func) bool {
 }
 
 // isTelemetry recognizes recorder calls from repro/internal/obs (or any
-// package named obs): Inc, Add, Observe.
+// package named obs): Stats.Inc, Add, Observe.
 func isTelemetry(fn *types.Func) bool {
 	switch fn.Name() {
 	case "Inc", "Add", "Observe":

@@ -75,7 +75,7 @@ func spinLoop(p *atomic.Uint64) {
 	}
 }
 
-func telemetryLoop(p *atomic.Uint64, r obs.Recorder) {
+func telemetryLoop(p *atomic.Uint64, r *obs.Stats) {
 	for {
 		v := p.Load()
 		if p.CompareAndSwap(v, v+1) {
@@ -87,7 +87,7 @@ func telemetryLoop(p *atomic.Uint64, r obs.Recorder) {
 
 // The CAS belongs to the innermost loop: the outer loop's telemetry
 // does not pace the inner one.
-func nestedLoop(p *atomic.Uint64, r obs.Recorder) {
+func nestedLoop(p *atomic.Uint64, r *obs.Stats) {
 	for {
 		r.Inc(1)
 		for {

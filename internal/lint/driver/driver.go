@@ -4,9 +4,9 @@
 // export data of its dependencies. go vet -vettool therefore caches
 // results per package and covers _test.go files.
 //
-// Analyze applies the analyzers to one type-checked package and filters
-// findings through //lint:ignore directives; repro/internal/lint/linttest
-// shares it.
+// TypeCheck loads one package and Analyze applies the analyzers to it,
+// filtering findings through //lint:ignore directives;
+// repro/internal/lint/linttest shares both.
 package driver
 
 import (
@@ -141,8 +141,12 @@ func TargetSizes() types.Sizes {
 	return types.SizesFor("gc", "amd64")
 }
 
-func newInfo() *types.Info {
-	return &types.Info{
+// TypeCheck type-checks files as package path under conf and bundles the
+// result, with the types.Info every analyzer's Pass reads and conf's
+// sizes, as a Package. The vet tool and linttest both load through it, so
+// analyzers see the same Info in tests as under go vet.
+func TypeCheck(conf *types.Config, path string, fset *token.FileSet, files []*ast.File) (*Package, error) {
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -151,6 +155,11 @@ func newInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Fset: fset, Files: files, Types: tpkg, Info: info, Sizes: conf.Sizes}, nil
 }
 
 // Main is cmd/lfcheck's entry point. It answers the version and flag

@@ -138,15 +138,10 @@ func typeCheckUnit(cfg *vetConfig) (*Package, error) {
 		}
 		return os.Open(file)
 	})
-	conf := types.Config{
+	conf := &types.Config{
 		Importer:  imp,
 		GoVersion: cfg.GoVersion,
 		Sizes:     TargetSizes(),
 	}
-	info := newInfo()
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Fset: fset, Files: files, Types: tpkg, Info: info, Sizes: conf.Sizes}, nil
+	return TypeCheck(conf, cfg.ImportPath, fset, files)
 }

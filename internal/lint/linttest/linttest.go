@@ -82,8 +82,7 @@ func (ld *loader) load(path string) (*driver.Package, error) {
 		}
 		files = append(files, f)
 	}
-	sizes := types.SizesFor("gc", "amd64")
-	conf := types.Config{
+	conf := &types.Config{
 		Importer: importerFunc(func(p string) (*types.Package, error) {
 			if p == "unsafe" {
 				return types.Unsafe, nil
@@ -97,22 +96,12 @@ func (ld *loader) load(path string) (*driver.Package, error) {
 			}
 			return ld.std.Import(p)
 		}),
-		Sizes: sizes,
+		Sizes: types.SizesFor("gc", "amd64"),
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
+	p, err := driver.TypeCheck(conf, path, ld.fset, files)
 	if err != nil {
 		return nil, err
 	}
-	p := &driver.Package{Fset: ld.fset, Files: files, Types: tpkg, Info: info, Sizes: sizes}
 	ld.pkgs[path] = p
 	return p, nil
 }

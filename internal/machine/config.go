@@ -39,15 +39,9 @@ type Config struct {
 	// Fwd-GetS until the transaction commits, instead of aborting.
 	TrippedWriterFix bool
 
-	// SpuriousAbortEvery, if nonzero, aborts roughly every Nth hardware
-	// transaction for an implementation-specific reason (modeling
-	// interrupts and other non-conflict aborts real HTM suffers, §2).
-	// The abort reason carries neither the conflict nor the explicit
-	// flag, exercising callers' retry paths. Zero disables injection.
-	SpuriousAbortEvery int
-
 	// Faults configures the seeded fault injector (see inject.go): random
-	// spurious aborts, a bound on transactional footprints, persistent or
+	// spurious aborts (interrupts and other non-conflict aborts real HTM
+	// suffers, §2), a bound on transactional footprints, persistent or
 	// mid-run HTM disablement, and cross-socket latency jitter. The zero
 	// value injects nothing.
 	Faults FaultPlan

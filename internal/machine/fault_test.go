@@ -6,7 +6,7 @@ import "testing"
 // and an aborted transaction's writes must not leak.
 func TestSpuriousAbortStatus(t *testing.T) {
 	cfg := small()
-	cfg.SpuriousAbortEvery = 1 // every transaction
+	cfg.Faults.SpuriousAbortProb = 1 // every transaction
 	m := New(cfg)
 	a := m.AllocLine(8, 0)
 	var st AbortStatus
@@ -123,7 +123,7 @@ func TestWithinCapacityCommits(t *testing.T) {
 // progress and atomicity holds.
 func TestSpuriousAbortRetryProgress(t *testing.T) {
 	cfg := small()
-	cfg.SpuriousAbortEvery = 3
+	cfg.Faults.SpuriousAbortProb = 1.0 / 3
 	m := New(cfg)
 	a := m.AllocLine(8, 0)
 	const threads, perThread = 6, 20

@@ -92,20 +92,6 @@ func (c *cache) beginTx(p *Proc) {
 	c.m.Stats.TxStarted++
 	c.m.obsInc(obs.TxStarts)
 	c.m.obsEvent(obs.EvTxBegin, c.core, c.txn.id)
-	if n := c.m.cfg.SpuriousAbortEvery; n > 0 && c.m.txnIDs%uint64(n) == 0 {
-		// Legacy deterministic injection: an "interrupt" lands somewhere
-		// inside every Nth transaction's window and aborts it for a
-		// non-conflict reason.
-		id := c.txn.id
-		delay := 5 + (id*2654435761)%150
-		c.m.eng.Schedule(delay, func() {
-			if t := c.txn; t != nil && t.id == id {
-				c.m.Stats.TxAbortSpurious++
-				c.m.obsInc(obs.TxAbortsSpurious)
-				c.abortTx(AbortStatus{Nested: t.depth >= 2}, false, -1, 0)
-			}
-		})
-	}
 	if j := c.m.inj; j != nil {
 		j.onTxBegin(c)
 	}

@@ -19,8 +19,7 @@ import "repro/internal/obs"
 // identical fault schedule — the property the seeded-replay tests assert.
 
 // FaultPlan configures the fault injector. The zero value injects nothing;
-// every field composes with the others and with the machine's fixed
-// every-Nth spurious-abort schedule (Config.SpuriousAbortEvery).
+// every field composes with the others.
 type FaultPlan struct {
 	// Seed perturbs the injector's random stream independently of
 	// Config.Seed, so fault schedules can vary while thread timing stays
@@ -28,10 +27,10 @@ type FaultPlan struct {
 	Seed uint64
 
 	// SpuriousAbortProb aborts each started transaction with this
-	// probability, at a random point inside its window, for a reason
-	// carrying no conflict/explicit/capacity flag — exactly what an
-	// interrupt-induced abort looks like through _xbegin. Values are
-	// clamped to [0, 1].
+	// probability, 5 to 154 cycles into its window, for a reason carrying
+	// no conflict/explicit/capacity flag — exactly what an
+	// interrupt-induced abort looks like through _xbegin. 1 aborts every
+	// transaction, 1.0/N about every Nth. Values are clamped to [0, 1].
 	SpuriousAbortProb float64
 
 	// CapacityLines, if nonzero, bounds a transaction's footprint: a

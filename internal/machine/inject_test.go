@@ -190,37 +190,38 @@ func TestCrossSocketJitter(t *testing.T) {
 	}
 }
 
-// memRecorder captures the full telemetry stream — counters and timeline
-// events in arrival order — for replay comparison.
+// memRecorder captures the timeline events in arrival order, for replay
+// comparison.
 type memRecorder struct {
 	mu  sync.Mutex
 	log []memEvent
 }
 
 type memEvent struct {
-	kind string
-	a    uint64
-	b    uint64
-	c    uint64
+	kind obs.EventKind
+	lane int32
+	arg  uint64
 }
 
-func (r *memRecorder) append(e memEvent) {
+func (r *memRecorder) Event(k obs.EventKind, lane int32, arg uint64) {
 	r.mu.Lock()
-	r.log = append(r.log, e)
+	r.log = append(r.log, memEvent{k, lane, arg})
 	r.mu.Unlock()
 }
 
-func (r *memRecorder) Inc(c obs.Counter)              { r.append(memEvent{"inc", uint64(c), 0, 0}) }
-func (r *memRecorder) Add(c obs.Counter, d uint64)    { r.append(memEvent{"add", uint64(c), d, 0}) }
-func (r *memRecorder) Observe(s obs.Series, v uint64) { r.append(memEvent{"obs", uint64(s), v, 0}) }
-func (r *memRecorder) Event(k obs.EventKind, lane int32, arg uint64) {
-	r.append(memEvent{"ev", uint64(k), uint64(int64(lane)), arg})
+// replay is everything one seeded run reports: the machine's counters, the
+// telemetry snapshot, the timeline events and the protocol messages.
+type replay struct {
+	stats  Stats
+	snap   obs.Snapshot
+	events []memEvent
+	msgs   []TraceEvent
 }
 
 // faultReplayRun executes one seeded faulty workload — contended
 // transactions across sockets under spurious aborts, a mid-run HTM
-// disablement, and jitter — and returns the stats and full event log.
-func faultReplayRun(t *testing.T) (Stats, []memEvent) {
+// disablement, and jitter — and returns what it reported.
+func faultReplayRun(t *testing.T) replay {
 	t.Helper()
 	cfg := faulty(FaultPlan{
 		SpuriousAbortProb: 0.3,
@@ -230,7 +231,10 @@ func faultReplayRun(t *testing.T) (Stats, []memEvent) {
 	})
 	m := New(cfg)
 	rec := &memRecorder{}
-	m.SetRecorder(rec)
+	st := obs.NewWithEvents(rec)
+	m.SetRecorder(st)
+	tr := &Tracer{}
+	m.Tracer = tr
 	a := m.Alloc(8, 1)
 	per := m.Config().CoresPerSocket
 	for _, core := range []int{0, 1, per, per + 1} {
@@ -267,31 +271,45 @@ func faultReplayRun(t *testing.T) (Stats, []memEvent) {
 	if m.Peek(a) != 4*40 {
 		t.Fatalf("lost updates under faults: a=%d, want %d", m.Peek(a), 4*40)
 	}
-	return m.Stats, rec.log
+	return replay{m.Stats, st.Snapshot(), rec.log, tr.Events}
 }
 
-// The ISSUE's determinism gate: a seeded injector replays an identical
-// abort/event sequence — not just equal totals — across two runs.
+// The determinism gate: a seeded injector replays an identical abort/event
+// sequence — not just equal totals — across two runs: the same counters,
+// the same ordered timeline and the same ordered protocol messages.
 func TestSeededFaultReplayIsIdentical(t *testing.T) {
-	stats1, log1 := faultReplayRun(t)
-	stats2, log2 := faultReplayRun(t)
-	if stats1 != stats2 {
-		t.Fatalf("stats diverged across identical runs:\n  %+v\n  %+v", stats1, stats2)
+	r1 := faultReplayRun(t)
+	r2 := faultReplayRun(t)
+	if r1.stats != r2.stats {
+		t.Fatalf("stats diverged across identical runs:\n  %+v\n  %+v", r1.stats, r2.stats)
 	}
-	if len(log1) != len(log2) {
-		t.Fatalf("event counts diverged: %d vs %d", len(log1), len(log2))
+	if !reflect.DeepEqual(r1.snap, r2.snap) {
+		t.Fatalf("telemetry snapshots diverged across identical runs:\n  %+v\n  %+v", r1.snap.Counters, r2.snap.Counters)
 	}
-	if !reflect.DeepEqual(log1, log2) {
-		for i := range log1 {
-			if log1[i] != log2[i] {
-				t.Fatalf("event %d diverged: %+v vs %+v", i, log1[i], log2[i])
-			}
+	if len(r1.events) != len(r2.events) {
+		t.Fatalf("event counts diverged: %d vs %d", len(r1.events), len(r2.events))
+	}
+	for i := range r1.events {
+		if r1.events[i] != r2.events[i] {
+			t.Fatalf("event %d diverged: %+v vs %+v", i, r1.events[i], r2.events[i])
 		}
+	}
+	if len(r1.msgs) != len(r2.msgs) {
+		t.Fatalf("message counts diverged: %d vs %d", len(r1.msgs), len(r2.msgs))
+	}
+	for i := range r1.msgs {
+		if r1.msgs[i] != r2.msgs[i] {
+			t.Fatalf("message %d diverged: %v vs %v", i, r1.msgs[i], r2.msgs[i])
+		}
+	}
+	if r1.snap.Counter(obs.TxAbortsSpurious) == 0 || len(r1.msgs) == 0 {
+		t.Fatalf("replay compared nothing: %d spurious aborts counted, %d messages traced",
+			r1.snap.Counter(obs.TxAbortsSpurious), len(r1.msgs))
 	}
 	// The log must actually contain injected-fault events.
 	n := 0
-	for _, e := range log1 {
-		if e.kind == "ev" && obs.EventKind(e.a) == obs.EvFaultInject {
+	for _, e := range r1.events {
+		if e.kind == obs.EvFaultInject {
 			n++
 		}
 	}

@@ -99,7 +99,7 @@ func TestQuiescentInvariantsMixedWorkload(t *testing.T) {
 func TestQuiescentInvariantsWithFaultsAndFix(t *testing.T) {
 	cfg := small()
 	cfg.Seed = 3
-	cfg.SpuriousAbortEvery = 5
+	cfg.Faults.SpuriousAbortProb = 1.0 / 5
 	cfg.TrippedWriterFix = true
 	m := New(cfg)
 	a := m.AllocLine(8, 0)

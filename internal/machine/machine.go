@@ -56,8 +56,8 @@ type Machine struct {
 	inj *injector
 
 	// txnIDs issues this machine's transaction ids. Per-machine (not
-	// process-global) so equal seeds replay identical ids and the legacy
-	// SpuriousAbortEvery schedule is independent of process history.
+	// process-global) so equal seeds replay identical ids, independent of
+	// process history.
 	txnIDs uint64
 
 	running int // procs started and not yet finished
@@ -70,19 +70,19 @@ type Machine struct {
 	// telemetry layer (repro/internal/obs): coherence-message kinds, HTM
 	// starts/commits and per-reason aborts, and CAS outcomes. Set it with
 	// SetRecorder before Run.
-	rec obs.Recorder
-	// ev is the timeline extension of rec (nil unless the recorder is a
-	// flight-recorder collector): coherence GetS/GetM requests, HTM
-	// begin/commit/abort-with-code, each on the issuing core's lane.
+	rec *obs.Stats
+	// ev is rec's flight recorder (nil unless rec carries one): coherence
+	// GetS/GetM requests, HTM begin/commit/abort-with-code, each on the
+	// issuing core's lane.
 	ev obs.EventRecorder
 }
 
-// SetRecorder attaches a telemetry recorder; nil (or obs.Nop) detaches.
-// When r also implements obs.EventRecorder (e.g. a trace.Collector), the
-// machine additionally emits per-core timeline events.
-func (m *Machine) SetRecorder(r obs.Recorder) {
-	m.rec = obs.Normalize(r)
-	m.ev = obs.Events(r)
+// SetRecorder attaches a telemetry recorder; nil detaches. When r carries
+// a flight recorder (obs.NewWithEvents), the machine additionally emits
+// per-core timeline events into it.
+func (m *Machine) SetRecorder(r *obs.Stats) {
+	m.rec = r
+	m.ev = r.Events()
 }
 
 // obsInc forwards one event to the attached recorder, if any.

@@ -9,7 +9,7 @@ package obs
 // cross-socket abort asymmetry — which aggregate counters cannot show.
 //
 // Instrumented code holds an EventRecorder field that is nil when tracing
-// is off (mirroring the Recorder discipline), so the disabled path is one
+// is off (mirroring the nil *Stats discipline), so the disabled path is one
 // predictable nil check per event site.
 
 // EventKind identifies one timeline event type.
@@ -177,24 +177,13 @@ func IsMachineLane(lane int32) bool { return lane >= 0 && lane&machineLaneBit !=
 // LaneCore returns the core id of a machine-layer lane.
 func LaneCore(lane int32) int { return int(lane &^ machineLaneBit) }
 
-// EventRecorder extends Recorder with timeline events. The flight
-// recorder (repro/internal/trace) implements it; plain Stats does not.
-// Instrumentation derives an EventRecorder field from its configured
-// Recorder via Events at construction time and nil-checks it per site, so
+// EventRecorder receives timeline events. The flight recorder
+// (repro/internal/trace) implements it. It reaches instrumented code only
+// through a Stats built by NewWithEvents: instrumentation reads
+// Stats.Events once at construction and nil-checks the result per site, so
 // counter-only telemetry pays nothing for the event hooks.
 type EventRecorder interface {
-	Recorder
 	// Event records one timeline event on the given lane (LaneDefault for
 	// the recorder's own lane) with a kind-specific argument.
 	Event(k EventKind, lane int32, arg uint64)
-}
-
-// Events returns r as an EventRecorder, or nil when r is nil, a Nop, or a
-// counters-only recorder. Constructors call it once so hot paths get the
-// usual single-nil-check disabled path.
-func Events(r Recorder) EventRecorder {
-	if er, ok := Normalize(r).(EventRecorder); ok {
-		return er
-	}
-	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-func snapWith(f func(r obs.Recorder)) obs.Snapshot {
+func snapWith(f func(r *obs.Stats)) obs.Snapshot {
 	st := obs.New()
 	f(st)
 	return st.Snapshot()
@@ -72,9 +72,9 @@ func TestWindowDeltaCorrectness(t *testing.T) {
 func TestWindowReset(t *testing.T) {
 	var w Window
 	t0 := time.Unix(0, 0)
-	w.Advance(t0, snapWith(func(r obs.Recorder) { r.Add(obs.SrvAcks, 50) }))
+	w.Advance(t0, snapWith(func(r *obs.Stats) { r.Add(obs.SrvAcks, 50) }))
 	// Source restarted: counters smaller than before.
-	d := w.Advance(t0.Add(time.Second), snapWith(func(r obs.Recorder) { r.Add(obs.SrvAcks, 3) }))
+	d := w.Advance(t0.Add(time.Second), snapWith(func(r *obs.Stats) { r.Add(obs.SrvAcks, 3) }))
 	if !d.Reset {
 		t.Fatal("reset not detected")
 	}
@@ -82,7 +82,7 @@ func TestWindowReset(t *testing.T) {
 		t.Fatalf("reset delta re-baselines at the new lifetime value, got %d", got)
 	}
 	// The window re-primes on the post-reset values.
-	d = w.Advance(t0.Add(2*time.Second), snapWith(func(r obs.Recorder) { r.Add(obs.SrvAcks, 5) }))
+	d = w.Advance(t0.Add(2*time.Second), snapWith(func(r *obs.Stats) { r.Add(obs.SrvAcks, 5) }))
 	if d.Reset || d.Snapshot.Counters[obs.SrvAcks] != 2 {
 		t.Fatalf("post-reset delta: %+v", d.Snapshot.Counters[obs.SrvAcks])
 	}

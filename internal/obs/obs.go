@@ -13,13 +13,14 @@
 //     coherence message kinds).
 //   - Series enumerates the latency histograms (power-of-two buckets,
 //     backed by repro/internal/stats.Histogram).
-//   - Recorder is the interface instrumentation points call. Instrumented
-//     code holds a nil Recorder when telemetry is off, so the disabled path
-//     is a single nil check; Nop is an explicit no-op value for plumbing,
-//     normalized to nil by every constructor (see Normalize).
-//   - Stats is the concrete lock-free recorder: one padded shard of atomic
-//     counters per scope. Scope issues child scopes; a record lands in
-//     one scope only, and Snapshot sums a scope's subtree at read time.
+//   - Stats is the one recorder: one padded shard of atomic counters per
+//     scope. Scope issues child scopes; a record lands in one scope only,
+//     and Snapshot sums a scope's subtree at read time. Instrumented code
+//     holds a nil *Stats when telemetry is off, so the disabled path is a
+//     single nil check on a pointer.
+//   - EventRecorder receives timeline events (see event.go). A root built
+//     with NewWithEvents carries one, every Scope of it inherits it, and
+//     instrumented code reads it once at construction through Events.
 //
 // Typical wiring:
 //
@@ -229,50 +230,4 @@ func (s Series) String() string {
 		return seriesNames[s]
 	}
 	return "?"
-}
-
-// Recorder receives telemetry events. Implementations must be safe for
-// concurrent use. Instrumented code stores a Recorder field that is nil
-// when telemetry is disabled and guards every call with a nil check, so
-// the disabled fast path costs one predictable branch.
-type Recorder interface {
-	// Inc adds one to counter c.
-	Inc(c Counter)
-	// Add adds delta to counter c.
-	Add(c Counter, delta uint64)
-	// Observe records a nanosecond value in series s.
-	Observe(s Series, ns uint64)
-}
-
-// Nop is a Recorder that records nothing. Constructors normalize it to a
-// nil Recorder (see Normalize), so passing Nop{} is exactly as cheap as
-// passing no recorder at all: the disabled path is a single nil check and
-// these methods are never reached from hot paths.
-type Nop struct{}
-
-// Inc implements Recorder as a no-op.
-func (Nop) Inc(Counter) {}
-
-// Add implements Recorder as a no-op.
-func (Nop) Add(Counter, uint64) {}
-
-// Observe implements Recorder as a no-op.
-func (Nop) Observe(Series, uint64) {}
-
-// Normalize maps Nop (and nil) to nil so that instrumented code can treat
-// "no recorder" uniformly as a nil field. Every constructor accepting a
-// Recorder option passes it through Normalize.
-func Normalize(r Recorder) Recorder {
-	if r == nil {
-		return nil
-	}
-	if _, ok := r.(Nop); ok {
-		return nil
-	}
-	// A typed-nil *Stats arises naturally from `var s *Stats` at call
-	// sites; treat it as off rather than letting it defeat nil checks.
-	if s, ok := r.(*Stats); ok && s == nil {
-		return nil
-	}
-	return r
 }

@@ -154,16 +154,45 @@ func sumBuckets(b []uint64) uint64 {
 	return n
 }
 
-func TestNormalize(t *testing.T) {
-	if obs.Normalize(nil) != nil {
-		t.Error("Normalize(nil) != nil")
+// eventLog is an event-only recorder that logs event kinds.
+type eventLog struct {
+	mu    sync.Mutex
+	kinds []obs.EventKind
+}
+
+func (l *eventLog) Event(k obs.EventKind, _ int32, _ uint64) {
+	l.mu.Lock()
+	l.kinds = append(l.kinds, k)
+	l.mu.Unlock()
+}
+
+// TestScopesInheritEvents: scopes two levels below a traced root hand out
+// the root's event recorder, so their events reach it, while a
+// counters-only root and a nil Stats hand out none.
+func TestScopesInheritEvents(t *testing.T) {
+	log := &eventLog{}
+	root := obs.NewWithEvents(log)
+	child := root.Scope()
+	grandchild := child.Scope()
+	for _, sc := range []*obs.Stats{root, child, grandchild} {
+		ev := sc.Events()
+		if ev == nil {
+			t.Fatal("a scope of a traced root has no event recorder")
+		}
+		ev.Event(obs.EvSrvSubmit, obs.LaneDefault, 1)
 	}
-	if obs.Normalize(obs.Nop{}) != nil {
-		t.Error("Normalize(Nop{}) != nil")
+	if len(log.kinds) != 3 {
+		t.Fatalf("root's recorder got %d events, want 3 (root, child, grandchild)", len(log.kinds))
 	}
-	s := obs.New()
-	if obs.Normalize(s) != obs.Recorder(s) {
-		t.Error("Normalize(Stats) changed the recorder")
+	grandchild.Inc(obs.SrvSubmits)
+	if got := root.Snapshot().Counter(obs.SrvSubmits); got != 1 {
+		t.Errorf("root srv_submits = %d, want 1 (the grandchild's)", got)
+	}
+	if ev := obs.New().Scope().Scope().Events(); ev != nil {
+		t.Errorf("scope of a counters-only root has event recorder %v", ev)
+	}
+	if ev := (*obs.Stats)(nil).Events(); ev != nil {
+		t.Errorf("nil Stats has event recorder %v", ev)
 	}
 }
 

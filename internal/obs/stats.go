@@ -54,43 +54,63 @@ func (s *shard) addTo(out *Snapshot) {
 	}
 }
 
-// Stats is the concrete Recorder: one padded shard of atomic counters and
-// histograms, plus the child scopes issued by Scope. A record lands only
-// in the shard of the Stats it was made on; Snapshot sums that shard and,
-// recursively, every child's. So each event costs one set of atomic adds
-// however many scopes report it, and wider scopes are built at read time.
+// Stats is the repository's one telemetry recorder: one padded shard of
+// atomic counters and histograms, plus the child scopes issued by Scope. A
+// record lands only in the shard of the Stats it was made on; Snapshot sums
+// that shard and, recursively, every child's. So each event costs one set
+// of atomic adds however many scopes report it, and wider scopes are built
+// at read time. A root built by NewWithEvents also carries a flight
+// recorder, which every scope of it hands out through Events.
 type Stats struct {
 	base shard
 
+	ev       EventRecorder // inherited by every Scope
 	mu       sync.Mutex
 	children []*Stats // append-only
 }
 
-// New returns an empty Stats recorder.
+// New returns an empty Stats recorder that records no timeline events.
 func New() *Stats { return &Stats{} }
 
-// Inc implements Recorder on this scope's own shard.
+// NewWithEvents returns an empty Stats recorder whose scopes all carry ev,
+// so instrumentation attached to any of them emits timeline events into
+// ev besides counting.
+func NewWithEvents(ev EventRecorder) *Stats { return &Stats{ev: ev} }
+
+// Events returns the event recorder this scope's root was built with, or
+// nil when s is nil or records counters only. Instrumented code calls it
+// once at construction, so each event site costs one nil check.
+func (s *Stats) Events() EventRecorder {
+	if s == nil {
+		return nil
+	}
+	return s.ev
+}
+
+// Inc adds one to counter c in this scope's own shard.
 //
 //lf:hotpath
 func (s *Stats) Inc(c Counter) { s.base.inc(c) }
 
-// Add implements Recorder on this scope's own shard.
+// Add adds d to counter c in this scope's own shard.
 //
 //lf:hotpath
 func (s *Stats) Add(c Counter, d uint64) { s.base.add(c, d) }
 
-// Observe implements Recorder on this scope's own shard.
+// Observe records a nanosecond value in series se of this scope's own
+// shard.
 //
 //lf:hotpath
 func (s *Stats) Observe(se Series, v uint64) { s.base.observe(se, v) }
 
-// Scope returns a new child scope of s. Records on the child land only in
-// the child's own shard; the child's counts appear in every later
-// Snapshot of s (and of s's ancestors) for as long as s lives, and a
-// Snapshot of the child holds only the child's subtree. Scope may be
-// called while other goroutines record into s and its children.
+// Scope returns a new child scope of s, carrying s's event recorder.
+// Records on the child land only in the child's own shard; the child's
+// counts appear in every later Snapshot of s (and of s's ancestors) for as
+// long as s lives, and a Snapshot of the child holds only the child's
+// subtree. Scope may be called while other goroutines record into s and
+// its children.
 func (s *Stats) Scope() *Stats {
-	c := New()
+	c := NewWithEvents(s.ev)
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()

@@ -14,7 +14,7 @@ func TestSBQHTMLinearizableUnderSpuriousAborts(t *testing.T) {
 	const producers, consumers, per = 6, 3, 25
 	threads := producers + consumers
 	cfg := machine.Default()
-	cfg.SpuriousAbortEvery = 3
+	cfg.Faults.SpuriousAbortProb = 1.0 / 3
 	m := machine.New(cfg)
 	q := NewSBQ(m, SBQOptions{
 		BasketSize: producers, Enqueuers: producers, Threads: threads,

@@ -32,9 +32,9 @@ type SBQ struct {
 
 	tryAppend AppendFunc
 	name      string
-	rec       obs.Recorder // nil unless SBQOptions.Rec attached telemetry
-	// ev is the timeline extension of rec (nil unless Rec is a flight-
-	// recorder collector). Queue-layer events land on lane=tid, matching
+	rec       *obs.Stats // nil unless SBQOptions.Rec attached telemetry
+	// ev is rec's flight recorder (nil unless Rec carries one).
+	// Queue-layer events land on lane=tid, matching
 	// the harness's thread numbering; the analyzer joins them with the
 	// machine layer's core lanes through the lane_cores trace metadata.
 	ev obs.EventRecorder
@@ -111,7 +111,9 @@ type SBQOptions struct {
 	// try_append CAS outcomes, basket insert/extract outcomes). Machine-
 	// level telemetry (HTM aborts, coherence traffic) attaches to the
 	// Machine via SetRecorder instead, so the two layers stay separable.
-	Rec obs.Recorder
+	// When Rec carries a flight recorder (obs.NewWithEvents), the queue
+	// also emits timeline events into it.
+	Rec *obs.Stats
 }
 
 // NewSBQ allocates an SBQ on m.
@@ -148,8 +150,8 @@ func NewSBQ(m *Machine, opt SBQOptions) *SBQ {
 		partitions: opt.Partitions,
 		tryAppend:  opt.Append,
 		name:       opt.Name,
-		rec:        obs.Normalize(opt.Rec),
-		ev:         obs.Events(opt.Rec),
+		rec:        opt.Rec,
+		ev:         opt.Rec.Events(),
 		enq:        make([]enqState, opt.Threads),
 		free:       make([][]uint64, opt.Threads),
 	}

@@ -15,9 +15,11 @@
 // issues per-handle rings (Collector.Handle), each meant for one hot
 // goroutine, though rings tolerate multiple writers (slots are seqlock-
 // published) so a queue-wide shared handle is merely less precise, never
-// unsafe. The Collector itself is a Handle-backed EventRecorder, so it
-// can be passed directly to machine.SetRecorder or a queue's WithRecorder
-// option. With tracing off, instrumented code holds a nil
+// unsafe. The Collector itself is a Handle-backed EventRecorder: attach it
+// to a root obs.Stats with obs.NewWithEvents, and everything that records
+// into that Stats or a scope of it (machine.SetRecorder, a queue's
+// WithRecorder option, the service's Config.Recorder) also emits its
+// events here. With tracing off, instrumented code holds a nil
 // obs.EventRecorder and pays one branch per event site.
 //
 // Snapshotting is epoch-based: each Snapshot call opens a new epoch by
@@ -156,13 +158,6 @@ func WithRingSize(n int) Option {
 	return func(c *Collector) { c.ringSize = n }
 }
 
-// WithStats chains a counters recorder: every Inc/Add/Observe received by
-// the collector or its handles is forwarded to it, so one wiring point
-// yields both the counter snapshot and the event timeline.
-func WithStats(r obs.Recorder) Option {
-	return func(c *Collector) { c.stats = obs.Normalize(r) }
-}
-
 // WithClockName labels the clock domain recorded in drained traces
 // ("wall-ns" by default; harnesses use "sim-ns").
 func WithClockName(name string) Option {
@@ -172,12 +167,11 @@ func WithClockName(name string) Option {
 // Collector owns the flight recorder: it issues per-handle rings, carries
 // the shared clock, and drains everything into consistent snapshots. It
 // implements obs.EventRecorder through a built-in handle (lane 0,
-// labelled "main"), so it can be attached anywhere a Recorder goes.
+// labelled "main").
 type Collector struct {
 	clock     func() uint64
 	clockName string
 	ringSize  int
-	stats     obs.Recorder
 
 	mu      sync.Mutex
 	handles []*Handle
@@ -219,16 +213,6 @@ func (c *Collector) SetMeta(key, value string) {
 	defer c.mu.Unlock()
 	c.meta[key] = value
 }
-
-// Inc implements obs.Recorder by forwarding to the chained stats recorder.
-func (c *Collector) Inc(ct obs.Counter) { c.base.Inc(ct) }
-
-// Add implements obs.Recorder by forwarding to the chained stats recorder.
-func (c *Collector) Add(ct obs.Counter, d uint64) { c.base.Add(ct, d) }
-
-// Observe implements obs.Recorder by forwarding to the chained stats
-// recorder.
-func (c *Collector) Observe(s obs.Series, v uint64) { c.base.Observe(s, v) }
 
 // Event implements obs.EventRecorder on the collector's built-in handle.
 //
@@ -273,8 +257,8 @@ func (c *Collector) Snapshot() *Trace {
 	return tr
 }
 
-// Handle is one recording lane: a private ring plus the collector's clock
-// and chained counters. It implements obs.EventRecorder.
+// Handle is one recording lane: a private ring plus the collector's
+// clock. It implements obs.EventRecorder.
 type Handle struct {
 	c       *Collector
 	lane    int32
@@ -285,34 +269,6 @@ type Handle struct {
 
 // Lane returns the handle's lane id.
 func (h *Handle) Lane() int32 { return h.lane }
-
-// Inc implements obs.Recorder by forwarding to the chained stats recorder.
-//
-//lf:hotpath
-func (h *Handle) Inc(ct obs.Counter) {
-	if r := h.c.stats; r != nil {
-		r.Inc(ct)
-	}
-}
-
-// Add implements obs.Recorder by forwarding to the chained stats recorder.
-//
-//lf:hotpath
-func (h *Handle) Add(ct obs.Counter, d uint64) {
-	if r := h.c.stats; r != nil {
-		r.Add(ct, d)
-	}
-}
-
-// Observe implements obs.Recorder by forwarding to the chained stats
-// recorder.
-//
-//lf:hotpath
-func (h *Handle) Observe(s obs.Series, v uint64) {
-	if r := h.c.stats; r != nil {
-		r.Observe(s, v)
-	}
-}
 
 // Event records one event in the handle's ring. obs.LaneDefault resolves
 // to the handle's own lane.

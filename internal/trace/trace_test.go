@@ -193,42 +193,6 @@ func TestConcurrentDrain(t *testing.T) {
 	}
 }
 
-func TestWithStatsForwarding(t *testing.T) {
-	st := obs.New()
-	c := New(WithStats(st))
-	c.Inc(obs.EnqOps)
-	c.Add(obs.CASFailures, 3)
-	c.Observe(obs.EnqLatency, 100)
-	h := c.Handle("w")
-	h.Inc(obs.DeqOps)
-
-	snap := st.Snapshot()
-	if snap.Counters[obs.EnqOps] != 1 || snap.Counters[obs.CASFailures] != 3 || snap.Counters[obs.DeqOps] != 1 {
-		t.Errorf("counters = %v", snap.Counters)
-	}
-	if snap.Series[obs.EnqLatency].Count != 1 {
-		t.Errorf("series count = %d, want 1", snap.Series[obs.EnqLatency].Count)
-	}
-}
-
-func TestEventsHelper(t *testing.T) {
-	if obs.Events(nil) != nil {
-		t.Error("Events(nil) != nil")
-	}
-	if obs.Events(obs.Nop{}) != nil {
-		t.Error("Events(Nop) != nil")
-	}
-	if obs.Events(obs.New()) != nil {
-		t.Error("Events(Stats) != nil: counters-only recorder must not trace")
-	}
-	c := New()
-	if obs.Events(c) == nil {
-		t.Error("Events(Collector) == nil, want the collector")
-	}
-	// A collector without WithStats still works as a plain Recorder.
-	c.Inc(obs.EnqOps)
-}
-
 func TestMetaAndLaneCores(t *testing.T) {
 	c := New()
 	c.SetMeta("sockets", "2")

@@ -58,7 +58,7 @@ type Option func(*options)
 type options struct {
 	window time.Duration // <0 = DefaultWindow sentinel
 	pol    policy.RetryPolicy
-	rec    obs.Recorder
+	rec    *obs.Stats
 }
 
 // WithWindow sets the speculation window: how long a contender watches
@@ -87,11 +87,12 @@ func WithPolicy(p policy.RetryPolicy) Option {
 // also in CASFallbacks, abandoned attempts in TxSoftAborts, and every
 // failure (which identifies its winner: the node now in the link) in
 // TxSharerHints. Soft aborts also emit EvTxAbort timeline events (reason
-// AbortConflict, requester = the winner's linker id) when the recorder is
-// a flight recorder, so sbqtrace renders the native profit-from-failure
-// effect with the same event vocabulary as the simulated machine.
-func WithRecorder(r obs.Recorder) Option {
-	return func(o *options) { o.rec = obs.Normalize(r) }
+// AbortConflict, requester = the winner's linker id) when the recorder
+// carries a flight recorder (obs.NewWithEvents), so sbqtrace renders the
+// native profit-from-failure effect with the same event vocabulary as the
+// simulated machine.
+func WithRecorder(r *obs.Stats) Option {
+	return func(o *options) { o.rec = r }
 }
 
 // Engine is the native software-TxCAS executor. One Engine serves any
@@ -102,9 +103,9 @@ type Engine struct {
 	pol           policy.RetryPolicy
 	itersPerCycle float64
 	randN         func(uint64) uint64
-	rec           obs.Recorder
+	rec           *obs.Stats
 	ev            obs.EventRecorder
-	_             [56]byte
+	_             [64]byte
 	//lf:contended policy randomness stream shared by every thread
 	rng atomic.Uint64
 	_   [56]byte
@@ -125,7 +126,7 @@ func NewEngine(opts ...Option) *Engine {
 		window: spin.ItersFor(o.window),
 		pol:    o.pol,
 		rec:    o.rec,
-		ev:     obs.Events(o.rec),
+		ev:     o.rec.Events(),
 	}
 	if o.pol != nil {
 		// Only policy delays need the rate; a window-0 engine never

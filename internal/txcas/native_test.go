@@ -22,12 +22,13 @@ type tnode struct {
 
 func (n *tnode) Linker() int { return n.linker }
 
-// flight is a minimal flight recorder: counters in an obs.Stats, timeline
-// events in a slice, so tests can read the winner an EvTxAbort names.
+// flight is a minimal flight recorder: timeline events in a slice, so
+// tests can read the winner an EvTxAbort names. Engines record into its
+// stats, which counts and hands the events to the flight.
 type flight struct {
-	*obs.Stats
-	mu  sync.Mutex
-	log []event
+	stats *obs.Stats
+	mu    sync.Mutex
+	log   []event
 }
 
 type event struct {
@@ -36,7 +37,11 @@ type event struct {
 	arg  uint64
 }
 
-func newFlight() *flight { return &flight{Stats: obs.New()} }
+func newFlight() *flight {
+	f := &flight{}
+	f.stats = obs.NewWithEvents(f)
+	return f
+}
 
 func (f *flight) Event(k obs.EventKind, lane int32, arg uint64) {
 	f.mu.Lock()
@@ -57,7 +62,7 @@ func (f *flight) aborts() []event {
 	return out
 }
 
-func (f *flight) count(c obs.Counter) uint64 { return f.Snapshot().Counter(c) }
+func (f *flight) count(c obs.Counter) uint64 { return f.stats.Snapshot().Counter(c) }
 
 // entering is a RetryPolicy that sets a speculation window of cycles and
 // closes entered when the engine consults it, right before the watch.
@@ -74,7 +79,7 @@ func (p entering) Decide(policy.Abort, func(uint64) uint64) policy.Decision {
 // speculate starts one GuardedCAS of n on link with a 200ms window,
 // recorded in rec, and returns its result channel once the contender is
 // entering the window.
-func speculate(rec obs.Recorder, thread int, link *atomic.Pointer[tnode], n *tnode) <-chan bool {
+func speculate(rec *obs.Stats, thread int, link *atomic.Pointer[tnode], n *tnode) <-chan bool {
 	p := entering{entered: make(chan struct{}), cycles: 500_000_000} // 200ms at 2.5 cycles/ns
 	e := txcas.NewEngine(txcas.WithPolicy(p), txcas.WithRecorder(rec))
 	res := make(chan bool, 1)
@@ -87,7 +92,7 @@ func speculate(rec obs.Recorder, thread int, link *atomic.Pointer[tnode], n *tno
 // with no window issues its CAS, loses, and is counted as a failure.
 func TestGuardedCASOneShot(t *testing.T) {
 	rec := newFlight()
-	e := txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec))
+	e := txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec.stats))
 	var link atomic.Pointer[tnode]
 	a, b := &tnode{linker: 3}, &tnode{linker: 5}
 
@@ -119,7 +124,7 @@ func TestGuardedCASSoftAbort(t *testing.T) {
 	fast := txcas.NewEngine(txcas.WithWindow(0))
 	var linkB atomic.Pointer[tnode]
 
-	res := speculate(rec, 7, &linkB, &tnode{linker: 7})
+	res := speculate(rec.stats, 7, &linkB, &tnode{linker: 7})
 	if !txcas.GuardedCAS(fast, 2, &linkB, &tnode{linker: 2}) {
 		t.Fatal("winner's guarded CAS failed")
 	}
@@ -152,7 +157,7 @@ func TestGuardedCASIgnoresOtherLinks(t *testing.T) {
 	var linkA, linkB atomic.Pointer[tnode]
 	mine := &tnode{linker: 7}
 
-	res := speculate(rec, 7, &linkB, mine)
+	res := speculate(rec.stats, 7, &linkB, mine)
 	if !txcas.GuardedCAS(fast, 2, &linkA, &tnode{linker: 2}) {
 		t.Fatal("linking A failed")
 	}
@@ -176,7 +181,7 @@ func TestGuardedCASIgnoresOtherLinks(t *testing.T) {
 func TestSequentialChurnHarvest(t *testing.T) {
 	for _, churn := range []int{1, 3, 8} {
 		rec := newFlight()
-		e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec))
+		e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec.stats))
 		chain := make([]*tnode, churn+1)
 		chain[0] = &tnode{}
 		for i := 1; i <= churn; i++ {
@@ -217,9 +222,9 @@ func TestSeededInterleavings(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rec := newFlight()
 		engines := []*txcas.Engine{
-			txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec)),
-			txcas.NewEngine(txcas.WithWindow(50*time.Nanosecond), txcas.WithRecorder(rec)),
-			txcas.NewEngine(txcas.WithPolicy(policy.DelayedCAS{Delay: 10}), txcas.WithRecorder(rec)),
+			txcas.NewEngine(txcas.WithWindow(0), txcas.WithRecorder(rec.stats)),
+			txcas.NewEngine(txcas.WithWindow(50*time.Nanosecond), txcas.WithRecorder(rec.stats)),
+			txcas.NewEngine(txcas.WithPolicy(policy.DelayedCAS{Delay: 10}), txcas.WithRecorder(rec.stats)),
 		}
 		const links = 64
 		var link [links]atomic.Pointer[tnode]
@@ -242,7 +247,7 @@ func TestSeededInterleavings(t *testing.T) {
 				}
 			}
 		}
-		s := rec.Snapshot()
+		s := rec.stats.Snapshot()
 		if s.Counter(obs.CASAttempts)+s.Counter(obs.TxSoftAborts) != 2000 {
 			t.Errorf("seed=%d: attempts %d + soft aborts %d != 2000 operations", seed,
 				s.Counter(obs.CASAttempts), s.Counter(obs.TxSoftAborts))
@@ -256,7 +261,7 @@ func TestSeededInterleavings(t *testing.T) {
 func TestConcurrentSingleWinner(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		rec := newFlight()
-		e := txcas.NewEngine(txcas.WithRecorder(rec))
+		e := txcas.NewEngine(txcas.WithRecorder(rec.stats))
 		var link atomic.Pointer[tnode]
 		const n = 8
 		won := make([]bool, n)
@@ -287,7 +292,7 @@ func TestConcurrentSingleWinner(t *testing.T) {
 		if got := link.Load().linker; got != winner {
 			t.Fatalf("round %d: link holds %d's node, winner was %d", round, got, winner)
 		}
-		s := rec.Snapshot()
+		s := rec.stats.Snapshot()
 		if lost := s.Counter(obs.TxSoftAborts) + s.Counter(obs.CASFailures); lost != n-1 {
 			t.Errorf("round %d: soft aborts + failed CASes = %d, want %d losers", round, lost, n-1)
 		}
@@ -304,7 +309,7 @@ func TestConcurrentSingleWinner(t *testing.T) {
 // engine counts every issued CAS as a fallback.
 func TestPolicyFallback(t *testing.T) {
 	rec := newFlight()
-	e := txcas.NewEngine(txcas.WithPolicy(policy.DelayedCAS{Delay: 10}), txcas.WithRecorder(rec))
+	e := txcas.NewEngine(txcas.WithPolicy(policy.DelayedCAS{Delay: 10}), txcas.WithRecorder(rec.stats))
 	var link atomic.Pointer[tnode]
 	if !txcas.GuardedCAS(e, 1, &link, &tnode{linker: 1}) {
 		t.Fatal("policy-diverted guarded CAS failed on a nil link")
@@ -325,7 +330,7 @@ func TestPolicyFallback(t *testing.T) {
 // contender that finds the link filled soft-aborts without issuing a CAS.
 func TestRecorderAccounting(t *testing.T) {
 	rec := newFlight()
-	e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec))
+	e := txcas.NewEngine(txcas.WithWindow(time.Microsecond), txcas.WithRecorder(rec.stats))
 	var link atomic.Pointer[tnode]
 	if !txcas.GuardedCAS(e, 1, &link, &tnode{linker: 1}) {
 		t.Fatal("setup link failed")

@@ -58,17 +58,16 @@ type Queue[T any] struct {
 	//lf:contended read by every dequeuer, CASed forward at segment boundaries
 	deqSeg atomic.Pointer[segment[T]]
 	_      [56]byte
-	rec    obs.Recorder // nil unless WithRecorder attached telemetry
-	// ev is the timeline extension of rec (nil unless the recorder is a
-	// flight-recorder collector); events land on the collector handle's
-	// own lane (obs.LaneDefault).
+	rec    *obs.Stats // nil unless WithRecorder attached telemetry
+	// ev is rec's flight recorder (nil unless rec carries one); events
+	// land on the collector handle's own lane (obs.LaneDefault).
 	ev obs.EventRecorder
 	// The tail pad makes Queue 320 B, a whole number of cache lines, so
 	// consecutive allocations (a sharded front-end's shards) each start on
 	// a line. At 288 B every other shard's enqIdx shared its line with the
 	// previous shard's rec and ev, which every operation on that shard
 	// reads (see DESIGN.md §7.3).
-	_ [32]byte
+	_ [40]byte
 }
 
 // event records one timeline event, if a flight recorder is attached.
@@ -84,7 +83,7 @@ func New[T any](opts ...Option) *Queue[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	q := &Queue[T]{rec: o.rec, ev: obs.Events(o.rec)}
+	q := &Queue[T]{rec: o.rec, ev: o.rec.Events()}
 	s := &segment[T]{}
 	q.enqSeg.Store(s)
 	q.deqSeg.Store(s)

@@ -39,8 +39,8 @@ func newSBQ[T any](cfg Config, linking []sbq.Option) Instance[T] {
 
 // newSharded builds the sharded front-end over SBQ shards configured by
 // linking, or over faaq shards when linking is nil. The default shard count
-// is GOMAXPROCS (the contention-minimizing production setting), matching
-// the package's own default. Each shard records into its shardRec recorder.
+// is GOMAXPROCS (the contention-minimizing production setting). Each shard
+// records into its shardRec recorder.
 func newSharded[T any](cfg Config, linking func(Config) []sbq.Option) Instance[T] {
 	shards := cfg.Shards
 	if shards < 1 {
@@ -57,17 +57,12 @@ func newSharded[T any](cfg Config, linking func(Config) []sbq.Option) Instance[T
 			return sharded.Shard[T]{Producer: in.producer, Consumer: in.consumer}
 		}
 	}
-	q := sharded.New(
-		sharded.WithShards[T](shards),
-		sharded.WithProducers[T](max(cfg.Producers, 1)),
-		sharded.WithRecorder[T](cfg.Recorder),
-		sharded.WithShardBuilder(build),
-	)
+	q := sharded.New(shards, max(cfg.Producers, 1), cfg.Recorder, build)
 	return Instance[T]{producer: q.Producer, consumer: q.Consumer}
 }
 
 // shardRec resolves the recorder for one shard of a sharded entry.
-func shardRec(cfg Config, shard int) obs.Recorder {
+func shardRec(cfg Config, shard int) *obs.Stats {
 	if cfg.ShardRecorder != nil {
 		return cfg.ShardRecorder(shard)
 	}

@@ -51,18 +51,19 @@ type Config struct {
 	// default (GOMAXPROCS); unsharded entries ignore it.
 	Shards int
 	// Recorder, when non-nil, is threaded into the queue's telemetry hooks
-	// (see repro/internal/obs).
-	Recorder obs.Recorder
+	// (see repro/internal/obs), and so is its flight recorder when it
+	// carries one (obs.NewWithEvents).
+	Recorder *obs.Stats
 	// ShardRecorder, when non-nil, supplies the recorder for shard i of a
 	// sharded entry, so callers can aggregate queue telemetry per shard
 	// (the /metrics exporter labels each shard's CAS-failure and retry
-	// counters with it). Returning child scopes of an *obs.Stats Recorder
-	// (obs.Stats.Scope) gives both scopes, each event recorded once: the
-	// Recorder's Snapshot sums its shards. Unsharded entries ignore it; sharded
+	// counters with it). Returning child scopes of Recorder (Stats.Scope)
+	// gives both scopes, each event recorded once: the Recorder's Snapshot
+	// sums its shards. Unsharded entries ignore it; sharded
 	// entries fall back to Recorder when it is nil. The sharded front-end's
 	// own counters (steals, steal misses) always go to Recorder — they are
 	// a property of the front-end, not of any one shard.
-	ShardRecorder func(shard int) obs.Recorder
+	ShardRecorder func(shard int) *obs.Stats
 	// TxWindow overrides the speculation window of TxCAS-mode entries
 	// (SBQ-TxCAS): how long a contending enqueuer watches the link it is
 	// about to CAS before issuing the CAS (see repro/internal/txcas).

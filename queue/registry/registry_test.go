@@ -441,10 +441,7 @@ func TestBatchRecorderThreading(t *testing.T) {
 
 // linkingCASes counts EvCASAttempt events, which only the linking-CAS
 // engine emits (pointer catch-up CASes count in CASAttempts silently).
-type linkingCASes struct {
-	*obs.Stats
-	n atomic.Uint64
-}
+type linkingCASes struct{ n atomic.Uint64 }
 
 func (r *linkingCASes) Event(k obs.EventKind, _ int32, _ uint64) {
 	if k == obs.EvCASAttempt {
@@ -457,7 +454,8 @@ func (r *linkingCASes) Event(k obs.EventKind, _ int32, _ uint64) {
 // delay, so every issued linking CAS is a fallback and nothing
 // soft-aborts.
 func TestBuildDelayedCAS(t *testing.T) {
-	rec := &linkingCASes{Stats: obs.New()}
+	events := &linkingCASes{}
+	rec := obs.NewWithEvents(events)
 	const producers, per = 2, 200
 	inst, err := registry.Build("SBQ-DCAS", registry.Config{Producers: producers, Recorder: rec})
 	if err != nil {
@@ -482,7 +480,7 @@ func TestBuildDelayedCAS(t *testing.T) {
 		}
 	}
 	snap := rec.Snapshot()
-	linking := rec.n.Load()
+	linking := events.n.Load()
 	if linking == 0 {
 		t.Fatal("no linking CAS was issued")
 	}
@@ -588,7 +586,7 @@ func TestShardRecorder(t *testing.T) {
 				Producers: 1,
 				Shards:    shards,
 				Recorder:  global,
-				ShardRecorder: func(shard int) obs.Recorder {
+				ShardRecorder: func(shard int) *obs.Stats {
 					return perShard[shard]
 				},
 			})

@@ -65,7 +65,7 @@ func (b *basket[T]) close(ev obs.EventRecorder) {
 // insert publishes x in inserter id's private cell: synchronization-free
 // in the sense that distinct inserters never contend with each other. It
 // fails once an extractor has swept the cell.
-func (b *basket[T]) insert(id int, x T, rec obs.Recorder) bool {
+func (b *basket[T]) insert(id int, x T, rec *obs.Stats) bool {
 	c := &b.cells[id]
 	if c.state.Load() != cellInsert {
 		if rec != nil {
@@ -88,7 +88,7 @@ func (b *basket[T]) insert(id int, x T, rec obs.Recorder) bool {
 // extract claims an index with FAA and takes whatever its inserter
 // published, retrying past cells whose inserter never arrived. The
 // extractor that claims the last index closes the basket.
-func (b *basket[T]) extract(rec obs.Recorder, ev obs.EventRecorder) (T, bool) {
+func (b *basket[T]) extract(rec *obs.Stats, ev obs.EventRecorder) (T, bool) {
 	v, ok := b.take(ev)
 	if rec != nil {
 		if ok {

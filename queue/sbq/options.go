@@ -23,7 +23,7 @@ type options struct {
 	enqueuers *int
 	txcas     bool
 	txcasOpts []txcas.Option
-	rec       obs.Recorder
+	rec       *obs.Stats
 }
 
 // WithEnqueuers sets the number of producer handles the queue will issue
@@ -56,10 +56,11 @@ func WithTxCAS(opts ...txcas.Option) Option {
 // WithRecorder attaches a telemetry recorder (see repro/internal/obs): the
 // queue reports operation counts, try_append CAS attempts and failures, and
 // retries, and its baskets report insert/extract outcomes into the same
-// recorder. A nil or obs.Nop recorder disables telemetry — the disabled
-// path costs one nil check per event site.
-func WithRecorder(r obs.Recorder) Option {
-	return func(o *options) { o.rec = obs.Normalize(r) }
+// recorder. When r carries a flight recorder (obs.NewWithEvents), the queue
+// also emits timeline events into it. A nil recorder disables telemetry —
+// the disabled path costs one nil check per event site.
+func WithRecorder(r *obs.Stats) Option {
+	return func(o *options) { o.rec = r }
 }
 
 // buildOptions applies opts and resolves the enqueuer count.

@@ -80,14 +80,14 @@ type Queue[T any] struct {
 	// telemetry, so soft aborts genuinely reduce measured attempts and
 	// failures.
 	eng *txcas.Engine
-	rec obs.Recorder // nil unless WithRecorder attached telemetry
-	// ev is the timeline extension of rec (nil unless the recorder is a
-	// flight-recorder collector). Producer events land on lane=handle id;
-	// dequeues use the collector handle's own lane (obs.LaneDefault).
+	rec *obs.Stats // nil unless WithRecorder attached telemetry
+	// ev is rec's flight recorder (nil unless rec carries one). Producer
+	// events land on lane=handle id; dequeues use the collector handle's
+	// own lane (obs.LaneDefault).
 	ev obs.EventRecorder
 
 	producers atomic.Int64 // handles issued
-	_         [8]byte      // whole cache lines (padcheck)
+	_         [16]byte     // whole cache lines (padcheck)
 }
 
 // New returns a queue configured by opts. With no options it sizes itself
@@ -95,7 +95,7 @@ type Queue[T any] struct {
 // no telemetry.
 func New[T any](opts ...Option) *Queue[T] {
 	o, enqueuers := buildOptions(opts)
-	q := &Queue[T]{enqueuers: enqueuers, rec: o.rec, ev: obs.Events(o.rec)}
+	q := &Queue[T]{enqueuers: enqueuers, rec: o.rec, ev: o.rec.Events()}
 	// The queue's recorder and window come first so WithTxCAS options
 	// override them. Without WithTxCAS the window is 0: a plain CAS.
 	window := time.Duration(0)

@@ -121,7 +121,7 @@ func TestBadEnqueuersPanics(t *testing.T) {
 // nodes'.
 func TestBasketLifecycleBalanced(t *testing.T) {
 	c := trace.New()
-	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithRecorder(c))
+	q := sbq.New[uint64](sbq.WithEnqueuers(1), sbq.WithRecorder(obs.NewWithEvents(c)))
 	h := q.NewHandle()
 	for i := 0; i < 10; i++ {
 		h.Enqueue(uint64(i))

@@ -59,16 +59,28 @@ type Shard[T any] struct {
 // with Producer and Consumer.
 type Queue[T any] struct {
 	shards []Shard[T]
-	rec    obs.Recorder
+	rec    *obs.Stats
 }
 
-// New builds a front-end from opts. With no options it composes
-// GOMAXPROCS faaq shards.
-func New[T any](opts ...Option[T]) *Queue[T] {
-	o := buildOptions(opts)
-	q := &Queue[T]{shards: make([]Shard[T], o.shards), rec: o.rec}
+// New composes shards sub-queues, each built by build(shard,
+// producersPerShard). producers is the total number of producer views the
+// caller will request across all shards; each builder call is told its
+// slice of them, ceil(producers/shards), so sub-queues with per-producer
+// state (SBQ baskets) size correctly. rec receives the front-end's own
+// counters, deq_steals and deq_steal_misses (nil disables them); per-element
+// counters come from the shards, whose recorders build chooses. New panics
+// on a non-positive shard or producer count.
+func New[T any](shards, producers int, rec *obs.Stats, build func(shard, producersPerShard int) Shard[T]) *Queue[T] {
+	if shards <= 0 {
+		panic("sharded: shard count must be positive")
+	}
+	if producers <= 0 {
+		panic("sharded: producer count must be positive")
+	}
+	perShard := (producers + shards - 1) / shards
+	q := &Queue[T]{shards: make([]Shard[T], shards), rec: rec}
 	for s := range q.shards {
-		q.shards[s] = o.build(s, o.perShard)
+		q.shards[s] = build(s, perShard)
 	}
 	return q
 }

@@ -11,12 +11,18 @@ import (
 	"repro/queue/sharded"
 )
 
-func newQ(shards, producers int, rec obs.Recorder) *sharded.Queue[uint64] {
-	return sharded.New[uint64](
-		sharded.WithShards[uint64](shards),
-		sharded.WithProducers[uint64](producers),
-		sharded.WithRecorder[uint64](rec),
-	)
+// faaqShards builds each shard as one faaq queue recording into rec, as
+// the registry's Sharded-FAA entry does.
+func faaqShards(rec *obs.Stats) func(int, int) sharded.Shard[uint64] {
+	return func(int, int) sharded.Shard[uint64] {
+		q := faaq.New[uint64](faaq.WithRecorder(rec))
+		shared := func(int) queue.BatchQueue[uint64] { return q }
+		return sharded.Shard[uint64]{Producer: shared, Consumer: shared}
+	}
+}
+
+func newQ(shards, producers int, rec *obs.Stats) *sharded.Queue[uint64] {
+	return sharded.New(shards, producers, rec, faaqShards(rec))
 }
 
 func TestSequentialFIFOOneProducer(t *testing.T) {
@@ -236,18 +242,14 @@ func TestConsumerViewEnqueue(t *testing.T) {
 }
 
 func TestDefaultsAndPanics(t *testing.T) {
-	q := sharded.New[uint64]()
-	if q.NumShards() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default shards = %d, want GOMAXPROCS=%d", q.NumShards(), runtime.GOMAXPROCS(0))
-	}
 	for _, bad := range []func(){
-		func() { sharded.New[int](sharded.WithShards[int](-1)) },
-		func() { sharded.New[int](sharded.WithProducers[int](-2)) },
+		func() { sharded.New(-1, 1, nil, faaqShards(nil)) },
+		func() { sharded.New(1, -2, nil, faaqShards(nil)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("bad option did not panic")
+					t.Fatal("bad count did not panic")
 				}
 			}()
 			bad()
@@ -255,23 +257,20 @@ func TestDefaultsAndPanics(t *testing.T) {
 	}
 }
 
-// TestCustomShardBuilder builds the shards through WithShardBuilder and
-// checks the builder sees correct per-shard producer counts.
+// TestCustomShardBuilder builds the shards through a builder that records
+// what it is told, and checks it sees correct per-shard producer counts.
 func TestCustomShardBuilder(t *testing.T) {
 	var mu sync.Mutex
 	perShardSeen := map[int]int{}
-	q := sharded.New[uint64](
-		sharded.WithShards[uint64](3),
-		sharded.WithProducers[uint64](7), // ceil(7/3) = 3 per shard
-		sharded.WithShardBuilder[uint64](func(shard, perShard int) sharded.Shard[uint64] {
-			mu.Lock()
-			perShardSeen[shard] = perShard
-			mu.Unlock()
-			inner := faaq.New[uint64]()
-			view := func(int) queue.BatchQueue[uint64] { return inner }
-			return sharded.Shard[uint64]{Producer: view, Consumer: view}
-		}),
-	)
+	// Producers 7 over 3 shards: ceil(7/3) = 3 per shard.
+	q := sharded.New(3, 7, nil, func(shard, perShard int) sharded.Shard[uint64] {
+		mu.Lock()
+		perShardSeen[shard] = perShard
+		mu.Unlock()
+		inner := faaq.New[uint64]()
+		view := func(int) queue.BatchQueue[uint64] { return inner }
+		return sharded.Shard[uint64]{Producer: view, Consumer: view}
+	})
 	for s := 0; s < 3; s++ {
 		if perShardSeen[s] != 3 {
 			t.Fatalf("shard %d told %d producers, want 3", s, perShardSeen[s])

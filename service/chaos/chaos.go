@@ -254,12 +254,11 @@ func Run(p Profile) (*Report, error) {
 	p = p.withDefaults()
 
 	st := obs.New()
-	var rec obs.Recorder = st
 	var col *trace.Collector
 	if p.TraceOut != "" {
-		col = trace.New(trace.WithStats(st), trace.WithRingSize(p.TraceRing))
+		col = trace.New(trace.WithRingSize(p.TraceRing))
 		col.SetMeta("workload", "chaos-"+p.Name)
-		rec = col
+		st = obs.NewWithEvents(col)
 	}
 
 	dir := p.SnapshotDir
@@ -286,7 +285,7 @@ func Run(p Profile) (*Report, error) {
 			BackoffUnit:  p.LeaseTTL / 16,
 			MaxInFlight:  p.MaxInFlight,
 			SnapshotPath: snapPath,
-			Recorder:     rec,
+			Recorder:     st,
 			Seed:         p.Seed,
 		})
 	}

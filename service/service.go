@@ -8,11 +8,11 @@
 //
 //   - Lease-based at-least-once delivery. Lease hands a worker a job plus
 //     a token that no other lease of this service, before or after a
-//     restart, carries; the worker settles with Ack or Nack. A deadline
-//     scanner reclaims leases whose TTL expired and redelivers the job, so
-//     a worker crash loses nothing. Settlement consumes the token
-//     atomically, so every job is acked at most once (the second settle
-//     gets ErrNoSuchLease).
+//     graceful restart, carries; the worker settles with Ack or Nack. A
+//     deadline scanner reclaims leases whose TTL expired and redelivers
+//     the job, so a worker crash loses nothing. Settlement consumes the
+//     token atomically, so every job is acked at most once (the second
+//     settle gets ErrNoSuchLease).
 //   - Retry budget and dead-lettering. Redelivery pacing and the DLQ
 //     decision reuse repro/internal/machine/policy: the same
 //     policy.AbortBudget template the simulated machines use to bound the
@@ -29,6 +29,15 @@
 //     the context deadline), then checkpoints every unsettled job to
 //     Config.SnapshotPath as JSON; New restores the checkpoint, so a
 //     restart redelivers instead of losing.
+//   - Unclean exit. The claims above hold across a graceful Shutdown
+//     only. A process that exits without one (SIGKILL, OOM) loses every
+//     job submitted, leased or delayed since the last checkpoint. The next
+//     New restores that last checkpoint again, because restore neither
+//     removes nor replaces the file it read, so a job acked since it was
+//     written is delivered, and can be acked, again. And its slots mint
+//     tokens from that checkpoint's next_token (from 64 without one), so a
+//     token a worker kept from the dead process can name a fresh lease and
+//     ack another job.
 //
 // The calls write per-P state: Submit, Lease and SwapBackend borrow the
 // slot of the P they run on (see slot), and Ack and Nack go to the slot
@@ -39,8 +48,8 @@
 // depth word and, when a Lease steals, a queue shard.
 //
 // Telemetry flows through repro/internal/obs (SrvSubmits..SrvRejects
-// counters, LeaseLatency/AckLatency series) and, when the configured
-// recorder is a flight recorder, per-job timeline events
+// counters, LeaseLatency/AckLatency series) and, when the root scope
+// carries a flight recorder, per-job timeline events
 // (EvSrvSubmit..EvSrvDLQ). Each event is recorded once, into the narrowest
 // scope that owns it: every tenant records into a child scope of the
 // service's root obs.Stats, and each of its lanes and queue shards into a
@@ -121,19 +130,17 @@ type Config struct {
 	// SnapshotPath, when non-empty, is where Shutdown checkpoints
 	// unsettled jobs and where New looks for a checkpoint to restore.
 	SnapshotPath string
-	// Recorder receives telemetry. When it is an *obs.Stats it is the
-	// service's root scope: each tenant records into a child scope of it
-	// (obs.Stats.Scope) and each queue shard into a child of its tenant's,
-	// so every event is recorded once and Recorder's Snapshot sums them
-	// all. Tenant scopes stay attached to that Stats for its lifetime, so
-	// a recorder shared by successive Services (the chaos harness restarts
-	// one mid-run) keeps counting across them. Any other recorder (nil, or
-	// a flight recorder) gets a private root, readable through Stats; a
-	// non-nil one additionally receives every scope's records through
-	// obs.Tee, so it sees each counter once and every queue and service
-	// event. The /metrics exporter reads the tenant and shard scopes (see
-	// MetricsCollection).
-	Recorder obs.Recorder
+	// Recorder is the service's root telemetry scope (nil = a private
+	// root, readable through Stats): each tenant records into a child scope
+	// of it (obs.Stats.Scope) and each lane and queue shard into a child of
+	// its tenant's, so every event is recorded once and Recorder's Snapshot
+	// sums them all. Tenant scopes stay attached to the root for its
+	// lifetime, so a recorder shared by successive Services (the chaos
+	// harness restarts one mid-run) keeps counting across them. When the
+	// root carries a flight recorder (obs.NewWithEvents), every scope hands
+	// it the queue and service timeline events. The /metrics exporter reads
+	// the tenant and shard scopes (see MetricsCollection).
+	Recorder *obs.Stats
 	// Logger, when non-nil, receives structured job-lifecycle records
 	// (log/slog): submit, lease, ack, nack, expire, dead-letter, reject,
 	// plus unsampled service lifecycle records (restore, shutdown, backend
@@ -210,11 +217,9 @@ const (
 // concurrent use.
 type Service struct {
 	cfg Config
-	// stats is the root telemetry scope (see Config.Recorder); sink is
-	// Config.Recorder when that is a recorder other than an *obs.Stats,
-	// which every tenant, lane and shard scope is teed toward, else nil.
+	// stats is the root telemetry scope (see Config.Recorder), and ev its
+	// flight recorder, nil unless it carries one.
 	stats *obs.Stats
-	sink  obs.Recorder
 	ev    obs.EventRecorder
 	log   *srvLogger // nil when Config.Logger is nil (methods are nil-safe)
 	now   func() time.Time
@@ -275,14 +280,11 @@ func New(cfg Config) (*Service, error) {
 	s.tenants.Store(&map[string]*tenant{})
 	s.rng.s = cfg.Seed
 	s.log = newSrvLogger(cfg.Logger, cfg.LogEvery)
-	rec := obs.Normalize(cfg.Recorder)
-	if st, ok := rec.(*obs.Stats); ok {
-		s.stats = st
-	} else {
+	s.stats = cfg.Recorder
+	if s.stats == nil {
 		s.stats = obs.New()
-		s.sink = rec
 	}
-	s.ev = obs.Events(rec)
+	s.ev = s.stats.Events()
 	if cfg.SnapshotPath != "" {
 		if err := s.restore(cfg.SnapshotPath); err != nil {
 			return nil, err

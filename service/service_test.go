@@ -425,6 +425,45 @@ func TestRestoreDuplicateTenant(t *testing.T) {
 	}
 }
 
+// TestUncleanExitRestoresAckedJob pins what an unclean exit does to the
+// delivery contract: restore leaves the checkpoint it read in place, so a
+// process that dies before its next Shutdown is restored from that same
+// checkpoint at the next start, and a job it acked comes back, to be
+// delivered and acked again.
+func TestUncleanExitRestoresAckedJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sbqd.json")
+	cfg := service.Config{SnapshotPath: path}
+	s0 := mustService(t, cfg)
+	j, err := s0.Submit("acme", json.RawMessage(`"x"`))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := s0.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	s1 := mustService(t, cfg)
+	defer s1.Shutdown(context.Background())
+	l, ok, err := s1.Lease("acme")
+	if err != nil || !ok || l.ID != j.ID {
+		t.Fatalf("Lease after restore = %+v, ok=%v, err=%v, want job %d", l, ok, err, j.ID)
+	}
+	if err := s1.Ack(l.Token); err != nil {
+		t.Fatalf("Ack after restore: %v", err)
+	}
+
+	// s1 dies here: no Shutdown, so no checkpoint replaces the one it read.
+	s2 := mustService(t, cfg)
+	defer s2.Shutdown(context.Background())
+	l2, ok, err := s2.Lease("acme")
+	if err != nil || !ok || l2.ID != j.ID {
+		t.Fatalf("Lease after unclean exit = %+v, ok=%v, err=%v, want acked job %d back", l2, ok, err, j.ID)
+	}
+	if err := s2.Ack(l2.Token); err != nil {
+		t.Fatalf("second Ack of job %d: %v", j.ID, err)
+	}
+}
+
 // TestPreRestartTokenRejected: a token leased before a forced shutdown is
 // dead after the restart. Its job comes back and is leased under a fresh
 // token; settling the old token gets ErrNoSuchLease and leaves the fresh

@@ -25,10 +25,12 @@ type snapshot struct {
 	NextID uint64 `json:"next_id"`
 	// NextToken is an upper bound on every lease token issued before the
 	// checkpoint, and restore makes every slot mint above it: a worker
-	// holding a pre-restart token must get ErrNoSuchLease from the
-	// restarted service, never a collision with a fresh token (which would
-	// ack someone else's job). Tokens are unique, not monotonic: each slot
-	// mints its own increasing sequence (see slot).
+	// holding a token from before a graceful restart must get
+	// ErrNoSuchLease from the restarted service, never a collision with a
+	// fresh token (which would ack someone else's job). Tokens from a
+	// process that exited without a checkpoint get no such bound (see the
+	// package doc). Tokens are unique, not monotonic: each slot mints its
+	// own increasing sequence (see slot).
 	NextToken uint64       `json:"next_token"`
 	Tenants   []snapTenant `json:"tenants"`
 }

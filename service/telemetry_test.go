@@ -97,7 +97,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// Per-shard queue counters: shard-labeled enq ops must exist and sum to
-	// the tenant-scope value (the tenant tee aggregates its shards).
+	// the tenant-scope value (the tenant scope sums its shards).
 	var shardSum float64
 	shardPoints := 0
 	for _, p := range sc.Points {
@@ -167,13 +167,13 @@ func TestMetricsTenantScopesSumToGlobal(t *testing.T) {
 	}
 }
 
-// TestStatsUnderFlightRecorder runs cycles with a flight recorder as
-// Config.Recorder: Stats still counts them, and the recorder sees each
-// counter once and every queue event.
+// TestStatsUnderFlightRecorder runs cycles with a root Stats that carries
+// a flight recorder as Config.Recorder: Stats and the root count each
+// event once, and the flight recorder sees every queue event.
 func TestStatsUnderFlightRecorder(t *testing.T) {
-	st := obs.New()
-	col := trace.New(trace.WithStats(st))
-	s := mustService(t, service.Config{Recorder: col})
+	col := trace.New()
+	st := obs.NewWithEvents(col)
+	s := mustService(t, service.Config{Recorder: st})
 	defer s.Shutdown(context.Background())
 	const cycles = 10
 	for i := 0; i < cycles; i++ {
@@ -197,14 +197,14 @@ func TestStatsUnderFlightRecorder(t *testing.T) {
 			t.Errorf("recorder %s = %d, want %d", c, got, cycles)
 		}
 	}
-	enqStarts := 0
+	events := map[obs.EventKind]int{}
 	for _, e := range col.Snapshot().Events {
-		if e.Kind == obs.EvEnqStart {
-			enqStarts++
-		}
+		events[e.Kind]++
 	}
-	if enqStarts != cycles {
-		t.Errorf("recorder holds %d %s events, want %d", enqStarts, obs.EvEnqStart, cycles)
+	for _, k := range []obs.EventKind{obs.EvEnqStart, obs.EvSrvSubmit, obs.EvSrvAck} {
+		if events[k] != cycles {
+			t.Errorf("recorder holds %d %s events, want %d", events[k], k, cycles)
+		}
 	}
 }
 

@@ -18,16 +18,14 @@ type tenant struct {
 
 	// stats is this tenant's scope, a child of the service's root. The
 	// sharded front-end's steal counters land in it; its lanes and queue
-	// shards record into child scopes of it, which its Snapshot sums. rec
-	// is stats, teed toward the service's sink when there is one.
+	// shards record into child scopes of it, which its Snapshot sums.
 	stats *obs.Stats
-	rec   obs.Recorder
-	// laneRec holds one child scope of stats per lane, teed like rec. A
-	// call records its service lifecycle events (SrvSubmits..SrvRejects,
-	// lease/ack latency series) into its lane's scope, so calls on
-	// different lanes write different telemetry lines. Built once by
-	// newTenant, so like the shard scopes they persist across SwapBackend.
-	laneRec []obs.Recorder
+	// laneRec holds one child scope of stats per lane. A call records its
+	// service lifecycle events (SrvSubmits..SrvRejects, lease/ack latency
+	// series) into its lane's scope, so calls on different lanes write
+	// different telemetry lines. Built once by newTenant, so like the
+	// shard scopes they persist across SwapBackend.
+	laneRec []*obs.Stats
 
 	// shardStats holds one child scope of stats per queue shard, created
 	// by the backend builder: an immutable slice, replaced by a longer copy
@@ -95,12 +93,10 @@ type laneHot struct {
 func (t *tenant) newBackend(queueName string) (*backend, error) {
 	s := t.svc
 	inst, err := registry.BuildOf[*job](queueName, registry.Config{
-		Producers: s.cfg.Lanes,
-		Shards:    s.cfg.Shards,
-		Recorder:  t.rec,
-		ShardRecorder: func(shard int) obs.Recorder {
-			return obs.Tee(t.shardStatsFor(shard), s.sink)
-		},
+		Producers:     s.cfg.Lanes,
+		Shards:        s.cfg.Shards,
+		Recorder:      t.stats,
+		ShardRecorder: t.shardStatsFor,
 	})
 	if err != nil {
 		return nil, err
@@ -150,10 +146,9 @@ func (t *tenant) deadList() []*job {
 // it (tenantFor under s.tmu, restore before the scanner starts).
 func (s *Service) newTenant(name, queueName string) (*tenant, error) {
 	t := &tenant{name: name, svc: s, stats: s.stats.Scope()}
-	t.rec = obs.Tee(t.stats, s.sink)
-	t.laneRec = make([]obs.Recorder, s.cfg.Lanes)
+	t.laneRec = make([]*obs.Stats, s.cfg.Lanes)
 	for i := range t.laneRec {
-		t.laneRec[i] = obs.Tee(t.stats.Scope(), s.sink)
+		t.laneRec[i] = t.stats.Scope()
 	}
 	be, err := t.newBackend(queueName)
 	if err != nil {
