@@ -19,7 +19,7 @@ func main() {
 	const want = producers * perProducer
 
 	// SBQ sizes each node's basket from the producer count; every
-	// producer goroutine needs its own handle (it owns one basket cell).
+	// producer goroutine needs its own handle (it owns a place in every basket).
 	q := sbq.New[string](sbq.WithEnqueuers(producers))
 
 	var wg sync.WaitGroup

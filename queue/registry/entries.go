@@ -12,7 +12,7 @@ import (
 )
 
 // newSBQ builds an SBQ instance: producer views are lazily-issued handles
-// (one basket cell each), the consumer view wraps the queue's dequeue side.
+// (one producer index each), the consumer view wraps the queue's dequeue side.
 // linking configures the linking CAS (see entry.linking).
 func newSBQ[T any](cfg Config, linking []sbq.Option) Instance[T] {
 	opts := []sbq.Option{

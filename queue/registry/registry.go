@@ -18,7 +18,7 @@
 // Each build receives a Config — producer count, shard count, and an
 // optional telemetry recorder — and returns an Instance handing out
 // per-producer and per-consumer views: an SBQ producer view is its own
-// handle (one basket cell), a sharded producer view enqueues on its home
+// handle (one producer index), a sharded producer view enqueues on its home
 // shard. Views are batch-capable (queue.BatchQueue), and every entry
 // batches natively: one linking CAS appends an SBQ batch, one FAA claims a
 // faaq shard's.

@@ -195,10 +195,12 @@ func TestBatchConformance(t *testing.T) {
 // multi-shard routing. The figures follow from each entry's layout at
 // uint64 elements:
 //
-//   - An SBQ node embeds its scalable basket: appending one is two
-//     allocations, the 72 B node (80 B size class) and the basket's cell
-//     slice of 16 B cells, one cell per producer of the queue. A pair
-//     appends one node and a k=8 round eight; dequeues allocate nothing.
+//   - An SBQ node embeds its scalable basket, whose linker's element is
+//     a field of the node: appending one is the 72 B node (80 B size
+//     class) plus, from 2 producers on, the basket's slice of 16 B joiner
+//     cells, one per producer but the linker. At 1 producer that slice is
+//     empty and allocates nothing. A pair appends one node and a k=8
+//     round eight; dequeues allocate nothing.
 //   - A faaq shard allocates one segment per SegSize (1024) claimed
 //     cells: 1024 16 B cells plus its id and link, 16400 B in the
 //     18432 B size class, 18 B per cell. A pair claims one cell and a
@@ -213,15 +215,15 @@ func TestAllocPins(t *testing.T) {
 		t.Skip("race instrumentation distorts allocation counts")
 	}
 	pins := map[string]struct{ pair, batch, pairBytes float64 }{
-		// 80 B node + two 16 B cells (the 32 B class) = 112 B at 2 producers.
-		"SBQ-CAS":   {2, 16, 120},
-		"SBQ-DCAS":  {2, 16, 120},
-		"SBQ-TxCAS": {2, 16, 120},
+		// 80 B node + one 16 B joiner cell = 96 B at 2 producers.
+		"SBQ-CAS":   {1, 8, 104},
+		"SBQ-DCAS":  {1, 8, 104},
+		"SBQ-TxCAS": {1, 8, 104},
 		// 18 B of segment per claimed cell.
 		"Sharded-FAA": {0, 0, 26},
 		// Two producers on two shards leave one producer per shard: an
-		// 80 B node + one 16 B cell = 96 B.
-		"Sharded-SBQ": {2, 16, 104},
+		// 80 B node and no joiner cell = 80 B.
+		"Sharded-SBQ": {1, 8, 88},
 	}
 	for _, name := range registry.Names() {
 		pin, ok := pins[name]

@@ -8,7 +8,7 @@ import (
 
 // Cell states of the basket.
 const (
-	cellInsert uint32 = iota // reserved for its inserter
+	cellInsert uint32 = iota // reserved for its joiner
 	cellFull                 // holds a value
 	cellEmpty                // claimed by an extractor
 )
@@ -17,7 +17,7 @@ const (
 // timeline (EvBasketOpen/EvBasketClose pair on the same id).
 var basketIDs atomic.Uint64
 
-// cell is one inserter's cell. Cells are packed, as in the paper's C
+// cell is one joiner's cell. Cells are packed, as in the paper's C
 // implementation: a basket belongs to one queue node, so padding here
 // would be paid on every node allocation (DESIGN §7.3).
 type cell[T any] struct {
@@ -26,10 +26,13 @@ type cell[T any] struct {
 }
 
 // basket is the paper's scalable basket (Algorithms 8-9, §5.2.1), the
-// basket of every node: one private cell per producer handle, an
-// extraction counter scanned with FAA, and an empty bit set by the
-// extractor that claims the last index. Extraction scans every cell, so
-// the bound of Algorithm 9 is len(cells), the queue's enqueuer count.
+// basket of every node, with one departure (DESIGN §5.4): the element of
+// the node's linker, its own element, is a plain field written while the
+// node is private, and only joiners, the handles that lost a linking CAS
+// to this node, use the paper's cells, bound-1 of them (bound is the
+// queue's enqueuer count). Extractors claim indices with FAA: 0..bound-2
+// take a cell with Algorithm 9's SWAP, and the last, bound-1, which
+// exactly one FAA returns, takes own. The counter is the empty bit.
 //
 // It has the property the queue's linearizability rests on (§5.3.2): once
 // empty reports true, every later extract fails.
@@ -37,9 +40,9 @@ type cell[T any] struct {
 // A basket holds no recorder. Its callers hold the queue and pass the
 // queue's recorders, so a node carries no pointer to them.
 type basket[T any] struct {
-	cells   []cell[T]
+	cells   []cell[T] // joiner cells
 	counter atomic.Uint64
-	drained atomic.Bool // the empty bit
+	own     T // the linker's element, extraction index len(cells)
 	// id pairs the basket's EvBasketOpen and EvBasketClose (0 unless a
 	// flight recorder is attached).
 	id uint64
@@ -54,19 +57,42 @@ func (b *basket[T]) open(ev obs.EventRecorder) {
 	}
 }
 
-// close sets the empty bit and records the basket's EvBasketClose.
+// close records the basket's EvBasketClose, if a flight recorder is
+// attached.
 func (b *basket[T]) close(ev obs.EventRecorder) {
-	b.drained.Store(true)
 	if ev != nil {
 		ev.Event(obs.EvBasketClose, obs.LaneDefault, b.id)
 	}
 }
 
-// insert publishes x in inserter id's private cell: synchronization-free
-// in the sense that distinct inserters never contend with each other. It
-// fails once an extractor has swept the cell.
-func (b *basket[T]) insert(id int, x T, rec *obs.Stats) bool {
-	c := &b.cells[id]
+// fill writes the linker's own element. Legal only while the node is
+// private; a reused node (§5.2.2) is simply overwritten.
+func (b *basket[T]) fill(x T, rec *obs.Stats) {
+	b.own = x
+	if rec != nil {
+		rec.Inc(obs.BasketInserts)
+	}
+}
+
+// joinCell is handle id's cell in a basket of bound indices linked by
+// handle linker: (id - linker - 1) mod bound, one-to-one from the other
+// bound-1 handles onto cells 0..bound-2. id is never linker: a handle
+// joins only the node that beat its own linking CAS, which another
+// handle linked.
+func joinCell(id, linker, bound int) int {
+	c := id - linker - 1
+	if c < 0 {
+		c += bound
+	}
+	return c
+}
+
+// join publishes x, the element of handle id, in its cell of a basket
+// linked by handle linker: synchronization-free in the sense that
+// distinct joiners never contend with each other. It fails once an
+// extractor has swept the cell.
+func (b *basket[T]) join(id, linker int, x T, rec *obs.Stats) bool {
+	c := &b.cells[joinCell(id, linker, len(b.cells)+1)]
 	if c.state.Load() != cellInsert {
 		if rec != nil {
 			rec.Inc(obs.BasketInsertFails)
@@ -85,9 +111,9 @@ func (b *basket[T]) insert(id int, x T, rec *obs.Stats) bool {
 	return ok
 }
 
-// extract claims an index with FAA and takes whatever its inserter
-// published, retrying past cells whose inserter never arrived. The
-// extractor that claims the last index closes the basket.
+// extract claims an index with FAA and takes what is there, retrying
+// past cells whose joiner never arrived. The extractor that claims the
+// last index takes the own element and closes the basket.
 func (b *basket[T]) extract(rec *obs.Stats, ev obs.EventRecorder) (T, bool) {
 	v, ok := b.take(ev)
 	if rec != nil {
@@ -102,31 +128,27 @@ func (b *basket[T]) extract(rec *obs.Stats, ev obs.EventRecorder) (T, bool) {
 
 func (b *basket[T]) take(ev obs.EventRecorder) (T, bool) {
 	var zero T
-	if b.drained.Load() {
+	last := uint64(len(b.cells))
+	if b.counter.Load() > last {
 		return zero, false
 	}
-	bound := uint64(len(b.cells))
 	for {
 		idx := b.counter.Add(1) - 1
-		if idx >= bound {
+		if idx < last {
+			c := &b.cells[idx]
+			if c.state.Swap(cellEmpty) == cellFull {
+				return c.v, true
+			}
+			continue
+		}
+		if idx > last {
 			return zero, false
 		}
-		if idx == bound-1 {
-			b.close(ev)
-		}
-		c := &b.cells[idx]
-		if c.state.Swap(cellEmpty) == cellFull {
-			return c.v, true
-		}
+		b.close(ev)
+		return b.own, true
 	}
 }
 
-// empty reports the empty bit; false negatives are allowed by the basket
-// specification.
-func (b *basket[T]) empty() bool { return b.drained.Load() }
-
-// reset returns inserter id's cell to the insertable state. Only legal on
-// the basket of an unpublished node (node reuse, §5.2.2).
-func (b *basket[T]) reset(id int) {
-	b.cells[id].state.Store(cellInsert)
-}
+// empty reports whether every index is claimed; false negatives are
+// allowed by the basket specification.
+func (b *basket[T]) empty() bool { return b.counter.Load() > uint64(len(b.cells)) }

@@ -151,8 +151,18 @@ func TestLinCheckerSane(t *testing.T) {
 	}
 }
 
+// The basket under test is a published node's: bound 4, linked by handle
+// 3, which placed ownValue before the history starts, so the three
+// threads join as handles 0, 1 and 2 (cells 0, 1 and 2).
+const (
+	histBound  = 4
+	histLinker = 3
+	ownValue   = 1
+)
+
 // runBasketHistory executes a small randomized concurrent workload on b
 // and returns the collected history (timestamps from one atomic clock).
+// The history starts with the own element's insert, linearized at time 0.
 func runBasketHistory(b *basket[uint64], seed int) []bOp {
 	var clock atomic.Uint64
 	tick := func() uint64 { return clock.Add(1) }
@@ -178,7 +188,7 @@ func runBasketHistory(b *basket[uint64], seed int) []bOp {
 					v := uint64(tid+1)*100 + uint64(i)
 					op.kind = bInsert
 					op.arg = v
-					op.ok = b.insert(tid, v, nil)
+					op.ok = b.join(tid, histLinker, v, nil)
 				case 1:
 					op.kind = bExtract
 					op.val, op.ok = b.extract(nil, nil)
@@ -192,7 +202,7 @@ func runBasketHistory(b *basket[uint64], seed int) []bOp {
 		}()
 	}
 	wg.Wait()
-	var all []bOp
+	all := []bOp{{kind: bInsert, arg: ownValue, ok: true}}
 	for _, h := range histories {
 		all = append(all, h...)
 	}
@@ -200,15 +210,15 @@ func runBasketHistory(b *basket[uint64], seed int) []bOp {
 }
 
 // Theorem 5.3, empirically: every observed concurrent history of the
-// scalable basket linearizes against the sequential basket spec.
+// scalable basket, its own element already placed, linearizes against the
+// sequential basket spec.
 func TestScalableBasketLinearizable(t *testing.T) {
 	trials := 400
 	if testing.Short() {
 		trials = 60
 	}
 	for seed := 0; seed < trials; seed++ {
-		b := newBasket[uint64](3)
-		h := runBasketHistory(b, seed)
+		h := runBasketHistory(newBasket[uint64](histBound, ownValue), seed)
 		if !linearizableBasket(h) {
 			t.Fatalf("seed %d: non-linearizable history: %+v", seed, h)
 		}

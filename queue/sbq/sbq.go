@@ -1,6 +1,7 @@
 // Package sbq implements the paper's scalable baskets queue natively in
 // Go: the modular baskets queue of §5.2 (Algorithms 2-6) whose every node
-// embeds the scalable basket (Algorithms 8-9).
+// embeds the scalable basket (Algorithms 8-9), with the element of the
+// node's linker kept in a plain field instead of a cell (basket.go).
 //
 // Go exposes no hardware transactional memory and its runtime would abort
 // transactional sections, so the native SBQ cannot use the HTM TxCAS.
@@ -20,7 +21,7 @@
 // baskets queue's and the §8 partitioned one, run on the simulated track.
 //
 // Threads interact with the queue through handles: each producer goroutine
-// needs its own Handle (carrying its basket cell index and its reusable
+// needs its own Handle (carrying its producer index and its reusable
 // node); consumers may share one or use handles too. Memory reclamation is
 // delegated to Go's garbage collector; the paper's epoch scheme
 // (Algorithm 7) is reproduced on the simulator, where memory is manual.
@@ -44,7 +45,7 @@ import (
 
 // node is a queue node: a link, a position index and a basket. The basket
 // is embedded, so a node and its basket are one allocation, plus the
-// basket's cell slice.
+// basket's slice of joiner cells (none at 1 producer).
 type node[T any] struct {
 	// next is the linking CAS's target, and it leads the node: a node is
 	// 72 B in the 80 B size class, so its last line is shared with the
@@ -58,7 +59,7 @@ type node[T any] struct {
 	index uint64
 	// linker is the id of the handle that prepared the node, written while
 	// the node is private, so a contender that loses the linking CAS to it
-	// can name the winner (see txcas.Node).
+	// can name the winner (see txcas.Node) and find its joiner cell.
 	linker int
 	basket basket[T]
 }
@@ -75,7 +76,7 @@ type Queue[T any] struct {
 	tail atomic.Pointer[node[T]]
 	_    [56]byte
 
-	enqueuers int // cells per basket, one per producer handle
+	enqueuers int // a basket's bound: one extraction index per producer handle
 	// eng runs every linking CAS (txcas.GuardedCAS) and owns its
 	// telemetry, so soft aborts genuinely reduce measured attempts and
 	// failures.
@@ -103,9 +104,9 @@ func New[T any](opts ...Option) *Queue[T] {
 		window = txcas.DefaultWindow
 	}
 	q.eng = txcas.NewEngine(append([]txcas.Option{txcas.WithWindow(window), txcas.WithRecorder(o.rec)}, o.txcasOpts...)...)
-	// The sentinel's basket is built exhausted: its counter at the bound
-	// and its empty bit set, with no extraction recorded. No enqueuer joins
-	// it, because only a node that won a linking CAS is joined.
+	// The sentinel's basket is built exhausted: its counter, which is its
+	// empty bit, at the bound, with no extraction recorded. No enqueuer
+	// joins it, because only a node that won a linking CAS is joined.
 	sentinel := q.newNode(0)
 	sentinel.basket.counter.Store(uint64(enqueuers))
 	sentinel.basket.close(q.ev)
@@ -117,18 +118,19 @@ func New[T any](opts ...Option) *Queue[T] {
 // newNode allocates a node prepared by handle linker, with its basket
 // open and empty.
 func (q *Queue[T]) newNode(linker int) *node[T] {
-	//lint:ignore allocfree each appended node is two allocations, the node and its basket's cell slice, by design; the registry's GC-mode allocation pins fix the count
-	n := &node[T]{basket: basket[T]{cells: make([]cell[T], q.enqueuers)}, linker: linker}
+	//lint:ignore allocfree each appended node is one allocation, plus its basket's joiner cells from 2 producers on, by design; the registry's GC-mode allocation pins fix the count
+	n := &node[T]{basket: basket[T]{cells: make([]cell[T], q.enqueuers-1)}, linker: linker}
 	n.basket.open(q.ev)
 	return n
 }
 
 // Handle is a per-goroutine view of the queue. A producer handle owns one
-// cell of every node's basket (its id) and the node-reuse slot of §5.2.2.
+// joiner cell of every basket it does not link (found from its id) and the
+// node-reuse slot of §5.2.2.
 // A Handle must not be shared between goroutines.
 type Handle[T any] struct {
 	q        *Queue[T]
-	id       int // basket cell index for this producer
+	id       int // producer index: names the node's linker and the handle's joiner cells
 	reserved *node[T]
 }
 
@@ -195,8 +197,8 @@ func (q *Queue[T]) advance(ptr *atomic.Pointer[node[T]], n *node[T]) {
 	}
 }
 
-// Enqueue is Algorithm 3: append a fresh node carrying the element in this
-// handle's basket cell, or — profiting from the failed CAS — drop the
+// Enqueue is Algorithm 3: append a fresh node carrying the element as its
+// basket's own element, or — profiting from the failed CAS — drop the
 // element into the basket of the node that won.
 //
 //lf:hotpath
@@ -211,10 +213,8 @@ func (h *Handle[T]) Enqueue(v T) {
 	n := h.reserved
 	if n == nil {
 		n = q.newNode(h.id)
-	} else {
-		n.basket.reset(h.id) // undo the previous insertion (§5.2.2)
 	}
-	n.basket.insert(h.id, v, q.rec)
+	n.basket.fill(v, q.rec)
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if r := q.rec; r != nil {
@@ -229,8 +229,10 @@ func (h *Handle[T]) Enqueue(v T) {
 			q.event(obs.EvEnqEnd, lane, 1)
 			return
 		case appendFailure:
+			// t.next is the node that beat this handle's CAS, so another
+			// handle linked it and this one has a joiner cell there.
 			t = t.next.Load()
-			if t.basket.insert(h.id, v, q.rec) {
+			if t.basket.join(h.id, t.linker, v, q.rec) {
 				h.reserved = n // keep the unappended node for reuse
 				q.event(obs.EvEnqEnd, lane, 1)
 				return
@@ -250,8 +252,8 @@ func (h *Handle[T]) Enqueue(v T) {
 }
 
 // EnqueueBatch appends vs in order with ONE linking CAS: the handle
-// builds a private chain of len(vs) nodes — each carrying one element in
-// this handle's basket cell — links it fully before publication, and
+// builds a private chain of len(vs) nodes — each carrying one element as
+// its basket's own element — links it fully before publication, and
 // appends the whole chain where a single Enqueue appends one node. This
 // is the basket-as-batch reading of §5: the paper's basket amortizes the
 // serialized handoff over the k enqueuers whose CASs happened to fail
@@ -261,8 +263,8 @@ func (h *Handle[T]) Enqueue(v T) {
 // still profit by joining them.
 //
 // Unlike a failed single Enqueue, a failed chain CAS does not drop into
-// the winner's basket (a basket holds at most one element per inserter
-// id); it re-finds the tail and retries the whole chain.
+// the winner's basket (a basket holds at most one element per handle);
+// it re-finds the tail and retries the whole chain.
 //
 //lf:hotpath
 func (h *Handle[T]) EnqueueBatch(vs []T) {
@@ -288,12 +290,11 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		n := h.reserved
 		if n != nil {
 			h.reserved = nil
-			n.basket.reset(h.id) // undo the previous insertion (§5.2.2)
 			n.next.Store(nil)
 		} else {
 			n = q.newNode(h.id)
 		}
-		n.basket.insert(h.id, v, q.rec)
+		n.basket.fill(v, q.rec)
 		if first == nil {
 			first = n
 		} else {

@@ -2,6 +2,7 @@ package sbq_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine/policy"
@@ -181,5 +182,64 @@ func TestNodeReuseKeepsElements(t *testing.T) {
 	wg.Wait()
 	if len(seen) != 2*per {
 		t.Fatalf("saw %d of %d elements", len(seen), 2*per)
+	}
+}
+
+// TestBasketCountersMatchOps pins the counters perfbench's basket ratios
+// read. Every element is one basket insert, its node's own element or a
+// join, and comes out as one basket extract, so once the queue is drained
+// BasketExtracts == EnqOps == DeqOps. The inserts beyond EnqOps are joins,
+// and every join follows a linking CAS that failed or soft-aborted, so
+// 0 <= BasketInserts - EnqOps <= CASFailures + TxSoftAborts.
+func TestBasketCountersMatchOps(t *testing.T) {
+	const producers, per, k = 4, 2000, 4
+	for _, c := range []struct {
+		name string
+		opts []sbq.Option
+	}{
+		{"plain", nil},
+		{"txcas", []sbq.Option{sbq.WithTxCAS()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := obs.New()
+			q := sbq.New[uint64](append(c.opts, sbq.WithEnqueuers(producers), sbq.WithRecorder(rec))...)
+			var wg sync.WaitGroup
+			var got atomic.Int64
+			for p := 0; p < producers; p++ {
+				h := q.NewHandle()
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					vs := make([]uint64, k)
+					for i := 0; i < per; i += 2 * k {
+						for j := 0; j < k; j++ {
+							h.Enqueue(uint64(i + j))
+						}
+						h.EnqueueBatch(vs)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for got.Load() < producers*per {
+						if _, ok := q.Dequeue(); ok {
+							got.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if _, ok := q.Dequeue(); ok {
+				t.Fatal("queue not drained after every element came out")
+			}
+			s := rec.Snapshot()
+			enq, deq, ext := s.Counter(obs.EnqOps), s.Counter(obs.DeqOps), s.Counter(obs.BasketExtracts)
+			if enq != producers*per || deq != enq || ext != enq {
+				t.Fatalf("EnqOps %d, DeqOps %d, BasketExtracts %d; want all %d", enq, deq, ext, producers*per)
+			}
+			ins, failed := s.Counter(obs.BasketInserts), s.Counter(obs.CASFailures)+s.Counter(obs.TxSoftAborts)
+			if ins < enq || ins-enq > failed {
+				t.Fatalf("BasketInserts %d, EnqOps %d: joins outside 0..%d (CASFailures + TxSoftAborts)", ins, enq, failed)
+			}
+		})
 	}
 }
