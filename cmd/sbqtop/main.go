@@ -3,7 +3,11 @@
 // exposition, diffs consecutive scrapes, and renders per-tenant depth and
 // backpressure, submit/ack throughput, lease and ack latency quantiles
 // (p50/p99/p999, straight from the exposition histograms), and the
-// paper's hot-path failure signals (CAS-failure and steal-miss rates).
+// paper's hot-path failure signals: the CAS-failure and steal-miss
+// percentages, computed from the exported counters over the interval
+// since sbqtop's own previous scrape (lifetime totals on the first frame
+// and under -once), so other scrapers of the same endpoint never move
+// them.
 //
 //	sbqtop                                   poll localhost sbqd every 2s
 //	sbqtop -url http://host:9091/metrics -interval 1s
@@ -143,7 +147,8 @@ func tenants(sc *export.Scrape) []tenantRow {
 }
 
 // render writes one dashboard frame. prev may be nil (first frame: rates
-// show as "-"); dt is the time since prev was scraped.
+// show as "-", percentages cover the lifetime totals); dt is the time
+// since prev was scraped.
 func render(w io.Writer, cur, prev *export.Scrape, dt time.Duration, source string) {
 	ready, _ := cur.Value(service.MetricReady, nil)
 	inflight, _ := cur.Value(service.MetricInFlight, nil)
@@ -188,12 +193,17 @@ func render(w io.Writer, cur, prev *export.Scrape, dt time.Duration, source stri
 	fmt.Fprintln(tw, "TENANT\tLEASE ms p50/p99/p999\tACK ms p50/p99/p999\tCAS-FAIL%\tSTEAL-MISS%\t")
 	for _, t := range rows {
 		sel := export.Labels{"tenant": t.name}
+		d := func(c obs.Counter) float64 {
+			v, _ := delta(cur, prev, export.CounterName(c), sel) // absent: 0
+			return v
+		}
+		misses := d(obs.DeqStealMisses)
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t\n",
 			t.name,
 			quantiles(cur, export.SeriesName(obs.LeaseLatency), sel),
 			quantiles(cur, export.SeriesName(obs.AckLatency), sel),
-			pct(cur, export.CASFailureRateName, sel),
-			pct(cur, export.StealMissRateName, sel))
+			percent(d(obs.CASFailures), d(obs.CASAttempts)),
+			percent(misses, d(obs.DeqSteals)+misses))
 	}
 	tw.Flush()
 }
@@ -204,13 +214,23 @@ func rate(cur, prev *export.Scrape, name, tenant string, dt time.Duration) strin
 	if prev == nil || dt <= 0 {
 		return "-"
 	}
-	sel := export.Labels{"tenant": tenant}
-	c, ok := cur.Value(name, sel)
+	d, ok := delta(cur, prev, name, export.Labels{"tenant": tenant})
 	if !ok {
 		return "-"
 	}
-	p, _ := prev.Value(name, sel) // absent before: counted from 0
-	return fmt.Sprintf("%.1f", (c-p)/dt.Seconds())
+	return fmt.Sprintf("%.1f", d/dt.Seconds())
+}
+
+// delta returns how far counter name of the series sel rose since prev,
+// or its total when prev is nil, and whether cur carries the series. A
+// series absent from prev counts from 0 (the writer omits zero counters).
+func delta(cur, prev *export.Scrape, name string, sel export.Labels) (float64, bool) {
+	c, ok := cur.Value(name, sel)
+	if prev != nil {
+		p, _ := prev.Value(name, sel)
+		c -= p
+	}
+	return c, ok
 }
 
 // quantiles renders "p50/p99/p999" of histogram name in milliseconds.
@@ -226,12 +246,11 @@ func quantiles(sc *export.Scrape, name string, sel export.Labels) string {
 	return strings.Join(parts[:], "/")
 }
 
-// pct renders a windowed-rate gauge as a percentage, "-" when the window
-// had no events in the denominator (the writer omits the gauge then).
-func pct(sc *export.Scrape, name string, sel export.Labels) string {
-	v, ok := sc.Value(name, sel)
-	if !ok {
+// percent renders 100·num/den, "-" when den is 0 (or negative: the
+// target restarted between scrapes).
+func percent(num, den float64) string {
+	if den <= 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.1f", 100*v)
+	return fmt.Sprintf("%.1f", 100*num/den)
 }

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/service"
 )
@@ -66,6 +69,86 @@ func TestRenderFrame(t *testing.T) {
 	render(&b2, cur, cur, time.Second, "test")
 	if !strings.Contains(b2.String(), "0.0") {
 		t.Fatalf("steady-state frame shows no zero rate:\n%s", b2.String())
+	}
+}
+
+// TestFrameRatiosSinceOwnScrape checks that CAS-FAIL% covers the interval
+// between sbqtop's own scrapes, whoever else scrapes the endpoint in
+// between, and the lifetime totals on the first frame.
+func TestFrameRatiosSinceOwnScrape(t *testing.T) {
+	svc, err := service.New(service.Config{Queue: "SBQ-CAS"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	traffic := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					if _, err := svc.Submit("alpha", nil); err != nil {
+						t.Errorf("Submit: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	scrape := func() *export.Scrape {
+		rr := httptest.NewRecorder()
+		svc.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+		sc, err := export.Parse(rr.Body)
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		return sc
+	}
+	sel := export.Labels{"tenant": "alpha"}
+	counter := func(sc *export.Scrape, c obs.Counter) float64 {
+		v, _ := sc.Value(export.CounterName(c), sel)
+		return v
+	}
+	casFail := func(cur, prev *export.Scrape) string {
+		t.Helper()
+		var b strings.Builder
+		render(&b, cur, prev, time.Second, "test")
+		lines := strings.Split(b.String(), "\n")
+		for i, line := range lines {
+			if !strings.Contains(line, "CAS-FAIL%") {
+				continue
+			}
+			for _, row := range lines[i+1:] {
+				if f := strings.Fields(row); len(f) > 2 && f[0] == "alpha" {
+					return f[len(f)-2]
+				}
+			}
+		}
+		t.Fatalf("no CAS-FAIL%% cell for alpha:\n%s", b.String())
+		return ""
+	}
+
+	traffic()
+	first := scrape()
+	a1, f1 := counter(first, obs.CASAttempts), counter(first, obs.CASFailures)
+	if a1 == 0 {
+		t.Fatal("no linking CAS counted")
+	}
+	if got, want := casFail(first, nil), fmt.Sprintf("%.1f", 100*f1/a1); got != want {
+		t.Errorf("frame 1 CAS-FAIL%% = %s, want the lifetime %s", got, want)
+	}
+
+	traffic()
+	scrape() // another client
+	second := scrape()
+	da := counter(second, obs.CASAttempts) - a1
+	df := counter(second, obs.CASFailures) - f1
+	if da == 0 {
+		t.Fatal("no linking CAS counted between the scrapes")
+	}
+	if got, want := casFail(second, first), fmt.Sprintf("%.1f", 100*df/da); got != want {
+		t.Errorf("frame 2 CAS-FAIL%% = %s, want %s over sbqtop's own interval", got, want)
 	}
 }
 

@@ -1,25 +1,24 @@
-// Package export turns the repository's internal observability state
-// (repro/internal/obs counters, histograms, and snapshots) into a live
-// telemetry plane: a windowed delta/rate engine (Window, Delta), a
-// dependency-free Prometheus text-exposition (format 0.0.4) writer
-// (Collection), and a parser/validator for the same format (Parse,
-// CheckMonotonic) shared by the sbqtop dashboard and the CI metrics-smoke
-// job.
+// Package export renders the repository's internal observability state
+// (repro/internal/obs counters, histograms and snapshots) as a
+// dependency-free Prometheus text exposition, format 0.0.4 (Write), and
+// parses and validates the same format (Parse, CheckMonotonic) for the
+// sbqtop dashboard and the CI metrics-smoke job.
 //
-// Everything here runs on the scrape side: sources are read through
-// obs.Stats.Snapshot (atomic loads only), so exporting never adds work to
-// queue hot paths. Scrape-side allocation is fine and unavoidable.
+// A page is a pure function of the state it is given: Write keeps nothing
+// between calls, so two renders of the same state are byte-identical and
+// no scraper changes what another reads. Ratios such as the CAS-failure
+// and steal-miss rates are left to the reader, from the exported counters
+// (PromQL rate(), or sbqtop between its own scrapes). Sources are read
+// through obs.Stats.Snapshot (atomic loads only), so exporting never adds
+// work to queue hot paths. Scrape-side allocation is fine and unavoidable.
 package export
 
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -36,7 +35,7 @@ const namespace = "sbq"
 type Labels map[string]string
 
 // Sample is one gauge observation: a metric name, a label set, and a value.
-// Gauge callbacks return these; the parser also produces them.
+// Write renders these; the parser also produces them.
 type Sample struct {
 	Name   string
 	Labels Labels
@@ -50,132 +49,28 @@ type LabeledSnapshot struct {
 	Snap   obs.Snapshot
 }
 
-// SnapshotSet produces labeled snapshots at scrape time. Returning the set
-// per scrape (rather than registering fixed sources) lets dynamic scopes —
-// tenants created on first submit, backends swapped mid-run — appear in the
-// next scrape without re-registration.
-type SnapshotSet func() []LabeledSnapshot
-
-// GaugeSet produces gauge samples at scrape time (depths, in-flight counts,
-// readiness — anything that can go down as well as up).
-type GaugeSet func() []Sample
-
 // CounterName returns counter c's exposition name (sbq_<name>_total).
 func CounterName(c obs.Counter) string { return namespace + "_" + c.String() + "_total" }
 
 // SeriesName returns series s's exposition histogram name (sbq_<name>).
 func SeriesName(s obs.Series) string { return namespace + "_" + s.String() }
 
-// The derived windowed-rate gauges the writer emits per snapshot source.
-const (
-	CASFailureRateName = namespace + "_cas_failure_rate"
-	AbortRateName      = namespace + "_abort_rate"
-	StealMissRateName  = namespace + "_steal_miss_rate"
-)
-
-// Collection aggregates snapshot and gauge sources and renders them as one
-// Prometheus text-format page. It keeps a Window per snapshot label set, so
-// each scrape also carries windowed derived rates (CAS-failure, abort,
-// steal-miss) computed over the interval since the previous scrape — the
-// paper's failure-rate signals without any PromQL. Safe for concurrent use;
-// scrapes are serialized.
-type Collection struct {
-	mu      sync.Mutex
-	snaps   []SnapshotSet
-	gauges  []GaugeSet
-	windows map[string]*Window
-	now     func() time.Time
-}
-
-// NewCollection returns an empty Collection.
-func NewCollection() *Collection {
-	return &Collection{windows: make(map[string]*Window), now: time.Now}
-}
-
-// AddSnapshots registers a scrape-time snapshot producer.
-func (c *Collection) AddSnapshots(s SnapshotSet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.snaps = append(c.snaps, s)
-}
-
-// AddSnapshot registers a single fixed-label snapshot source.
-func (c *Collection) AddSnapshot(labels Labels, fn func() obs.Snapshot) {
-	c.AddSnapshots(func() []LabeledSnapshot {
-		return []LabeledSnapshot{{Labels: labels, Snap: fn()}}
-	})
-}
-
-// AddGauges registers a scrape-time gauge producer.
-func (c *Collection) AddGauges(g GaugeSet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gauges = append(c.gauges, g)
-}
-
-// ServeHTTP renders the collection as a Prometheus scrape response.
-func (c *Collection) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
-	if err := c.Write(&b); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ContentType)
-	_, _ = io.WriteString(w, b.String())
-}
-
 // Write renders one scrape in exposition format 0.0.4: every nonzero
-// counter as a *_total family, every non-empty latency series as a
-// histogram family (cumulative le buckets on the power-of-two bounds of
-// repro/internal/stats), registered gauges, and the windowed derived-rate
-// gauges. Zero-valued counters and empty histograms are omitted, so a
-// series that has appeared once can only keep appearing (scrape-to-scrape
-// monotonicity is checkable; see CheckMonotonic).
-func (c *Collection) Write(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	now := c.now()
-	var sources []LabeledSnapshot
-	for _, set := range c.snaps {
-		sources = append(sources, set()...)
-	}
-	var gaugeSamples []Sample
-	for _, g := range c.gauges {
-		gaugeSamples = append(gaugeSamples, g()...)
-	}
-	// Advance each source's window and derive the rate gauges.
-	for _, src := range sources {
-		key := renderLabels(src.Labels)
-		win := c.windows[key]
-		if win == nil {
-			win = &Window{}
-			c.windows[key] = win
-		}
-		d := win.Advance(now, src.Snap)
-		for _, rg := range []struct {
-			name string
-			den  uint64
-			val  float64
-		}{
-			{CASFailureRateName, d.Snapshot.Counters[obs.CASAttempts], d.CASFailureRate()},
-			{AbortRateName, d.Snapshot.Counters[obs.TxStarts], d.AbortRate()},
-			{StealMissRateName, d.Snapshot.Counters[obs.DeqSteals] + d.Snapshot.Counters[obs.DeqStealMisses], d.StealMissRatio()},
-		} {
-			if rg.den > 0 {
-				gaugeSamples = append(gaugeSamples, Sample{Name: rg.name, Labels: src.Labels, Value: rg.val})
-			}
-		}
-	}
-
+// counter of snaps as a *_total family, every non-empty latency series as
+// a histogram family (cumulative le buckets on the power-of-two bounds of
+// repro/internal/stats), then gauges. Series keep the order of snaps.
+// Zero-valued counters and empty histograms are omitted, so a series that
+// has appeared once can only keep appearing (scrape-to-scrape monotonicity
+// is checkable; see CheckMonotonic).
+func Write(w io.Writer, snaps []LabeledSnapshot, gauges []Sample) error {
 	bw := &errWriter{w: w}
 	for ct := obs.Counter(0); ct < obs.NumCounters; ct++ {
-		writeCounterFamily(bw, ct, sources)
+		writeCounterFamily(bw, ct, snaps)
 	}
 	for se := obs.Series(0); se < obs.NumSeries; se++ {
-		writeHistogramFamily(bw, se, sources)
+		writeHistogramFamily(bw, se, snaps)
 	}
-	writeGaugeFamilies(bw, gaugeSamples)
+	writeGaugeFamilies(bw, gauges)
 	return bw.err
 }
 

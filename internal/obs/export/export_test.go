@@ -1,42 +1,46 @@
 package export
 
 import (
-	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-func testCollection(t *testing.T) (*Collection, *obs.Stats, *obs.Stats) {
-	t.Helper()
-	c := NewCollection()
-	base := time.Unix(1000, 0)
-	c.now = func() time.Time { base = base.Add(time.Second); return base }
+// testSources returns two recorders and a function that snapshots both
+// under their labels, as a service's tenant scopes are exported.
+func testSources() (*obs.Stats, *obs.Stats, func() []LabeledSnapshot) {
 	a, b := obs.New(), obs.New()
-	c.AddSnapshot(Labels{"tenant": "alpha", "queue": "Sharded-FAA"}, a.Snapshot)
-	c.AddSnapshot(Labels{"tenant": "beta", "queue": "SBQ"}, b.Snapshot)
-	return c, a, b
+	return a, b, func() []LabeledSnapshot {
+		return []LabeledSnapshot{
+			{Labels: Labels{"tenant": "alpha", "queue": "Sharded-FAA"}, Snap: a.Snapshot()},
+			{Labels: Labels{"tenant": "beta", "queue": "SBQ"}, Snap: b.Snapshot()},
+		}
+	}
 }
 
-func scrape(t *testing.T, c *Collection) *Scrape {
+func render(t *testing.T, snaps []LabeledSnapshot, gauges []Sample) string {
 	t.Helper()
 	var b strings.Builder
-	if err := c.Write(&b); err != nil {
+	if err := Write(&b, snaps, gauges); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	s, err := Parse(strings.NewReader(b.String()))
+	return b.String()
+}
+
+func scrape(t *testing.T, snaps []LabeledSnapshot, gauges []Sample) *Scrape {
+	t.Helper()
+	page := render(t, snaps, gauges)
+	s, err := Parse(strings.NewReader(page))
 	if err != nil {
-		t.Fatalf("Parse of own output: %v\n%s", err, b.String())
+		t.Fatalf("Parse of own output: %v\n%s", err, page)
 	}
 	return s
 }
 
 func TestWriteRoundTrip(t *testing.T) {
-	c, a, b := testCollection(t)
+	a, b, snaps := testSources()
 	a.Add(obs.SrvSubmits, 100)
 	a.Add(obs.CASAttempts, 50)
 	a.Add(obs.CASFailures, 10)
@@ -45,7 +49,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	a.Observe(obs.LeaseLatency, 5)
 	a.Observe(obs.LeaseLatency, 1000)
 
-	s := scrape(t, c)
+	s := scrape(t, snaps(), nil)
 	alpha := Labels{"tenant": "alpha", "queue": "Sharded-FAA"}
 	if v, ok := s.Value("sbq_srv_submits_total", alpha); !ok || v != 100 {
 		t.Fatalf("alpha submits = %v,%v want 100", v, ok)
@@ -82,23 +86,12 @@ func TestWriteRoundTrip(t *testing.T) {
 	if v, _ := s.Value("sbq_lease_ns_bucket", withLE("+Inf")); v != 3 {
 		t.Fatalf("bucket le=+Inf = %v, want 3", v)
 	}
-	// CAS failure rate gauge appears for alpha (attempts > 0) only.
-	if v, ok := s.Value(CASFailureRateName, alpha); !ok || math.Abs(v-0.2) > 1e-9 {
-		t.Fatalf("cas failure rate = %v,%v want 0.2", v, ok)
-	}
-	if _, ok := s.Value(CASFailureRateName, Labels{"tenant": "beta", "queue": "SBQ"}); ok {
-		t.Fatal("beta has a CAS rate gauge despite zero attempts")
-	}
 }
 
 func TestWriteOmitsZeroSeries(t *testing.T) {
-	c, a, _ := testCollection(t)
+	a, _, snaps := testSources()
 	a.Inc(obs.EnqOps)
-	var b strings.Builder
-	if err := c.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, snaps(), nil)
 	if !strings.Contains(out, "sbq_enq_ops_total") {
 		t.Fatalf("live counter missing:\n%s", out)
 	}
@@ -110,11 +103,9 @@ func TestWriteOmitsZeroSeries(t *testing.T) {
 }
 
 func TestWriteEscapesLabels(t *testing.T) {
-	c := NewCollection()
 	st := obs.New()
 	st.Inc(obs.EnqOps)
-	c.AddSnapshot(Labels{"tenant": "a\"b\\c\nd"}, st.Snapshot)
-	s := scrape(t, c)
+	s := scrape(t, []LabeledSnapshot{{Labels: Labels{"tenant": "a\"b\\c\nd"}, Snap: st.Snapshot()}}, nil)
 	if v, ok := s.Value("sbq_enq_ops_total", Labels{"tenant": "a\"b\\c\nd"}); !ok || v != 1 {
 		t.Fatalf("escaped label did not round-trip: %v %v", v, ok)
 	}
@@ -122,13 +113,11 @@ func TestWriteEscapesLabels(t *testing.T) {
 
 func TestHistogramBucketBoundsMatchStats(t *testing.T) {
 	// Every value must land at-or-under its emitted inclusive bound.
-	c := NewCollection()
 	st := obs.New()
 	for _, v := range []uint64{0, 1, 2, 3, 4, 7, 8, 1023, 1024, 1 << 38} {
 		st.Observe(obs.EnqLatency, v)
 	}
-	c.AddSnapshot(nil, st.Snapshot)
-	s := scrape(t, c)
+	s := scrape(t, []LabeledSnapshot{{Snap: st.Snapshot()}}, nil)
 	for _, v := range []uint64{0, 1, 3, 7, 1023} {
 		le := uint64(1)<<uint(stats.BucketOf(v)) - 1
 		got, ok := s.Value("sbq_enq_ns_bucket", Labels{"le": strings.TrimSpace(formatValue(float64(le)))})
@@ -148,48 +137,29 @@ func TestHistogramBucketBoundsMatchStats(t *testing.T) {
 }
 
 func TestGauges(t *testing.T) {
-	c := NewCollection()
-	depth := 3.0
-	c.AddGauges(func() []Sample {
-		return []Sample{{Name: "sbqd_tenant_depth", Labels: Labels{"tenant": "a"}, Value: depth}}
-	})
-	s := scrape(t, c)
+	depth := func(v float64) []Sample {
+		return []Sample{{Name: "sbqd_tenant_depth", Labels: Labels{"tenant": "a"}, Value: v}}
+	}
+	s := scrape(t, nil, depth(3))
 	if v, ok := s.Value("sbqd_tenant_depth", Labels{"tenant": "a"}); !ok || v != 3 {
 		t.Fatalf("gauge = %v,%v", v, ok)
 	}
-	depth = 1 // gauges may go down; no monotonicity violation
-	s2 := scrape(t, c)
+	s2 := scrape(t, nil, depth(1)) // gauges may go down; no monotonicity violation
 	if viol := CheckMonotonic(s, s2); len(viol) != 0 {
 		t.Fatalf("gauge decrease flagged as violation: %v", viol)
 	}
 }
 
-func TestServeHTTP(t *testing.T) {
-	c, a, _ := testCollection(t)
-	a.Inc(obs.EnqOps)
-	rr := httptest.NewRecorder()
-	c.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status %d", rr.Code)
-	}
-	if got := rr.Header().Get("Content-Type"); got != ContentType {
-		t.Fatalf("content type %q", got)
-	}
-	if _, err := Parse(rr.Body); err != nil {
-		t.Fatalf("served page does not parse: %v", err)
-	}
-}
-
 func TestScrapeToScrapeMonotonic(t *testing.T) {
-	c, a, b := testCollection(t)
+	a, b, snaps := testSources()
 	a.Add(obs.SrvSubmits, 10)
 	a.Observe(obs.AckLatency, 100)
-	first := scrape(t, c)
+	first := scrape(t, snaps(), nil)
 
 	a.Add(obs.SrvSubmits, 5)
 	b.Inc(obs.SrvSubmits) // new label set appearing is fine
 	a.Observe(obs.AckLatency, 200)
-	second := scrape(t, c)
+	second := scrape(t, snaps(), nil)
 	if viol := CheckMonotonic(first, second); len(viol) != 0 {
 		t.Fatalf("unexpected violations: %v", viol)
 	}

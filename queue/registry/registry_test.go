@@ -441,8 +441,9 @@ func TestBatchRecorderThreading(t *testing.T) {
 	}
 }
 
-// linkingCASes counts EvCASAttempt events, which only the linking-CAS
-// engine emits (pointer catch-up CASes count in CASAttempts silently).
+// linkingCASes counts EvCASAttempt events, which the linking-CAS engine
+// emits once per issued linking CAS. Pointer catch-up CASes emit none and
+// count in no counter.
 type linkingCASes struct{ n atomic.Uint64 }
 
 func (r *linkingCASes) Event(k obs.EventKind, _ int32, _ uint64) {
@@ -451,15 +452,15 @@ func (r *linkingCASes) Event(k obs.EventKind, _ int32, _ uint64) {
 	}
 }
 
-// TestBuildDelayedCAS checks that SBQ-DCAS is the §4.1 delayed CAS: the
-// engine's policy diverts every linking CAS to the plain path after the
-// delay, so every issued linking CAS is a fallback and nothing
-// soft-aborts.
-func TestBuildDelayedCAS(t *testing.T) {
+// linkingRun builds entry name on a recorder that counts linking CASes,
+// enqueues from two producers at once, drains the queue, and returns the
+// recorder's snapshot and the number of linking CASes issued.
+func linkingRun(t *testing.T, name string) (obs.Snapshot, uint64) {
+	t.Helper()
 	events := &linkingCASes{}
 	rec := obs.NewWithEvents(events)
 	const producers, per = 2, 200
-	inst, err := registry.Build("SBQ-DCAS", registry.Config{Producers: producers, Recorder: rec})
+	inst, err := registry.Build(name, registry.Config{Producers: producers, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,11 +482,29 @@ func TestBuildDelayedCAS(t *testing.T) {
 			t.Fatalf("dequeue %d found the queue empty", i)
 		}
 	}
-	snap := rec.Snapshot()
 	linking := events.n.Load()
 	if linking == 0 {
 		t.Fatal("no linking CAS was issued")
 	}
+	return rec.Snapshot(), linking
+}
+
+// TestCASAttemptsCountLinkingCASes checks that CASAttempts counts the
+// linking CAS only, as internal/obs defines it: the head and tail
+// catch-up CASes of Algorithm 6, which every drain issues, stay out.
+func TestCASAttemptsCountLinkingCASes(t *testing.T) {
+	snap, linking := linkingRun(t, "SBQ-CAS")
+	if got := snap.Counter(obs.CASAttempts); got != linking {
+		t.Errorf("CASAttempts=%d, want %d: the issued linking CASes", got, linking)
+	}
+}
+
+// TestBuildDelayedCAS checks that SBQ-DCAS is the §4.1 delayed CAS: the
+// engine's policy diverts every linking CAS to the plain path after the
+// delay, so every issued linking CAS is a fallback and nothing
+// soft-aborts.
+func TestBuildDelayedCAS(t *testing.T) {
+	snap, linking := linkingRun(t, "SBQ-DCAS")
 	if got := snap.Counter(obs.CASFallbacks); got != linking {
 		t.Errorf("CASFallbacks=%d, want %d: every issued linking CAS", got, linking)
 	}

@@ -175,24 +175,16 @@ func (q *Queue[T]) tryAppend(tail, n *node[T], lane int32) appendStatus {
 	return appendFailure
 }
 
-// advance is Algorithm 6: advance *ptr to at least n. Retried CASes are
-// charged to the recorder so the §3 accounting covers pointer catch-up,
-// not just appends.
+// advance is Algorithm 6: advance *ptr to at least n.
 func (q *Queue[T]) advance(ptr *atomic.Pointer[node[T]], n *node[T]) {
-	r := q.rec
 	for {
 		old := ptr.Load()
 		if old.index >= n.index {
 			return
 		}
-		if r != nil {
-			r.Inc(obs.CASAttempts)
-		}
+		//lint:ignore casloop monotonic advance: a failed CAS means another thread advanced the pointer
 		if ptr.CompareAndSwap(old, n) {
 			return
-		}
-		if r != nil {
-			r.Inc(obs.CASFailures)
 		}
 	}
 }
@@ -258,9 +250,10 @@ func (h *Handle[T]) Enqueue(v T) {
 // is the basket-as-batch reading of §5: the paper's basket amortizes the
 // serialized handoff over the k enqueuers whose CASs happened to fail
 // together; the batch amortizes it over the k elements one producer
-// already grouped. The chain's interior baskets are ordinary open
-// baskets, so concurrent enqueuers whose CAS fails against the chain
-// still profit by joining them.
+// already grouped. Only the chain's first node can be joined: a
+// concurrent enqueuer whose CAS fails against the chain lost to that
+// node, while each interior node's next is set before publication, so
+// tryAppend finds a bad tail there and no linking CAS fails against it.
 //
 // Unlike a failed single Enqueue, a failed chain CAS does not drop into
 // the winner's basket (a basket holds at most one element per handle);

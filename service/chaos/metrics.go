@@ -30,16 +30,15 @@ func startAdmin(addr string, w *world) (string, func(), error) {
 
 // metricsCrossCheck renders the harness's own recorder — which survives
 // restarts and aggregates every service instance of the run — through the
-// full exposition pipeline (Collection → text format → Parse) and requires
+// full exposition pipeline (Write → text format → Parse) and requires
 // the scraped counters to agree with the ledger. A disagreement means the
 // telemetry plane dropped or invented events somewhere between the
 // instrumentation site and the scrape, which no amount of green delivery
 // invariants excuses.
 func metricsCrossCheck(st *obs.Stats, submitted, acked uint64) []Violation {
-	col := export.NewCollection()
-	col.AddSnapshot(export.Labels{"scope": "chaos"}, st.Snapshot)
 	var b strings.Builder
-	if err := col.Write(&b); err != nil {
+	snaps := []export.LabeledSnapshot{{Labels: export.Labels{"scope": "chaos"}, Snap: st.Snapshot()}}
+	if err := export.Write(&b, snaps, nil); err != nil {
 		return []Violation{{Kind: VMetrics, Detail: fmt.Sprintf("rendering exposition: %v", err)}}
 	}
 	sc, err := export.Parse(strings.NewReader(b.String()))

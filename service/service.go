@@ -54,7 +54,7 @@
 // scope that owns it: every tenant records into a child scope of the
 // service's root obs.Stats, and each of its lanes and queue shards into a
 // child of the tenant's. Wider scopes sum their children at read time, so
-// merging every tenant's snapshot reproduces the root's. MetricsCollection
+// merging every tenant's snapshot reproduces the root's. MetricsHandler
 // renders the tenant and shard scopes as a Prometheus /metrics page with
 // tenant/queue/shard labels.
 // Structured request logs (log/slog, per-kind sampling) are enabled by
@@ -73,7 +73,6 @@ import (
 
 	"repro/internal/machine/policy"
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/queue/registry"
 )
 
@@ -139,7 +138,7 @@ type Config struct {
 	// harness restarts one mid-run) keeps counting across them. When the
 	// root carries a flight recorder (obs.NewWithEvents), every scope hands
 	// it the queue and service timeline events. The /metrics exporter reads
-	// the tenant and shard scopes (see MetricsCollection).
+	// the tenant and shard scopes (see MetricsHandler).
 	Recorder *obs.Stats
 	// Logger, when non-nil, receives structured job-lifecycle records
 	// (log/slog): submit, lease, ack, nack, expire, dead-letter, reject,
@@ -234,9 +233,6 @@ type Service struct {
 	// the monotonic clock under the default clock, now().Sub under an
 	// injected one.
 	since func(time.Time) time.Duration
-
-	metricsOnce sync.Once
-	metrics     *export.Collection // lazily built; windows persist across scrapes
 
 	// Lock discipline: tmu, the slots' lease-table mutexes, dmu,
 	// tenant.dlqMu, the lanes and the backoff RNG's mutex are leaves, each

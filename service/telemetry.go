@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"net/http"
 	"sort"
 	"strconv"
@@ -34,7 +35,8 @@ const (
 // checkpoint, since New returns the *Service).
 func (s *Service) Ready() bool { return s.state.Load() == srvServing }
 
-// MetricsCollection returns the service's Prometheus collection:
+// MetricsHandler returns the GET /metrics handler (Prometheus text
+// exposition 0.0.4). Each request renders, with export.Write:
 //
 //   - per-tenant counter and histogram snapshots, label {tenant} — the
 //     service lifecycle counters plus the tenant's queue counters, which
@@ -43,25 +45,22 @@ func (s *Service) Ready() bool { return s.state.Load() == srvServing }
 //     CAS-failure and retry signals at the granularity they occur;
 //   - depth/readiness gauges, labels {tenant, queue} (see Metric*).
 //
-// The collection is built once and cached: its per-source delta windows
-// must persist across scrapes for the windowed rate gauges
-// (sbq_cas_failure_rate and friends) to measure scrape-to-scrape
-// intervals. Snapshot sources are gathered per scrape, so tenants created
-// after the first scrape appear automatically.
-func (s *Service) MetricsCollection() *export.Collection {
-	s.metricsOnce.Do(func() {
-		c := export.NewCollection()
-		c.AddSnapshots(s.tenantSnapshots)
-		c.AddSnapshots(s.shardSnapshots)
-		c.AddGauges(s.gaugeSamples)
-		s.metrics = c
+// A scrape reads the recorder state and keeps nothing, so two scrapes of
+// the same state are byte-identical and concurrent scrapes need no lock:
+// the tenant map is immutable, shard scopes sit behind an atomic pointer,
+// and Stats locks what it reads.
+func (s *Service) MetricsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		var b bytes.Buffer
+		snaps := append(s.tenantSnapshots(), s.shardSnapshots()...)
+		if err := export.Write(&b, snaps, s.gaugeSamples()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", export.ContentType)
+		_, _ = w.Write(b.Bytes())
 	})
-	return s.metrics
 }
-
-// MetricsHandler returns the GET /metrics handler (Prometheus text
-// exposition 0.0.4).
-func (s *Service) MetricsHandler() http.Handler { return s.MetricsCollection() }
 
 // tenantList snapshots the tenant table, sorted by name for stable
 // exposition and stats ordering.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,6 +136,121 @@ func TestMetricsExposition(t *testing.T) {
 	if v := mustValue(t, sc2, "sbq_srv_submits_total", export.Labels{"tenant": "a"}); v != 6 {
 		t.Fatalf("submits{tenant=a} after second scrape = %g, want 6", v)
 	}
+}
+
+// TestMetricsRenderIdentical renders /metrics twice with no call in
+// between, on a tenant whose SBQ-CAS queue has counted linking CASes: a
+// scrape is a pure function of the recorder state, so the two pages are
+// byte-identical. Both are served with status 200 and the exposition
+// Content-Type, and parse.
+func TestMetricsRenderIdentical(t *testing.T) {
+	s := mustService(t, service.Config{Queue: "SBQ-CAS"})
+	defer s.Shutdown(context.Background())
+	for i := 0; i < 4; i++ {
+		if _, err := s.Submit("a", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, ok, err := s.Lease("a")
+	if err != nil || !ok {
+		t.Fatalf("Lease: ok=%v err=%v", ok, err)
+	}
+	if err := s.Ack(l.Token); err != nil {
+		t.Fatal(err)
+	}
+
+	h := s.MetricsHandler()
+	var pages [2]string
+	for i := range pages {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET /metrics = %d", rr.Code)
+		}
+		if ct := rr.Header().Get("Content-Type"); ct != export.ContentType {
+			t.Fatalf("Content-Type = %q, want %q", ct, export.ContentType)
+		}
+		pages[i] = rr.Body.String()
+	}
+	sc, err := export.Parse(strings.NewReader(pages[0]))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if v := mustValue(t, sc, export.CounterName(obs.CASAttempts), export.Labels{"tenant": "a"}); v == 0 {
+		t.Fatal("tenant a counted no linking CAS")
+	}
+	if pages[0] != pages[1] {
+		t.Fatalf("two scrapes of one state differ:\n%s\n---\n%s", pages[0], pages[1])
+	}
+}
+
+// TestMetricsConcurrentScrapes renders /metrics from 4 goroutines while 2
+// others run Submit/Lease/Ack on two tenants. Scrapes take no lock, so
+// the race detector checks that every source they read is safe to read
+// concurrently; every page must parse, and each scraper's consecutive
+// pages must be monotonic.
+func TestMetricsConcurrentScrapes(t *testing.T) {
+	s := mustService(t, service.Config{Shards: 2})
+	defer s.Shutdown(context.Background())
+	h := s.MetricsHandler()
+	const scrapers, pages = 4, 20
+
+	stop := make(chan struct{})
+	var workers sync.WaitGroup
+	for _, tenant := range []string{"a", "b"} {
+		workers.Add(1)
+		go func(tenant string) {
+			defer workers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := s.Submit(tenant, nil); err != nil {
+					t.Errorf("Submit %s: %v", tenant, err)
+					return
+				}
+				l, ok, err := s.Lease(tenant)
+				if err != nil || !ok {
+					t.Errorf("Lease %s: ok=%v err=%v", tenant, ok, err)
+					return
+				}
+				if err := s.Ack(l.Token); err != nil {
+					t.Errorf("Ack %s: %v", tenant, err)
+					return
+				}
+			}
+		}(tenant)
+	}
+
+	var readers sync.WaitGroup
+	for i := 0; i < scrapers; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var prev *export.Scrape
+			for j := 0; j < pages; j++ {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+				sc, err := export.Parse(rr.Body)
+				if err != nil {
+					t.Errorf("page %d does not parse: %v", j, err)
+					return
+				}
+				if prev != nil {
+					if v := export.CheckMonotonic(prev, sc); len(v) != 0 {
+						t.Errorf("page %d: monotonicity violations: %v", j, v)
+						return
+					}
+				}
+				prev = sc
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	workers.Wait()
 }
 
 func TestMetricsTenantScopesSumToGlobal(t *testing.T) {
