@@ -50,7 +50,7 @@ func BenchmarkFig1(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", series, threads), func(b *testing.B) {
 				var last []harness.Result
 				for i := 0; i < b.N; i++ {
-					res := harness.Run(harness.Fig1{}, benchOpts(threads)).Results
+					res := harness.Fig1(benchOpts(threads))
 					for _, r := range res {
 						if r.Series == series {
 							last = []harness.Result{r}
@@ -73,7 +73,7 @@ func BenchmarkFig5_EnqueueOnly(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var last []harness.Result
 				for i := 0; i < b.N; i++ {
-					last = harness.Run(harness.EnqueueOnly{Variants: []harness.Variant{v}}, benchOpts(threads)).Results
+					last = harness.EnqueueOnly([]harness.Variant{v}, benchOpts(threads))
 				}
 				reportSim(b, last)
 			})
@@ -88,7 +88,7 @@ func BenchmarkFig6_DequeueOnly(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var last []harness.Result
 				for i := 0; i < b.N; i++ {
-					last = harness.Run(harness.DequeueOnly{Variants: []harness.Variant{v}}, benchOpts(threads)).Results
+					last = harness.DequeueOnly([]harness.Variant{v}, benchOpts(threads))
 				}
 				reportSim(b, last)
 			})
@@ -103,7 +103,7 @@ func BenchmarkFig7_Mixed(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", v, threads), func(b *testing.B) {
 				var last []harness.Result
 				for i := 0; i < b.N; i++ {
-					last = harness.Run(harness.Mixed{Variants: []harness.Variant{v}}, benchOpts(threads)).Results
+					last = harness.Mixed([]harness.Variant{v}, benchOpts(threads))
 				}
 				reportSim(b, last)
 			})
@@ -120,7 +120,7 @@ func BenchmarkAblation_DelaySweep(b *testing.B) {
 		b.Run(fmt.Sprintf("delay=%.0fns/threads=32", delayNS), func(b *testing.B) {
 			var last []harness.Result
 			for i := 0; i < b.N; i++ {
-				last = harness.Run(harness.DelaySweep{DelaysNS: []float64{delayNS}, ThreadCounts: []int{32}}, benchOpts(32)).Results
+				last = harness.DelaySweep([]float64{delayNS}, []int{32}, benchOpts(32))
 			}
 			reportSim(b, last)
 		})
@@ -133,7 +133,7 @@ func BenchmarkAblation_BasketSize(b *testing.B) {
 		b.Run(fmt.Sprintf("B=%d/threads=8", size), func(b *testing.B) {
 			var last []harness.Result
 			for i := 0; i < b.N; i++ {
-				last = harness.Run(harness.BasketSweep{BasketSizes: []int{size}, Threads: 8}, benchOpts(8)).Results
+				last = harness.BasketSweep([]int{size}, 8, benchOpts(8))
 			}
 			reportSim(b, last)
 		})
@@ -147,7 +147,7 @@ func BenchmarkAblation_TrippedWriterFix(b *testing.B) {
 			var ns float64
 			var tripped uint64
 			for i := 0; i < b.N; i++ {
-				for _, r := range harness.Run(harness.FixAblation{}, benchOpts(0)).Fix {
+				for _, r := range harness.FixAblation(benchOpts(0)) {
 					if r.Label == cfg {
 						ns, tripped = r.NSPerOp, r.TrippedWriters
 					}
@@ -168,7 +168,7 @@ func BenchmarkExtension_PartitionedDequeue(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/threads=44", v), func(b *testing.B) {
 			var last []harness.Result
 			for i := 0; i < b.N; i++ {
-				last = harness.Run(harness.DequeueOnly{Variants: []harness.Variant{v}}, benchOpts(44)).Results
+				last = harness.DequeueOnly([]harness.Variant{v}, benchOpts(44))
 			}
 			reportSim(b, last)
 		})

@@ -68,9 +68,9 @@ func main() {
 	run := func(name string) {
 		switch name {
 		case "1":
-			emit("Figure 1: TxCAS vs FAA latency [ns/op]", harness.Run(harness.Fig1{}, o).Results)
+			emit("Figure 1: TxCAS vs FAA latency [ns/op]", harness.Fig1(o))
 		case "5":
-			res := harness.Run(harness.EnqueueOnly{Variants: harness.AllVariants}, o).Results
+			res := harness.EnqueueOnly(harness.AllVariants, o)
 			emit("Figure 5: enqueue-only latency [ns/op]", res)
 			if !*csv {
 				fmt.Println("== Figure 5: enqueue throughput [Mops/s] ==")
@@ -81,10 +81,9 @@ func main() {
 				fmt.Println()
 			}
 		case "6":
-			emit("Figure 6: dequeue-only latency [ns/op]",
-				harness.Run(harness.DequeueOnly{Variants: harness.AllVariants}, o).Results)
+			emit("Figure 6: dequeue-only latency [ns/op]", harness.DequeueOnly(harness.AllVariants, o))
 		case "7":
-			res := harness.Run(harness.Mixed{Variants: harness.AllVariants}, o).Results
+			res := harness.Mixed(harness.AllVariants, o)
 			emit("Figure 7: mixed workload normalized duration [ns/op]", res)
 			if !*csv {
 				if s, ok := harness.Speedup(res, string(harness.SBQHTM), string(harness.WFQueue), 44); ok {
@@ -92,35 +91,29 @@ func main() {
 				}
 			}
 		case "delay":
-			res := harness.Run(harness.DelaySweep{
-				DelaysNS: []float64{0, 67, 135, 270, 540}, ThreadCounts: []int{4, 16, 32, 44}}, o).Results
-			emit("§4.1 ablation: TxCAS intra-transaction delay [ns/op]", res)
+			emit("§4.1 ablation: TxCAS intra-transaction delay [ns/op]",
+				harness.DelaySweep([]float64{0, 67, 135, 270, 540}, []int{4, 16, 32, 44}, o))
 		case "basket":
-			res := harness.Run(harness.BasketSweep{
-				BasketSizes: []int{8, 16, 24, 44, 64, 88}, Threads: 8}, o).Results
-			emit("§5.3.4 ablation: SBQ-HTM enqueue latency vs basket size (8 threads)", res)
+			emit("§5.3.4 ablation: SBQ-HTM enqueue latency vs basket size (8 threads)",
+				harness.BasketSweep([]int{8, 16, 24, 44, 64, 88}, 8, o))
 		case "ext":
-			res := harness.Run(harness.DequeueOnly{Variants: []harness.Variant{
-				harness.SBQHTM, harness.SBQHTMPart, harness.WFQueue}}, o).Results
-			emit("§8 future-work extension: partitioned-basket dequeue latency [ns/op]", res)
+			emit("§8 future-work extension: partitioned-basket dequeue latency [ns/op]",
+				harness.DequeueOnly([]harness.Variant{harness.SBQHTM, harness.SBQHTMPart, harness.WFQueue}, o))
 		case "obs":
 			variants := append([]harness.Variant{}, harness.AllVariants...)
 			variants = append(variants, harness.SBQHTMPart)
-			snaps := harness.Run(harness.Telemetry{Variants: variants}, o).Telemetry
 			fmt.Println("== Telemetry: per-queue CAS failure rates, HTM abort codes, coherence traffic ==")
-			harness.WriteTelemetry(os.Stdout, snaps)
+			harness.WriteTelemetry(os.Stdout, harness.Telemetry(variants, o))
 		case "fix":
-			rows := harness.Run(harness.FixAblation{}, o).Fix
 			fmt.Println("== §3.4.1/§4.3 ablation: cross-socket TxCAS, tripped-writer fix ==")
 			fmt.Printf("%-20s %10s %10s %10s %10s %10s\n", "config", "ns/op", "tripped", "stalls", "aborts", "commits")
-			for _, r := range rows {
+			for _, r := range harness.FixAblation(o) {
 				fmt.Printf("%-20s %10.0f %10d %10d %10d %10d\n", r.Label, r.NSPerOp, r.TrippedWriters, r.FixStalls, r.Aborts, r.Commits)
 			}
 			fmt.Println()
 		case "faults":
-			res := harness.Run(harness.FaultSweep{}, o).Faults
 			fmt.Println("== Fault sweep: SBQ-HTM enqueue under injected aborts, per retry/fallback policy ==")
-			harness.WriteFaultSweep(os.Stdout, res)
+			harness.WriteFaultSweep(os.Stdout, harness.FaultSweep(8, []float64{0, 0.05, 0.2, 0.5}, o))
 			fmt.Println()
 		default:
 			fmt.Fprintf(os.Stderr, "sbqsim: unknown figure %q\n", name)

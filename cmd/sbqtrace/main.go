@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/cliflag"
 	"repro/internal/harness"
@@ -38,7 +39,8 @@ func main() {
 	analyze := flag.Bool("analyze", false, "with -record: also analyze the recorded trace")
 	out := flag.String("out", "", "with -record: write Chrome trace_event JSON here (default stdout)")
 	workload := flag.String("workload", "mixed", "with -record: mixed (producers/consumers across sockets) or txcas (§3.4.1 raw-TxCAS regime)")
-	variant := flag.String("variant", string(harness.SBQHTM), "with -record -workload mixed: queue variant")
+	variant := flag.String("variant", string(harness.SBQHTM),
+		fmt.Sprintf("with -record -workload mixed: queue variant, one of %v", harness.Buildable))
 	threads := flag.Int("threads", 8, "with -record: threads per side (producers=consumers, or TxCASers per socket)")
 	ops := flag.Int("ops", 300, "with -record: operations per thread")
 	faults := cliflag.Faults(flag.CommandLine)
@@ -94,9 +96,13 @@ func doRecord(workload, variant string, threads, ops int, faults machine.FaultPl
 	var tr *trace.Trace
 	switch workload {
 	case "mixed":
-		tr = harness.Run(harness.TraceQueue{Variant: harness.Variant(variant)}, o).Trace
+		if !slices.Contains(harness.Buildable, harness.Variant(variant)) {
+			fmt.Fprintf(os.Stderr, "sbqtrace: unknown variant %q (want one of %v)\n", variant, harness.Buildable)
+			os.Exit(2)
+		}
+		tr = harness.TraceQueue(harness.Variant(variant), o)
 	case "txcas":
-		tr = harness.Run(harness.TraceTxCAS{}, o).Trace
+		tr = harness.TraceTxCAS(o)
 	default:
 		fmt.Fprintf(os.Stderr, "sbqtrace: unknown workload %q (want mixed or txcas)\n", workload)
 		os.Exit(2)

@@ -7,9 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRunOptionComposition is the smoke test for Run's option
-// composition: Options.Faults must reach every machine the workload
-// builds. The seeded plan below injects spurious aborts, so the
+// TestRunOptionComposition is the smoke test for option composition:
+// Options.Faults must reach every machine an experiment builds. The seeded plan below injects spurious aborts, so the
 // machine-level fault counters must come back nonzero.
 func TestRunOptionComposition(t *testing.T) {
 	o := Options{
@@ -22,13 +21,13 @@ func TestRunOptionComposition(t *testing.T) {
 		},
 	}
 
-	tel := Run(Telemetry{Variants: []Variant{SBQHTM}}, o)
-	if len(tel.Telemetry) != 1 {
-		t.Fatalf("Telemetry returned %d snapshots, want 1", len(tel.Telemetry))
+	tel := Telemetry([]Variant{SBQHTM}, o)
+	if len(tel) != 1 {
+		t.Fatalf("Telemetry returned %d snapshots, want 1", len(tel))
 	}
-	injected := tel.Telemetry[0].Machine.Counter(obs.FaultsInjected)
+	injected := tel[0].Machine.Counter(obs.FaultsInjected)
 	if injected == 0 {
 		t.Fatalf("Options.Faults did not reach the simulated machine: faults_injected = 0\nmachine snapshot:\n%s",
-			tel.Telemetry[0].Machine.String())
+			tel[0].Machine.String())
 	}
 }

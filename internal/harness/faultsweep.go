@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/machine/policy"
-	"repro/internal/stats"
 )
 
 // This file implements the fault sweep: abort-rate vs throughput curves for
@@ -39,30 +38,6 @@ func DefaultPolicies() []PolicySpec {
 	}
 }
 
-// FaultSweep measures enqueue throughput of one variant at a fixed thread
-// count across injected-fault scenarios — a spurious-abort probability
-// curve plus the HTM-disabled endpoint — once per policy. Populates
-// Output.Faults.
-type FaultSweep struct {
-	// Variant is the queue under test; default SBQHTM.
-	Variant Variant
-	// Threads is the producer count; default 8.
-	Threads int
-	// AbortProbs are the spurious-abort probabilities to sweep; default
-	// {0, 0.05, 0.2, 0.5}. A leading 0 gives each policy its fault-free
-	// baseline, which Slowdown is computed against.
-	AbortProbs []float64
-	// SkipDisabled omits the HTM-disabled endpoint.
-	SkipDisabled bool
-	// Policies is the policy lineup; default DefaultPolicies().
-	Policies []PolicySpec
-}
-
-// Name implements Workload.
-func (FaultSweep) Name() string { return "faults" }
-
-func (w FaultSweep) run(o Options) Output { return Output{Faults: runFaultSweep(w, o)} }
-
 // FaultResult is one (policy, fault scenario) point of the sweep.
 type FaultResult struct {
 	Policy   string
@@ -82,44 +57,57 @@ type FaultResult struct {
 	Fallbacks      uint64
 	FaultsInjected uint64
 	// Slowdown is NSPerOp relative to this policy's first scenario (the
-	// fault-free baseline when AbortProbs starts at 0).
+	// fault-free baseline when abortProbs starts at 0).
 	Slowdown float64
 }
 
-func runFaultSweep(w FaultSweep, o Options) []FaultResult {
+// FaultSweep measures SBQ-HTM enqueue throughput with threads producers
+// (at most one socket's worth) across injected-fault scenarios, once per
+// policy of DefaultPolicies: a curve over the spurious-abort
+// probabilities abortProbs, then the HTM-disabled endpoint. A leading 0 in
+// abortProbs gives each policy its fault-free baseline, which Slowdown is
+// computed against.
+func FaultSweep(threads int, abortProbs []float64, o Options) []FaultResult {
 	o = o.withDefaults()
-	if w.Variant == "" {
-		w.Variant = SBQHTM
-	}
-	if w.Threads == 0 {
-		w.Threads = 8
-	}
-	if len(w.AbortProbs) == 0 {
-		w.AbortProbs = []float64{0, 0.05, 0.2, 0.5}
-	}
-	if len(w.Policies) == 0 {
-		w.Policies = DefaultPolicies()
-	}
-
+	// Clamped to one socket, so point measures every scenario below.
+	threads = min(threads, machine.Default().CoresPerSocket)
 	type scenario struct {
 		label    string
 		prob     float64
 		disabled bool
 	}
 	var scenarios []scenario
-	for _, p := range w.AbortProbs {
+	for _, p := range abortProbs {
 		scenarios = append(scenarios, scenario{label: fmt.Sprintf("p=%.2f", p), prob: p})
 	}
-	if !w.SkipDisabled {
-		scenarios = append(scenarios, scenario{label: "disabled", disabled: true})
-	}
+	scenarios = append(scenarios, scenario{label: "disabled", disabled: true})
 
 	var out []FaultResult
-	for _, ps := range w.Policies {
+	for _, ps := range DefaultPolicies() {
+		copt := core.DefaultOptions()
+		copt.Policy = ps.Policy
 		baseline := 0.0
 		for _, sc := range scenarios {
-			r := w.measure(ps, sc.prob, sc.disabled, o)
-			r.Scenario = sc.label
+			o2 := o
+			o2.Faults.SpuriousAbortProb = sc.prob
+			o2.Faults.DisableHTM = o.Faults.DisableHTM || sc.disabled
+			var ms machine.Stats
+			p := o2.point(nil, "faults", ps.Name+" "+sc.label, threads, threads, func(m *machine.Machine) float64 {
+				ns := o.enqueue(m, SBQHTM, threads, paperBasket, copt)
+				ms.TxStarted += m.Stats.TxStarted
+				ms.TxAborts += m.Stats.TxAborts
+				ms.CASFallbacks += m.Stats.CASFallbacks
+				ms.FaultsInjected += m.Stats.FaultsInjected
+				return ns
+			})[0]
+			r := FaultResult{
+				Policy: ps.Name, Scenario: sc.label, AbortProb: sc.prob, Disabled: sc.disabled,
+				Threads: threads, NSPerOp: p.NSPerOp, Mops: p.Mops,
+				Fallbacks: ms.CASFallbacks, FaultsInjected: ms.FaultsInjected,
+			}
+			if ms.TxStarted > 0 {
+				r.AbortRate = float64(ms.TxAborts) / float64(ms.TxStarted)
+			}
 			if baseline == 0 {
 				baseline = r.NSPerOp
 			}
@@ -127,63 +115,9 @@ func runFaultSweep(w FaultSweep, o Options) []FaultResult {
 				r.Slowdown = r.NSPerOp / baseline
 			}
 			out = append(out, r)
-			o.progress("faults %s %s: %.0f ns/op (x%.2f) abort-rate=%.2f fallbacks=%d\n",
-				r.Policy, r.Scenario, r.NSPerOp, r.Slowdown, r.AbortRate, r.Fallbacks)
 		}
 	}
 	return out
-}
-
-// measure runs the enqueue-only workload for one (policy, scenario) point.
-func (w FaultSweep) measure(ps PolicySpec, prob float64, disabled bool, o Options) FaultResult {
-	n := w.Threads
-	var ns []float64
-	var mstats machine.Stats
-	for rep := 0; rep < o.Reps; rep++ {
-		o2 := o
-		o2.Faults.SpuriousAbortProb = prob
-		o2.Faults.DisableHTM = o.Faults.DisableHTM || disabled
-		m := o2.newMachine(uint64(rep) + 1)
-		if n > m.Config().CoresPerSocket {
-			n = m.Config().CoresPerSocket
-		}
-		copt := core.DefaultOptions()
-		copt.Policy = ps.Policy
-		q := buildQueue(m, w.Variant, n, n, o.BasketSize, nil, copt)
-		var cycles uint64
-		for t := 0; t < n; t++ {
-			t := t
-			m.Go(t, func(p *machine.Proc) {
-				p.Delay(p.RandN(200))
-				start := p.Now()
-				for i := 0; i < o.OpsPerThread; i++ {
-					q.Enqueue(p, t, element(t, i))
-				}
-				cycles += p.Now() - start
-			})
-		}
-		m.Run()
-		perOp := float64(cycles) / float64(n*o.OpsPerThread)
-		ns = append(ns, m.Config().NSPerOp(perOp))
-		mstats.TxStarted += m.Stats.TxStarted
-		mstats.TxAborts += m.Stats.TxAborts
-		mstats.CASFallbacks += m.Stats.CASFallbacks
-		mstats.FaultsInjected += m.Stats.FaultsInjected
-	}
-	s := stats.Summarize(ns)
-	r := FaultResult{
-		Policy:    ps.Name,
-		AbortProb: prob,
-		Disabled:  disabled,
-		Threads:   n,
-		NSPerOp:   s.Mean,
-		Mops:      1e3 * float64(n) / s.Mean,
-		Fallbacks: mstats.CASFallbacks, FaultsInjected: mstats.FaultsInjected,
-	}
-	if mstats.TxStarted > 0 {
-		r.AbortRate = float64(mstats.TxAborts) / float64(mstats.TxStarted)
-	}
-	return r
 }
 
 // WriteFaultSweep renders the sweep as one block per policy: a row per

@@ -1,8 +1,13 @@
 // Package harness runs the paper's evaluation experiments (§6) on the
-// simulated machine and formats their results. Experiments are named by
-// typed Workload values executed through the single entry point Run (see
-// run.go); each regenerates one figure or ablation of the paper. cmd/sbqsim
-// and the repository's bench_test.go are thin wrappers around it.
+// simulated machine and formats their results. Each experiment is one
+// function that regenerates a figure or ablation of the paper and returns
+// its own result type:
+//
+//	res := harness.EnqueueOnly(harness.AllVariants, harness.Options{OpsPerThread: 200})
+//	harness.WriteTable(os.Stdout, res, "ns")
+//
+// cmd/sbqsim, cmd/sbqtrace and the repository's bench_test.go are thin
+// wrappers around them.
 package harness
 
 import (
@@ -34,10 +39,9 @@ type Options struct {
 	OpsPerThread int   // operations per thread per repetition (default 300)
 	Reps         int   // repetitions with distinct seeds (default 3; paper uses 5)
 	ThreadCounts []int // sweep points (default 1..44, paper's single-socket range)
-	BasketSize   int   // SBQ basket capacity (default 44, as in the paper)
 	Progress     io.Writer
 
-	// Faults configures the fault injector of every machine the workload
+	// Faults configures the fault injector of every machine the experiment
 	// builds (see machine.FaultPlan): spurious aborts, capacity squeeze,
 	// HTM disablement, cross-socket jitter. The zero value injects nothing.
 	Faults machine.FaultPlan
@@ -47,14 +51,11 @@ func (o Options) withDefaults() Options {
 	if o.OpsPerThread == 0 {
 		o.OpsPerThread = 300
 	}
-	if o.Reps == 0 {
+	if o.Reps < 1 {
 		o.Reps = 3
 	}
 	if len(o.ThreadCounts) == 0 {
 		o.ThreadCounts = []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44}
-	}
-	if o.BasketSize == 0 {
-		o.BasketSize = 44
 	}
 	return o
 }
@@ -64,6 +65,10 @@ func (o Options) progress(format string, args ...any) {
 		fmt.Fprintf(o.Progress, format, args...)
 	}
 }
+
+// paperBasket is the SBQ basket capacity of every experiment but the basket
+// sweep: 44, as in the paper.
+const paperBasket = 44
 
 // Variant names a queue implementation under test.
 type Variant string
@@ -87,6 +92,10 @@ const (
 
 // AllVariants is the figure 5-7 lineup.
 var AllVariants = []Variant{BQOriginal, CCQueue, SBQCAS, SBQHTM, WFQueue}
+
+// Buildable lists every variant the harness builds: the figure 5-7 lineup,
+// the §8 extension, and the two baselines no figure runs.
+var Buildable = []Variant{BQOriginal, CCQueue, SBQCAS, SBQHTM, WFQueue, SBQHTMPart, MSQueue, LCRQV}
 
 // buildQueue constructs the named variant for a machine with the given
 // producer and total thread counts. rec receives queue-level telemetry
@@ -141,50 +150,107 @@ func (o Options) newMachine(seed uint64) *machine.Machine {
 func element(tid, i int) uint64 { return uint64(tid+1)<<32 | uint64(i+1) }
 
 // ---------------------------------------------------------------------------
+// Measurement helpers shared by the experiments.
+
+// point appends to out one measured point of a figure: o.Reps repetitions
+// of run, each on a fresh machine seeded with its repetition number from
+// 1, where run drives the machine and returns simulated nanoseconds per
+// operation. threads is the point's x-axis value and scales its Mops. A
+// point whose perSocket threads do not fit one socket is skipped.
+func (o Options) point(out []Result, fig, series string, threads, perSocket int, run func(m *machine.Machine) float64) []Result {
+	if perSocket > machine.Default().CoresPerSocket {
+		return out
+	}
+	var ns []float64
+	for rep := 0; rep < o.Reps; rep++ {
+		ns = append(ns, run(o.newMachine(uint64(rep)+1)))
+	}
+	s := stats.Summarize(ns)
+	o.progress("%s %s %d threads: %.0f ns/op\n", fig, series, threads, s.Mean)
+	return append(out, Result{Series: series, Threads: threads, NSPerOp: s.Mean, StdNS: s.Stddev,
+		Mops: 1e3 * float64(threads) / s.Mean})
+}
+
+// goTxCAS starts a thread on core c that waits a random start offset of
+// under stagger cycles, then increments the counter word a by TxCAS (tuned
+// by opt) o.OpsPerThread times, and adds the cycles the increments took to
+// *cycles.
+func (o Options) goTxCAS(m *machine.Machine, c int, a machine.Addr, stagger uint64, opt core.Options, cycles *uint64) {
+	m.Go(c, func(p *machine.Proc) {
+		p.Delay(p.RandN(stagger))
+		txc := core.New(opt)
+		start := p.Now()
+		for i := 0; i < o.OpsPerThread; i++ {
+			old := p.Read(a)
+			txc.Do(p, a, old, old+1)
+		}
+		*cycles += p.Now() - start
+	})
+}
+
+// widest returns the largest of o.ThreadCounts that fits one socket, or 1
+// if none does.
+func (o Options) widest() int {
+	n := 1
+	for _, t := range o.ThreadCounts {
+		if t > n && t <= machine.Default().CoresPerSocket {
+			n = t
+		}
+	}
+	return n
+}
+
+// enqueue runs the producers of an enqueue-only run on m: a variant v
+// queue with baskets of b, and n producers, thread t on core t, each
+// enqueuing o.OpsPerThread elements after a random start offset. It
+// returns simulated nanoseconds per enqueue.
+func (o Options) enqueue(m *machine.Machine, v Variant, n, b int, copt core.Options) float64 {
+	q := buildQueue(m, v, n, n, b, nil, copt)
+	var cycles uint64
+	for t := 0; t < n; t++ {
+		m.Go(t, func(p *machine.Proc) {
+			p.Delay(p.RandN(200))
+			start := p.Now()
+			for i := 0; i < o.OpsPerThread; i++ {
+				q.Enqueue(p, t, element(t, i))
+			}
+			cycles += p.Now() - start
+		})
+	}
+	m.Run()
+	return m.Config().NSPerOp(float64(cycles) / float64(n*o.OpsPerThread))
+}
+
+// ---------------------------------------------------------------------------
 // Figure 1: TxCAS vs FAA latency.
 
-// runFig1 measures per-operation latency of a contended FAA and a contended
+// Fig1 measures per-operation latency of a contended FAA and a contended
 // TxCAS as concurrency grows (paper Figure 1).
-func runFig1(o Options) []Result {
+func Fig1(o Options) []Result {
 	o = o.withDefaults()
 	var out []Result
 	for _, series := range []string{"FAA", "TxCAS"} {
 		for _, n := range o.ThreadCounts {
-			var ns []float64
-			for rep := 0; rep < o.Reps; rep++ {
-				m := o.newMachine(uint64(rep) + 1)
-				if n > m.Config().CoresPerSocket {
-					continue
-				}
+			out = o.point(out, "fig1", series, n, n, func(m *machine.Machine) float64 {
 				a := m.AllocLine(8, 0)
 				var cycles uint64
 				for t := 0; t < n; t++ {
+					if series == "TxCAS" {
+						o.goTxCAS(m, t, a, 200, core.DefaultOptions(), &cycles)
+						continue
+					}
 					m.Go(t, func(p *machine.Proc) {
 						p.Delay(p.RandN(200))
-						txc := core.New(core.DefaultOptions())
 						start := p.Now()
 						for i := 0; i < o.OpsPerThread; i++ {
-							if series == "FAA" {
-								p.FAA(a, 1)
-							} else {
-								old := p.Read(a)
-								txc.Do(p, a, old, old+1)
-							}
+							p.FAA(a, 1)
 						}
 						cycles += p.Now() - start
 					})
 				}
 				m.Run()
-				perOp := float64(cycles) / float64(n*o.OpsPerThread)
-				ns = append(ns, m.Config().NSPerOp(perOp))
-			}
-			if len(ns) == 0 {
-				continue
-			}
-			s := stats.Summarize(ns)
-			out = append(out, Result{Series: series, Threads: n, NSPerOp: s.Mean, StdNS: s.Stddev,
-				Mops: 1e3 * float64(n) / s.Mean})
-			o.progress("fig1 %s %d threads: %.0f ns/op\n", series, n, s.Mean)
+				return m.Config().NSPerOp(float64(cycles) / float64(n*o.OpsPerThread))
+			})
 		}
 	}
 	return out
@@ -193,67 +259,34 @@ func runFig1(o Options) []Result {
 // ---------------------------------------------------------------------------
 // Figures 5-7: queue workloads.
 
-// runEnqueueOnly measures enqueue latency and aggregate throughput while
+// EnqueueOnly measures enqueue latency and aggregate throughput while
 // producers fill an initially empty queue (paper Figure 5).
-func runEnqueueOnly(variants []Variant, o Options) []Result {
+func EnqueueOnly(variants []Variant, o Options) []Result {
 	o = o.withDefaults()
 	var out []Result
 	for _, v := range variants {
 		for _, n := range o.ThreadCounts {
-			var ns []float64
-			for rep := 0; rep < o.Reps; rep++ {
-				m := o.newMachine(uint64(rep) + 1)
-				if n > m.Config().CoresPerSocket {
-					continue
-				}
-				q := buildQueue(m, v, n, n, o.BasketSize, nil, core.DefaultOptions())
-				var cycles uint64
-				for t := 0; t < n; t++ {
-					t := t
-					m.Go(t, func(p *machine.Proc) {
-						p.Delay(p.RandN(200))
-						start := p.Now()
-						for i := 0; i < o.OpsPerThread; i++ {
-							q.Enqueue(p, t, element(t, i))
-						}
-						cycles += p.Now() - start
-					})
-				}
-				m.Run()
-				perOp := float64(cycles) / float64(n*o.OpsPerThread)
-				ns = append(ns, m.Config().NSPerOp(perOp))
-			}
-			if len(ns) == 0 {
-				continue
-			}
-			s := stats.Summarize(ns)
-			out = append(out, Result{Series: string(v), Threads: n, NSPerOp: s.Mean, StdNS: s.Stddev,
-				Mops: 1e3 * float64(n) / s.Mean})
-			o.progress("fig5 %s %d threads: %.0f ns/op\n", v, n, s.Mean)
+			out = o.point(out, "fig5", string(v), n, n, func(m *machine.Machine) float64 {
+				return o.enqueue(m, v, n, paperBasket, core.DefaultOptions())
+			})
 		}
 	}
 	return out
 }
 
-// runDequeueOnly measures dequeue latency on a queue pre-filled by
+// DequeueOnly measures dequeue latency on a queue pre-filled by
 // concurrent producers (paper Figure 6). Consumers are the measured
 // threads; the queue never goes empty.
-func runDequeueOnly(variants []Variant, o Options) []Result {
+func DequeueOnly(variants []Variant, o Options) []Result {
 	o = o.withDefaults()
 	var out []Result
 	for _, v := range variants {
 		for _, n := range o.ThreadCounts {
-			var ns []float64
-			for rep := 0; rep < o.Reps; rep++ {
-				m := o.newMachine(uint64(rep) + 1)
-				if n > m.Config().CoresPerSocket {
-					continue
-				}
+			out = o.point(out, "fig6", string(v), n, n, func(m *machine.Machine) float64 {
 				// Pre-fill with n producer threads (ids 0..n-1), per §6.1.
 				fill := o.OpsPerThread + o.OpsPerThread/4 + 8
-				q := buildQueue(m, v, n, 2*n, o.BasketSize, nil, core.DefaultOptions())
+				q := buildQueue(m, v, n, 2*n, paperBasket, nil, core.DefaultOptions())
 				for t := 0; t < n; t++ {
-					t := t
 					m.Go(t, func(p *machine.Proc) {
 						for i := 0; i < fill; i++ {
 							q.Enqueue(p, t, element(t, i))
@@ -263,37 +296,28 @@ func runDequeueOnly(variants []Variant, o Options) []Result {
 				m.Run()
 				var cycles uint64
 				for t := 0; t < n; t++ {
-					tid := n + t
 					m.Go(t, func(p *machine.Proc) {
 						p.Delay(p.RandN(200))
 						start := p.Now()
 						for i := 0; i < o.OpsPerThread; i++ {
-							q.Dequeue(p, tid)
+							q.Dequeue(p, n+t)
 						}
 						cycles += p.Now() - start
 					})
 				}
 				m.Run()
-				perOp := float64(cycles) / float64(n*o.OpsPerThread)
-				ns = append(ns, m.Config().NSPerOp(perOp))
-			}
-			if len(ns) == 0 {
-				continue
-			}
-			s := stats.Summarize(ns)
-			out = append(out, Result{Series: string(v), Threads: n, NSPerOp: s.Mean, StdNS: s.Stddev,
-				Mops: 1e3 * float64(n) / s.Mean})
-			o.progress("fig6 %s %d threads: %.0f ns/op\n", v, n, s.Mean)
+				return m.Config().NSPerOp(float64(cycles) / float64(n*o.OpsPerThread))
+			})
 		}
 	}
 	return out
 }
 
-// runMixed measures the normalized duration of a benchmark where producers
+// Mixed measures the normalized duration of a benchmark where producers
 // (socket 0) enqueue and consumers (socket 1) dequeue the same number of
 // elements from a half-full queue (paper Figure 7). Threads here counts
 // both types together, matching the figure's x-axis.
-func runMixed(variants []Variant, o Options) []Result {
+func Mixed(variants []Variant, o Options) []Result {
 	o = o.withDefaults()
 	var out []Result
 	for _, v := range variants {
@@ -302,17 +326,11 @@ func runMixed(variants []Variant, o Options) []Result {
 			if n == 0 {
 				continue
 			}
-			var ns []float64
-			for rep := 0; rep < o.Reps; rep++ {
-				m := o.newMachine(uint64(rep) + 1)
-				if n > m.Config().CoresPerSocket {
-					continue
-				}
+			out = o.point(out, "fig7", string(v), 2*n, n, func(m *machine.Machine) float64 {
 				cps := m.Config().CoresPerSocket
-				q := buildQueue(m, v, n, 2*n, o.BasketSize, nil, core.DefaultOptions())
+				q := buildQueue(m, v, n, 2*n, paperBasket, nil, core.DefaultOptions())
 				prefill := o.OpsPerThread / 2
 				for t := 0; t < n; t++ {
-					t := t
 					m.Go(t, func(p *machine.Proc) {
 						for i := 0; i < prefill; i++ {
 							q.Enqueue(p, t, element(t, i))
@@ -321,9 +339,7 @@ func runMixed(variants []Variant, o Options) []Result {
 				}
 				m.Run()
 				start := m.Now()
-				totalOps := 0
 				for t := 0; t < n; t++ {
-					t := t
 					m.Go(t, func(p *machine.Proc) {
 						p.Delay(p.RandN(200))
 						for i := 0; i < o.OpsPerThread; i++ {
@@ -332,12 +348,11 @@ func runMixed(variants []Variant, o Options) []Result {
 					})
 				}
 				for t := 0; t < n; t++ {
-					tid := n + t
 					m.Go(cps+t, func(p *machine.Proc) {
 						p.Delay(p.RandN(200))
 						done := 0
 						for done < o.OpsPerThread {
-							if _, ok := q.Dequeue(p, tid); ok {
+							if _, ok := q.Dequeue(p, n+t); ok {
 								done++
 							} else {
 								p.Delay(100)
@@ -346,17 +361,9 @@ func runMixed(variants []Variant, o Options) []Result {
 					})
 				}
 				m.Run()
-				totalOps = 2 * n * o.OpsPerThread
-				perOp := float64(m.Now()-start) * float64(2*n) / float64(totalOps)
-				ns = append(ns, m.Config().NSPerOp(perOp))
-			}
-			if len(ns) == 0 {
-				continue
-			}
-			s := stats.Summarize(ns)
-			out = append(out, Result{Series: string(v), Threads: 2 * n, NSPerOp: s.Mean, StdNS: s.Stddev,
-				Mops: 1e3 * float64(2*n) / s.Mean})
-			o.progress("fig7 %s %d threads: %.0f ns/op\n", v, 2*n, s.Mean)
+				perOp := float64(m.Now()-start) * float64(2*n) / float64(2*n*o.OpsPerThread)
+				return m.Config().NSPerOp(perOp)
+			})
 		}
 	}
 	return out
@@ -365,67 +372,39 @@ func runMixed(variants []Variant, o Options) []Result {
 // ---------------------------------------------------------------------------
 // Ablations.
 
-// runDelaySweep measures TxCAS latency across intra-transaction delays
-// (paper §4.1's tuning; the paper settles on ~270 ns).
-func runDelaySweep(delaysNS []float64, threadCounts []int, o Options) []Result {
+// DelaySweep measures TxCAS latency across intra-transaction delays, in
+// nanoseconds, at each of the given thread counts (paper §4.1's tuning;
+// the paper settles on ~270 ns).
+func DelaySweep(delaysNS []float64, threads []int, o Options) []Result {
 	o = o.withDefaults()
 	var out []Result
 	for _, dns := range delaysNS {
-		for _, n := range threadCounts {
-			var ns []float64
-			for rep := 0; rep < o.Reps; rep++ {
-				m := o.newMachine(uint64(rep) + 1)
-				if n > m.Config().CoresPerSocket {
-					continue
-				}
-				delay := uint64(dns * m.Config().CyclesPerNS)
+		for _, n := range threads {
+			out = o.point(out, "txcas", fmt.Sprintf("delay=%.0fns", dns), n, n, func(m *machine.Machine) float64 {
+				opt := core.DefaultOptions()
+				opt.Delay = uint64(dns * m.Config().CyclesPerNS)
 				a := m.AllocLine(8, 0)
 				var cycles uint64
 				for t := 0; t < n; t++ {
-					m.Go(t, func(p *machine.Proc) {
-						p.Delay(p.RandN(200))
-						opt := core.DefaultOptions()
-						opt.Delay = delay
-						txc := core.New(opt)
-						start := p.Now()
-						for i := 0; i < o.OpsPerThread; i++ {
-							old := p.Read(a)
-							txc.Do(p, a, old, old+1)
-						}
-						cycles += p.Now() - start
-					})
+					o.goTxCAS(m, t, a, 200, opt, &cycles)
 				}
 				m.Run()
-				perOp := float64(cycles) / float64(n*o.OpsPerThread)
-				ns = append(ns, m.Config().NSPerOp(perOp))
-			}
-			if len(ns) == 0 {
-				continue
-			}
-			s := stats.Summarize(ns)
-			out = append(out, Result{Series: fmt.Sprintf("delay=%.0fns", dns), Threads: n,
-				NSPerOp: s.Mean, StdNS: s.Stddev, Mops: 1e3 * float64(n) / s.Mean})
-			o.progress("delay %.0fns %d threads: %.0f ns/op\n", dns, n, s.Mean)
+				return m.Config().NSPerOp(float64(cycles) / float64(n*o.OpsPerThread))
+			})
 		}
 	}
 	return out
 }
 
-// runBasketSweep measures SBQ-HTM enqueue latency across basket sizes at a
+// BasketSweep measures SBQ-HTM enqueue latency across basket sizes at a
 // fixed thread count (the O(B/T) initialization amortization of §5.3.4).
-func runBasketSweep(basketSizes []int, threads int, o Options) []Result {
+func BasketSweep(sizes []int, threads int, o Options) []Result {
 	o = o.withDefaults()
 	var out []Result
-	for _, b := range basketSizes {
-		o2 := o
-		o2.BasketSize = b
-		o2.ThreadCounts = []int{threads}
-		res := runEnqueueOnly([]Variant{SBQHTM}, o2)
-		for _, r := range res {
-			r.Series = fmt.Sprintf("B=%d", b)
-			out = append(out, r)
-			o.progress("basket B=%d: %.0f ns/op\n", b, r.NSPerOp)
-		}
+	for _, b := range sizes {
+		out = o.point(out, "basket", fmt.Sprintf("B=%d", b), threads, threads, func(m *machine.Machine) float64 {
+			return o.enqueue(m, SBQHTM, threads, b, core.DefaultOptions())
+		})
 	}
 	return out
 }
@@ -444,13 +423,13 @@ type FixResult struct {
 	Commits        uint64
 }
 
-// runFixAblation measures cross-socket TxCAS with and without the §3.4.1
+// FixAblation measures cross-socket TxCAS with and without the §3.4.1
 // microarchitectural fix. TxCASers run on both sockets, which is exactly
 // the configuration §4.3 rules out on current hardware: the post-abort
 // check reads from the remote socket land inside a committing writer's
 // (long, cross-socket) xend drain window and trip it. The proposed fix
 // stalls those reads until the transaction commits.
-func runFixAblation(o Options) []FixResult {
+func FixAblation(o Options) []FixResult {
 	o = o.withDefaults()
 	// The three regimes of §4.3's discussion. Intra-socket, a short
 	// post-abort delay keeps check reads out of a committing writer's
@@ -468,6 +447,7 @@ func runFixAblation(o Options) []FixResult {
 		{"no-delay+fix", true, 0},
 		{"cross-socket-delay", false, 500},
 	}
+	const perSocket = 6
 	var out []FixResult
 	for _, cf := range configs {
 		cfg := machine.Default()
@@ -476,38 +456,28 @@ func runFixAblation(o Options) []FixResult {
 		cfg.Faults = o.Faults
 		m := machine.New(cfg)
 		a := m.AllocLine(8, 0)
-		perSocket := 6
-		var cycles uint64
 		opt := core.DefaultOptions()
 		opt.PostAbortDelay = cf.pad
+		var cycles uint64
 		for s := 0; s < 2; s++ {
 			for t := 0; t < perSocket; t++ {
-				m.Go(s*cfg.CoresPerSocket+t, func(p *machine.Proc) {
-					p.Delay(p.RandN(400))
-					txc := core.New(opt)
-					start := p.Now()
-					for i := 0; i < o.OpsPerThread; i++ {
-						old := p.Read(a)
-						txc.Do(p, a, old, old+1)
-					}
-					cycles += p.Now() - start
-				})
+				o.goTxCAS(m, s*cfg.CoresPerSocket+t, a, 400, opt, &cycles)
 			}
 		}
 		m.Run()
-		perOp := float64(cycles) / float64(2*perSocket*o.OpsPerThread)
-		out = append(out, FixResult{
+		r := FixResult{
 			Label:          cf.label,
 			Fix:            cf.fix,
 			PostAbortDelay: cf.pad,
-			NSPerOp:        cfg.NSPerOp(perOp),
+			NSPerOp:        cfg.NSPerOp(float64(cycles) / float64(2*perSocket*o.OpsPerThread)),
 			TrippedWriters: m.Stats.TrippedWriters,
 			FixStalls:      m.Stats.FixStalls,
 			Aborts:         m.Stats.TxAborts,
 			Commits:        m.Stats.TxCommits,
-		})
+		}
+		out = append(out, r)
 		o.progress("%s: %.0f ns/op, tripped=%d stalls=%d aborts=%d commits=%d\n",
-			cf.label, cfg.NSPerOp(perOp), m.Stats.TrippedWriters, m.Stats.FixStalls, m.Stats.TxAborts, m.Stats.TxCommits)
+			r.Label, r.NSPerOp, r.TrippedWriters, r.FixStalls, r.Aborts, r.Commits)
 	}
 	return out
 }

@@ -23,7 +23,7 @@ func get(results []Result, series string, threads int) (Result, bool) {
 // Figure 1's qualitative content: FAA grows with contention, TxCAS stays
 // roughly flat and wins at high thread counts.
 func TestFig1Shapes(t *testing.T) {
-	res := Run(Fig1{}, fast()).Results
+	res := Fig1(fast())
 	faaLow, _ := get(res, "FAA", 2)
 	faaHigh, ok := get(res, "FAA", 40)
 	if !ok {
@@ -49,7 +49,7 @@ func TestFig1Shapes(t *testing.T) {
 // Figure 5's headline: SBQ-HTM enqueues scale; it beats the FAA-based
 // queue at high concurrency.
 func TestFig5Shapes(t *testing.T) {
-	res := Run(EnqueueOnly{Variants: []Variant{SBQHTM, WFQueue}}, fast()).Results
+	res := EnqueueOnly([]Variant{SBQHTM, WFQueue}, fast())
 	sbqHigh, ok1 := get(res, string(SBQHTM), 40)
 	wfHigh, ok2 := get(res, string(WFQueue), 40)
 	if !ok1 || !ok2 {
@@ -67,7 +67,7 @@ func TestFig5Shapes(t *testing.T) {
 // Figure 6's content: dequeues don't scale for anyone; WF-Queue is the
 // fastest, SBQ within a small constant factor.
 func TestFig6Shapes(t *testing.T) {
-	res := Run(DequeueOnly{Variants: []Variant{SBQHTM, WFQueue}}, fast()).Results
+	res := DequeueOnly([]Variant{SBQHTM, WFQueue}, fast())
 	sbq, ok1 := get(res, string(SBQHTM), 40)
 	wf, ok2 := get(res, string(WFQueue), 40)
 	if !ok1 || !ok2 {
@@ -83,7 +83,7 @@ func TestFig6Shapes(t *testing.T) {
 
 func TestMixedRuns(t *testing.T) {
 	o := Options{OpsPerThread: 60, Reps: 1, ThreadCounts: []int{8, 40}}
-	res := Run(Mixed{Variants: []Variant{SBQHTM, WFQueue}}, o).Results
+	res := Mixed([]Variant{SBQHTM, WFQueue}, o)
 	if len(res) != 4 {
 		t.Fatalf("got %d results, want 4", len(res))
 	}
@@ -95,7 +95,7 @@ func TestMixedRuns(t *testing.T) {
 }
 
 func TestFixAblation(t *testing.T) {
-	res := Run(FixAblation{}, Options{OpsPerThread: 80, Reps: 1}).Fix
+	res := FixAblation(Options{OpsPerThread: 80, Reps: 1})
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -119,14 +119,14 @@ func TestFixAblation(t *testing.T) {
 }
 
 func TestDelaySweepRuns(t *testing.T) {
-	res := Run(DelaySweep{DelaysNS: []float64{0, 270}, ThreadCounts: []int{8, 32}}, Options{OpsPerThread: 60, Reps: 1}).Results
+	res := DelaySweep([]float64{0, 270}, []int{8, 32}, Options{OpsPerThread: 60, Reps: 1})
 	if len(res) != 4 {
 		t.Fatalf("got %d results", len(res))
 	}
 }
 
 func TestBasketSweepRuns(t *testing.T) {
-	res := Run(BasketSweep{BasketSizes: []int{8, 44}, Threads: 8}, Options{OpsPerThread: 60, Reps: 1}).Results
+	res := BasketSweep([]int{8, 44}, 8, Options{OpsPerThread: 60, Reps: 1})
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -181,7 +181,7 @@ func TestSpeedup(t *testing.T) {
 }
 
 func TestBuildQueueAllVariants(t *testing.T) {
-	for _, v := range append(AllVariants, MSQueue, SBQHTMPart, LCRQV) {
+	for _, v := range Buildable {
 		m := Options{}.newMachine(0)
 		q := buildQueue(m, v, 4, 8, 44, nil, core.DefaultOptions())
 		if q.Name() == "" {

@@ -8,8 +8,8 @@ import (
 )
 
 // Determinism: the simulator is deterministic for equal (Options,
-// workload), so running each workload twice must give deeply equal
-// Outputs. sbqsim's byte-identical output rests on this.
+// experiment), so running each experiment twice must give deeply equal
+// results. sbqsim's byte-identical output rests on this.
 
 func tiny() Options {
 	return Options{OpsPerThread: 40, Reps: 1, ThreadCounts: []int{2, 8}}
@@ -18,23 +18,26 @@ func tiny() Options {
 func TestRunDeterministic(t *testing.T) {
 	o := tiny()
 	vs := []Variant{SBQHTM, WFQueue}
-	for _, w := range []Workload{
-		Fig1{},
-		EnqueueOnly{Variants: vs},
-		DequeueOnly{Variants: vs},
-		Mixed{Variants: vs},
-		DelaySweep{DelaysNS: []float64{0, 270}, ThreadCounts: []int{8}},
-		BasketSweep{BasketSizes: []int{8, 44}, Threads: 8},
-		FixAblation{},
-		Telemetry{Variants: vs},
-		TraceQueue{Variant: SBQHTM},
-		TraceTxCAS{},
-		FaultSweep{Threads: 2, AbortProbs: []float64{0, 0.2}},
+	for _, e := range []struct {
+		name string
+		run  func() any
+	}{
+		{"fig1", func() any { return Fig1(o) }},
+		{"enq", func() any { return EnqueueOnly(vs, o) }},
+		{"deq", func() any { return DequeueOnly(vs, o) }},
+		{"mixed", func() any { return Mixed(vs, o) }},
+		{"delay", func() any { return DelaySweep([]float64{0, 270}, []int{8}, o) }},
+		{"basket", func() any { return BasketSweep([]int{8, 44}, 8, o) }},
+		{"fix", func() any { return FixAblation(o) }},
+		{"telemetry", func() any { return Telemetry(vs, o) }},
+		{"trace", func() any { return TraceQueue(SBQHTM, o) }},
+		{"trace-txcas", func() any { return TraceTxCAS(o) }},
+		{"faults", func() any { return FaultSweep(2, []float64{0, 0.2}, o) }},
 	} {
-		t.Run(w.Name(), func(t *testing.T) {
-			a, b := Run(w, o), Run(w, o)
+		t.Run(e.name, func(t *testing.T) {
+			a, b := e.run(), e.run()
 			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s: two runs diverged:\nfirst:  %+v\nsecond: %+v", w.Name(), a, b)
+				t.Errorf("%s: two runs diverged:\nfirst:  %+v\nsecond: %+v", e.name, a, b)
 			}
 		})
 	}
@@ -46,11 +49,11 @@ func TestRunDeterministic(t *testing.T) {
 // factor of their fault-free baseline — the sweep's whole point is that the
 // system degrades gracefully instead of livelocking.
 func TestFaultSweepShape(t *testing.T) {
-	w := FaultSweep{Threads: 4, AbortProbs: []float64{0, 0.5}}
-	res := Run(w, tiny()).Faults
+	probs := []float64{0, 0.5}
+	res := FaultSweep(4, probs, tiny())
 
 	policies := DefaultPolicies()
-	scenariosPer := len(w.AbortProbs) + 1 // + the disabled endpoint
+	scenariosPer := len(probs) + 1 // + the disabled endpoint
 	if len(res) != len(policies)*scenariosPer {
 		t.Fatalf("got %d rows, want %d policies x %d scenarios", len(res), len(policies), scenariosPer)
 	}
@@ -104,13 +107,13 @@ func TestFaultSweepShape(t *testing.T) {
 	}
 }
 
-// Options.Faults composes with the figure workloads: any experiment runs
+// Options.Faults composes with the figure experiments: any experiment runs
 // under a fault plan, and a disabled-HTM plan forces the TxCAS variants
 // onto the fallback path without changing the result shape.
 func TestFigureWorkloadsComposeWithFaults(t *testing.T) {
 	o := tiny()
 	o.Faults = machine.FaultPlan{DisableHTM: true}
-	res := Run(EnqueueOnly{Variants: []Variant{SBQHTM, SBQCAS}}, o).Results
+	res := EnqueueOnly([]Variant{SBQHTM, SBQCAS}, o)
 	if len(res) != 4 {
 		t.Fatalf("got %d results, want 4", len(res))
 	}

@@ -28,36 +28,30 @@ type TelemetrySnapshot struct {
 	Machine obs.Snapshot
 }
 
-// runTelemetry runs a mixed producer/consumer workload for each variant
+// Telemetry runs a mixed producer/consumer workload for each variant
 // with obs recorders attached at both layers and returns the snapshots.
 // The thread count is the largest entry of o.ThreadCounts that fits on one
 // socket; producers run on socket 0 and consumers on socket 1, as in the
 // paper's mixed benchmark (§6.1).
 //
-// Unlike the figure workloads this measures no latency average — the
+// Unlike the figure experiments this measures no latency average — the
 // point is the event mix. The queue is not pre-filled, so consumers race
 // producers and the DeqEmpty/DeqRetries counters show how often they lose.
-func runTelemetry(variants []Variant, o Options) []TelemetrySnapshot {
+func Telemetry(variants []Variant, o Options) []TelemetrySnapshot {
 	o = o.withDefaults()
+	n := o.widest()
 	var out []TelemetrySnapshot
 	for _, v := range variants {
 		m := o.newMachine(1)
 		cfg := m.Config()
-		n := 1
-		for _, t := range o.ThreadCounts {
-			if t > n && t <= cfg.CoresPerSocket {
-				n = t
-			}
-		}
 
 		machineStats := obs.New()
 		m.SetRecorder(machineStats)
 		queueStats := obs.New()
-		q := buildQueue(m, v, n, 2*n, o.BasketSize, queueStats, core.DefaultOptions())
+		q := buildQueue(m, v, n, 2*n, paperBasket, queueStats, core.DefaultOptions())
 
 		toNS := func(cycles uint64) uint64 { return uint64(cfg.NSPerOp(float64(cycles))) }
 		for t := 0; t < n; t++ {
-			t := t
 			m.Go(t, func(p *machine.Proc) {
 				p.Delay(p.RandN(200))
 				for i := 0; i < o.OpsPerThread; i++ {
@@ -68,13 +62,12 @@ func runTelemetry(variants []Variant, o Options) []TelemetrySnapshot {
 			})
 		}
 		for t := 0; t < n; t++ {
-			tid := n + t
 			m.Go(cfg.CoresPerSocket+t, func(p *machine.Proc) {
 				p.Delay(p.RandN(200))
 				done := 0
 				for done < o.OpsPerThread {
 					start := p.Now()
-					_, ok := q.Dequeue(p, tid)
+					_, ok := q.Dequeue(p, n+t)
 					queueStats.Observe(obs.DeqLatency, toNS(p.Now()-start))
 					if ok {
 						done++

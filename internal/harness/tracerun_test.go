@@ -12,7 +12,7 @@ import (
 // carries both layers (queue ops, machine HTM/coherence), survives the
 // Chrome round trip, and analyzes without error.
 func TestRunTraceSBQ(t *testing.T) {
-	tr := Run(TraceQueue{Variant: SBQHTM}, Options{OpsPerThread: 60, ThreadCounts: []int{4}}).Trace
+	tr := TraceQueue(SBQHTM, Options{OpsPerThread: 60, ThreadCounts: []int{4}})
 	if len(tr.Events) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -64,7 +64,7 @@ func TestRunTraceSBQ(t *testing.T) {
 // and checks the analyzer reconstructs a tripped-writer chain-length
 // distribution from it — the acceptance bar for the tracing pipeline.
 func TestRunTraceTxCASChains(t *testing.T) {
-	tr := Run(TraceTxCAS{}, Options{OpsPerThread: 80, ThreadCounts: []int{4}}).Trace
+	tr := TraceTxCAS(Options{OpsPerThread: 80, ThreadCounts: []int{4}})
 	a := trace.Analyze(tr, trace.AnalyzeOptions{})
 	if a.Chains.TrippedAborts == 0 {
 		t.Fatal("no tripped-writer aborts in the cross-socket TxCAS regime")
